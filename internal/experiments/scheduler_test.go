@@ -48,6 +48,7 @@ type sysSnapshot struct {
 	L2s      []cache.L2Stats
 	CPUs     []cpuSnapshot
 	Procs    []procSnapshot
+	DMAs     []dmaSnapshot
 }
 
 type cpuSnapshot struct {
@@ -57,6 +58,11 @@ type cpuSnapshot struct {
 	Stalls  uint64
 	Cycles  uint64
 	PC      uint32
+}
+
+type dmaSnapshot struct {
+	Stats dma.Stats
+	Done  []dma.Status
 }
 
 type procSnapshot struct {
@@ -99,6 +105,9 @@ func snapshot(sys *config.System) sysSnapshot {
 			WaitCycles: p.WaitCycles, SleepCycles: p.SleepCycles, Retired: p.RetiredTasks,
 		})
 	}
+	for _, e := range sys.DMAs {
+		s.DMAs = append(s.DMAs, dmaSnapshot{Stats: e.Stats(), Done: e.Done()})
+	}
 	return s
 }
 
@@ -137,9 +146,10 @@ func modeName(m Mode) string {
 }
 
 // runBoth builds and runs one scenario in every kernel mode of
-// diffModes, compares each snapshot against the lockstep sequential
-// reference, and returns the event-driven sequential kernel's scheduling
-// stats so callers can assert skipping engaged.
+// diffModes, pins the lockstep sequential reference against the
+// committed testdata/schedref.json, compares every other mode's snapshot
+// against that reference, and returns the event-driven sequential
+// kernel's scheduling stats so callers can assert skipping engaged.
 func runBoth(t *testing.T, name string, scenario func(m Mode) (*config.System, error)) sim.SchedStats {
 	t.Helper()
 	var ref sysSnapshot
@@ -158,6 +168,7 @@ func runBoth(t *testing.T, name string, scenario func(m Mode) (*config.System, e
 		snap := snapshot(sys)
 		if i == 0 {
 			ref = snap
+			checkRef(t, name, ref)
 		} else if !reflect.DeepEqual(ref, snap) {
 			t.Fatalf("%s: kernel modes diverged\n%-24s %+v\n%-24s %+v",
 				name, modeName(diffModes[0])+":", ref, modeName(m)+":", snap)
@@ -306,8 +317,6 @@ func TestSchedDiffTraceReplay(t *testing.T) {
 // TestSchedDiffDMA wires the heterogeneous-master topology: a native PE
 // staging buffers, a DMA engine copying between two wrappers.
 func TestSchedDiffDMA(t *testing.T) {
-	type dmaCapture struct{ done []dma.Status }
-	caps := make([]dmaCapture, 0, len(diffModes))
 	runBoth(t, "dma", func(m Mode) (*config.System, error) {
 		delays := evDelays()
 		cfg := m.sysConfig()
@@ -352,17 +361,77 @@ func TestSchedDiffDMA(t *testing.T) {
 		if err := sys.AddProcs(peTask); err != nil {
 			return nil, err
 		}
-		eng = dma.New(sys.Kernel, "dma", sys.MasterPorts[1])
+		if eng, err = sys.AddDMA(1, "dma"); err != nil {
+			return nil, err
+		}
 		if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
 			return nil, err
 		}
-		caps = append(caps, dmaCapture{done: eng.Done()})
 		return sys, nil
 	})
-	for i := 1; i < len(caps); i++ {
-		if !reflect.DeepEqual(caps[0].done, caps[i].done) {
-			t.Fatalf("DMA outcomes diverged (%s vs %s):\n%+v\n%+v",
-				modeName(diffModes[0]), modeName(diffModes[i]), caps[0].done, caps[i].done)
+}
+
+// TestSchedDiffDMAEdges pins the engine's corner paths at port depth 1
+// (occupied bus) and 4 (split bus): a zero-element descriptor, a dangling
+// source, a dangling destination, and a forward-overlapping same-memory
+// copy (the overlap guard serializes it at every depth). Each is followed
+// by a good copy, so the cycle at which the engine moves on is part of
+// the reference along with every Status and the busy-cycle count.
+func TestSchedDiffDMAEdges(t *testing.T) {
+	const elems, chunk = 64, 16
+	for _, tc := range []struct {
+		name string
+		edge func(src, dst uint32) dma.Descriptor
+	}{
+		{"empty", func(src, dst uint32) dma.Descriptor {
+			return dma.Descriptor{SrcSM: 0, DstSM: 1, SrcVPtr: src, DstVPtr: dst, Elems: 0}
+		}},
+		{"badsrc", func(src, dst uint32) dma.Descriptor {
+			return dma.Descriptor{SrcSM: 0, DstSM: 1, SrcVPtr: 0xDEAD00, DstVPtr: dst, Elems: elems}
+		}},
+		{"baddst", func(src, dst uint32) dma.Descriptor {
+			return dma.Descriptor{SrcSM: 0, DstSM: 1, SrcVPtr: src, DstVPtr: 0xDEAD00, Elems: elems}
+		}},
+		{"overlap", func(src, dst uint32) dma.Descriptor {
+			return dma.Descriptor{SrcSM: 0, DstSM: 0, SrcVPtr: src, DstVPtr: src + 4*chunk, Elems: elems}
+		}},
+	} {
+		for _, depth := range []int{1, 4} {
+			name := fmt.Sprintf("dma-%s-d%d", tc.name, depth)
+			runBoth(t, name, func(m Mode) (*config.System, error) {
+				cfg := m.sysConfig()
+				cfg.Masters, cfg.Memories, cfg.MemKind = 1, 2, config.MemWrapper
+				cfg.OutstandingDepth, cfg.SplitBus = depth, depth > 1
+				sys, err := config.Build(cfg)
+				if err != nil {
+					return nil, err
+				}
+				src, code := sys.Wrappers[0].Table().Alloc(elems+chunk, bus.U32)
+				if code != bus.OK {
+					return nil, fmt.Errorf("src alloc: %v", code)
+				}
+				dst, code := sys.Wrappers[1].Table().Alloc(elems, bus.U32)
+				if code != bus.OK {
+					return nil, fmt.Errorf("dst alloc: %v", code)
+				}
+				eng, err := sys.AddDMA(0, "dma0")
+				if err != nil {
+					return nil, err
+				}
+				d := tc.edge(src, dst)
+				d.DType, d.Chunk = bus.U32, chunk
+				eng.Enqueue(d)
+				eng.Enqueue(dma.Descriptor{
+					SrcSM: 0, DstSM: 1, SrcVPtr: src, DstVPtr: dst, Elems: elems, DType: bus.U32, Chunk: chunk,
+				})
+				if _, err := sys.Kernel.RunUntil(eng.Idle, runLimit); err != nil {
+					return nil, err
+				}
+				if done := eng.Done(); len(done) != 2 || done[1].Err != bus.OK || done[1].Moved != elems {
+					return nil, fmt.Errorf("outcome %+v", done)
+				}
+				return sys, nil
+			})
 		}
 	}
 }
@@ -458,6 +527,7 @@ func TestSchedDiffVCD(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checkRefVCD(t, "trace-wrapper-idle-heavy", dumps[0].Bytes())
 	for i := 1; i < len(dumps); i++ {
 		if !bytes.Equal(dumps[0].Bytes(), dumps[i].Bytes()) {
 			t.Fatalf("VCD dumps diverged (%s %d bytes vs %s %d bytes)",

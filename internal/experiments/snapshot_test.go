@@ -152,16 +152,24 @@ func cacheSnapScenario() snapScenario {
 	}
 }
 
-func dmaSnapScenario() snapScenario {
+// dmaSnapScenario is a DMA copy between two wrappers. With pipelined set
+// it runs at depth 4 over a split bus with out-of-order delivery (reads
+// and writes both in flight at the checkpoint); without, at depth 1 over
+// the occupied interconnect — every transaction holds its channel end to
+// end and the engine strictly alternates read and write.
+func dmaSnapScenario(name string, inter config.InterconnectKind, pipelined bool) snapScenario {
 	const elems = 256
 	cfg := func(m Mode) config.SystemConfig {
 		c := m.sysConfig()
 		c.Masters, c.Memories, c.MemKind = 1, 2, config.MemWrapper
-		c.OutstandingDepth, c.SplitBus, c.OutOfOrder = 4, true, true
+		c.Interconnect = inter
+		if pipelined {
+			c.OutstandingDepth, c.SplitBus, c.OutOfOrder = 4, true, true
+		}
 		return c
 	}
 	return snapScenario{
-		name: "dma-mlp",
+		name: name,
 		cfg:  cfg,
 		build: func(m Mode) (*config.System, error) {
 			sys, err := config.Build(cfg(m))
@@ -283,7 +291,12 @@ func l2dramSnapScenario() snapScenario {
 // identically-built system.
 func TestSchedDiffSnapshot(t *testing.T) {
 	refMode := Mode{Lockstep: true, Workers: 1}
-	for _, sc := range []snapScenario{gsmSnapScenario(), cacheSnapScenario(), dmaSnapScenario(), l2dramSnapScenario()} {
+	for _, sc := range []snapScenario{
+		gsmSnapScenario(), cacheSnapScenario(), l2dramSnapScenario(),
+		dmaSnapScenario("dma-mlp", config.InterBus, true),
+		dmaSnapScenario("dma-serial-bus", config.InterBus, false),
+		dmaSnapScenario("dma-serial-xbar", config.InterCrossbar, false),
+	} {
 		t.Run(sc.name, func(t *testing.T) {
 			// Straight run: the golden reference.
 			refSys, err := sc.build(refMode)
@@ -297,6 +310,7 @@ func TestSchedDiffSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := snapshot(refSys)
+			checkRef(t, "snapshot/"+sc.name, ref)
 			if ref.Cycles < 4 {
 				t.Fatalf("scenario too short to checkpoint: %d cycles", ref.Cycles)
 			}
@@ -354,6 +368,59 @@ func TestSchedDiffSnapshot(t *testing.T) {
 	}
 }
 
+// TestSchedDiffSnapshotEveryCycle checkpoints the depth-1 DMA copy over
+// the occupied bus and crossbar at every single cycle of the run, so the
+// snapshot is taken in every phase of a held transaction — request words
+// on the channel, channel held while the wrapper serves, response words
+// draining — with the engine's read and, in turn, its write in flight.
+// Each checkpoint resumes under one mode of the restore matrix (rotating)
+// and must land on the straight run's observables.
+func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
+	refMode := Mode{Lockstep: true, Workers: 1}
+	for _, sc := range []snapScenario{
+		dmaSnapScenario("dma-serial-bus", config.InterBus, false),
+		dmaSnapScenario("dma-serial-xbar", config.InterCrossbar, false),
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			refSys, err := sc.build(refMode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := refSys.Kernel.RunUntil(sc.done(refSys), runLimit); err != nil {
+				t.Fatal(err)
+			}
+			ref := snapshot(refSys)
+			checkRef(t, "snapshot/"+sc.name, ref)
+
+			saveSys, err := sc.build(refMode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(1); k < ref.Cycles; k++ {
+				if err := saveSys.Kernel.Run(1); err != nil {
+					t.Fatal(err)
+				}
+				data, err := saveSys.Snapshot()
+				if err != nil {
+					t.Fatalf("cycle %d: %v", k, err)
+				}
+				m := snapDiffModes[int(k)%len(snapDiffModes)]
+				warm, err := config.RestoreSystem(sc.cfg(m), data)
+				if err != nil {
+					t.Fatalf("cycle %d, %s: restore: %v", k, modeName(m), err)
+				}
+				if _, err := warm.Kernel.RunUntil(sc.done(warm), runLimit); err != nil {
+					t.Fatalf("cycle %d, %s: resume: %v", k, modeName(m), err)
+				}
+				if got := snapshot(warm); !reflect.DeepEqual(ref, got) {
+					t.Fatalf("checkpoint at cycle %d resumed under %s diverged\nstraight: %+v\nrestored: %+v",
+						k, modeName(m), ref, got)
+				}
+			}
+		})
+	}
+}
+
 // TestSchedDiffSnapshotVCD demands VCD byte identity across a
 // checkpoint: one VCD instance traces the save leg to K, re-attaches
 // to the restored system, traces to N — and the bytes must equal the
@@ -385,6 +452,7 @@ func TestSchedDiffSnapshotVCD(t *testing.T) {
 	if err := vcd.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	checkRefVCD(t, "snapshot/"+sc.name, straight.Bytes())
 	n := sys.Kernel.Cycle()
 
 	// Checkpointed traced run: same probes, one VCD, two kernels.

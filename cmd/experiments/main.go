@@ -15,20 +15,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/cache"
 	"repro/internal/experiments"
-	"repro/internal/service"
 	"repro/internal/stats"
 )
 
@@ -96,9 +92,6 @@ func main() {
 	restore := flag.String("restore", "", "wb: restore the shared warm-up snapshot from this file instead of simulating the warm-up")
 	cpuprof := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprof := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	serve := flag.Bool("serve", false, "serve the simulation job API instead of running the suite (thin mpsimd mode)")
-	addr := flag.String("addr", ":8080", "-serve: listen address")
-	storeDir := flag.String("store", "mpsimd-store", "-serve: result/snapshot store directory")
 	flag.Parse()
 	if *workers == 0 {
 		*workers = runtime.GOMAXPROCS(0)
@@ -114,14 +107,6 @@ func main() {
 		<-ctx.Done()
 		stopSignals()
 	}()
-
-	if *serve {
-		if err := serveAPI(ctx, *addr, *storeDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	prof := &profiles{memPath: *memprof}
 	policy, err := alloc.ParseKind(*allocFlag)
@@ -248,35 +233,4 @@ func main() {
 		prof.exit(1)
 	}
 	prof.exit(0)
-}
-
-// serveAPI is the thin -serve mode: the same service cmd/mpsimd runs,
-// on the experiments binary, until ctx (the signal context) fires.
-func serveAPI(ctx context.Context, addr, storeDir string) error {
-	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	store, err := service.OpenStore(storeDir)
-	if err != nil {
-		return err
-	}
-	srv, err := service.New(service.Config{Store: store, Logger: log})
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Info("experiments -serve listening", "addr", addr, "store", storeDir)
-	select {
-	case err := <-errc:
-		srv.Close()
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Warn("http shutdown", "err", err)
-	}
-	srv.Close()
-	return nil
 }

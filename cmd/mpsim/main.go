@@ -40,53 +40,6 @@ func main() {
 	}
 }
 
-// ctxChunk is the cycle granularity at which the simulation loop checks
-// for SIGINT/SIGTERM. Fixed so interruptible runs stay deterministic —
-// see the matching constant in internal/experiments.
-const ctxChunk = 65536
-
-// runCtx is Kernel.Run in ctxChunk slices, aborting with ctx.Err() at
-// the first boundary after a signal.
-func runCtx(ctx context.Context, k *sim.Kernel, n uint64) error {
-	for done := uint64(0); done < n; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		budget := n - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		if err := k.Run(budget); err != nil {
-			return err
-		}
-		done += budget
-	}
-	return nil
-}
-
-// runUntilCtx is Kernel.RunUntil in ctxChunk slices with the same
-// cancellation behavior.
-func runUntilCtx(ctx context.Context, k *sim.Kernel, pred func() bool, limit uint64) error {
-	for done := uint64(0); done < limit; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		budget := limit - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		adv, err := k.RunUntil(pred, budget)
-		done += adv
-		if err == nil {
-			return nil
-		}
-		if err != sim.ErrLimit {
-			return err
-		}
-	}
-	return sim.ErrLimit
-}
-
 func run() error {
 	var (
 		isses    = flag.Int("isses", 0, "number of ISS masters (armlet CPUs)")
@@ -378,7 +331,7 @@ func run() error {
 		sys.Kernel.EnableProfiling()
 	}
 	if *ckpt > 0 {
-		if err := runCtx(ctx, sys.Kernel, *ckpt); err != nil {
+		if err := sys.Kernel.RunCtx(ctx, *ckpt); err != nil {
 			return fmt.Errorf("checkpoint warm-up: %w", err)
 		}
 		data, err := sys.Snapshot()
@@ -393,7 +346,7 @@ func run() error {
 	}
 	startCycle := sys.Kernel.Cycle()
 	start := time.Now()
-	if err := runUntilCtx(ctx, sys.Kernel, doneFn, *limit); err != nil {
+	if _, err := sys.Kernel.RunUntilCtx(ctx, doneFn, *limit); err != nil {
 		if ctx.Err() != nil {
 			return fmt.Errorf("interrupted at cycle %d (profiles flushed)", sys.Kernel.Cycle())
 		}

@@ -19,25 +19,17 @@ type Stats struct {
 	RespGrants []uint64
 }
 
-type busState uint8
+// chanState is the state of one transfer channel: free, or draining the
+// words of a request or of a response. Waiting for a slave is not a
+// channel state — the split protocol releases the channel meanwhile, and
+// the occupied protocol records the reservation beside the state (see
+// Bus.held).
+type chanState uint8
 
 const (
-	busIdle busState = iota
-	busReqXfer
-	busWaitSlave
-	busRespXfer
-)
-
-// splitState is the split-transaction engine's channel state: the single
-// shared channel is either free or draining a request/response transfer.
-// There is no busWaitSlave — releasing the channel during slave
-// processing is the point of the split protocol.
-type splitState uint8
-
-const (
-	sbIdle splitState = iota
-	sbReqXfer
-	sbRespXfer
+	chIdle chanState = iota
+	chReqXfer
+	chRespXfer
 )
 
 // pendSrc remembers where a request forwarded into a slave port came
@@ -48,12 +40,8 @@ type pendSrc struct {
 }
 
 // Bus is the shared interconnect: all masters compete for a single
-// transaction channel. It runs one of two engines:
-//
-// Occupied (Split=false, the default): one transaction holds the bus
-// end-to-end — request words, slave wait, response words. This is the
-// paper's INTERCONNECT box, a simple on-chip bus without split
-// transactions, and it is cycle-identical to the pre-port protocol.
+// transaction channel. One engine runs both protocols; they differ only
+// in what happens to the channel between a transaction's two phases.
 //
 // Split (Split=true): the address phase occupies the bus only for the
 // request words, then hands the request to the slave port's queue and
@@ -62,6 +50,13 @@ type pendSrc struct {
 // it only for the response words. Transactions to different slaves — and
 // pipelined transactions to the same slave, up to the port depth —
 // overlap in time.
+//
+// Occupied (Split=false, the default): the same two phases, but the
+// channel stays held for the addressed slave from the end of the address
+// phase until its response has drained, so one transaction owns the bus
+// end-to-end — request words, slave wait, response words. This is the
+// paper's INTERCONNECT box, a simple on-chip bus without split
+// transactions, and it is cycle-identical to the pre-port protocol.
 type Bus struct {
 	name    string
 	masters []*Port
@@ -72,7 +67,7 @@ type Bus struct {
 	// before simulation starts; 0 is treated as 1.
 	WordCycles uint32
 
-	// Split selects the split-transaction engine. Configure before
+	// Split selects the split-transaction protocol. Configure before
 	// simulation starts.
 	Split bool
 	// RespArb arbitrates the response phase among slaves with deliverable
@@ -85,21 +80,20 @@ type Bus struct {
 	// Configure before simulation starts.
 	Snoop Snooper
 
-	// occupied-engine state
-	state     busState
-	cur       Request
-	curMaster int
-	curTag    Tag
-	counter   uint32
+	state   chanState
+	counter uint32
+	req     Request // the request whose words are on the channel
+	reqFrom pendSrc
+	// held is the slave the free channel is reserved for (occupied
+	// protocol, between address phase and response), or -1.
+	held int
+	pend []map[Tag]pendSrc // per slave: slave-port tag → origin
+	// outstanding counts the entries of pend: while it is zero no slave
+	// can hold a completion, so the idle path skips asking them.
+	outstanding int
 
-	// split-engine state
-	sstate   splitState
-	scounter uint32
-	sreq     Request
-	sreqFrom pendSrc
-	pend     []map[Tag]pendSrc // per slave: slave-port tag → origin
-
-	stats Stats
+	scratch []int // arbitration candidates; sized for every master or slave
+	stats   Stats
 }
 
 // NewBus creates a shared bus connecting the given master-side ports to
@@ -112,7 +106,9 @@ func NewBus(k *sim.Kernel, name string, masters, slaves []*Port, arb Arbiter) *B
 		slaves:     slaves,
 		arb:        arb,
 		WordCycles: 1,
+		held:       -1,
 		pend:       make([]map[Tag]pendSrc, len(slaves)),
+		scratch:    make([]int, 0, max(len(masters), len(slaves))),
 		stats: Stats{
 			PerMaster:  make([]uint64, len(masters)),
 			PerSlave:   make([]uint64, len(slaves)),
@@ -153,50 +149,35 @@ func (b *Bus) respArb() Arbiter {
 	return b.RespArb
 }
 
-// NextWake implements sim.Sleeper. Idle with no demand, or parked on a
-// slave's response, the bus can only be woken by a signal commit
-// (request issue resp. completion). The transfer states are pure
-// word-counter countdowns whose next observable action is `counter-1`
-// cycles away.
+// NextWake implements sim.Sleeper. A transfer is a pure word-counter
+// countdown whose next observable action is `counter-1` cycles away.
+// With the channel free the bus wakes for a deliverable completion or a
+// grantable request; otherwise only a signal commit (request issue resp.
+// completion) can give it work. The probe stays a sequence-counter
+// compare per idle master, and slaves with nothing outstanding are not
+// asked for completions.
 func (b *Bus) NextWake(now uint64) uint64 {
-	if b.Split {
-		return b.nextWakeSplit(now)
-	}
-	switch b.state {
-	case busIdle:
-		for _, m := range b.masters {
-			if m.Pending() {
-				return now
-			}
-		}
-		return sim.WakeNever
-	case busWaitSlave:
-		return sim.WakeNever
-	default: // busReqXfer, busRespXfer
+	if b.state != chIdle {
 		if b.counter <= 1 {
 			return now
 		}
 		return now + uint64(b.counter) - 1
 	}
-}
-
-func (b *Bus) nextWakeSplit(now uint64) uint64 {
-	if b.sstate != sbIdle {
-		if b.scounter <= 1 {
-			return now
+	if b.outstanding > 0 {
+		for si, s := range b.slaves {
+			if len(b.pend[si]) != 0 && s.HasCompletion() {
+				return now
+			}
 		}
-		return now + uint64(b.scounter) - 1
 	}
-	for _, s := range b.slaves {
-		if s.HasCompletion() {
-			return now
-		}
+	if b.held >= 0 {
+		return sim.WakeNever
 	}
 	for _, m := range b.masters {
-		req, ok := m.Peek()
-		if !ok {
+		if !m.Pending() {
 			continue
 		}
+		req, _ := m.Peek()
 		if req.SM < 0 || req.SM >= len(b.slaves) || b.slaves[req.SM].CanAccept() {
 			return now
 		}
@@ -218,82 +199,41 @@ func (b *Bus) ConcurrentTick() bool { return b.Snoop == nil }
 // countdowns — cheap relative to the modules it connects.
 func (b *Bus) TickWeight() int { return 2 }
 
-// Skip implements sim.Sleeper: every skipped cycle in a non-idle state
-// is a busy cycle; in the transfer states it is also a counter tick. A
-// split bus parked between transfers is *released*, not busy — that
-// difference is the protocol's whole advantage and shows up directly in
-// BusyCycles.
+// Skip implements sim.Sleeper: every skipped cycle of a transfer is a
+// busy cycle and a counter tick, and so is — without the counter — every
+// cycle the channel is held for a slave. A split bus parked between
+// transfers is *released*, not busy — that difference is the protocol's
+// whole advantage and shows up directly in BusyCycles.
 func (b *Bus) Skip(n uint64) {
-	if b.Split {
-		if b.sstate != sbIdle {
-			b.scounter -= uint32(n)
-			b.stats.BusyCycles += n
-		}
-		return
-	}
-	switch b.state {
-	case busIdle:
-	case busWaitSlave:
-		b.stats.BusyCycles += n
-	default:
+	switch {
+	case b.state != chIdle:
 		b.counter -= uint32(n)
 		b.stats.BusyCycles += n
+	case b.held >= 0:
+		b.stats.BusyCycles += n
 	}
 }
 
-// Tick implements sim.Module.
+// Tick implements sim.Module. With the channel free, response phases
+// have priority over address phases: a finished transaction ties up a
+// slave queue slot (and a master credit) until its response drains, so
+// returning results first maximizes the concurrency both ends can
+// sustain. A held channel admits nothing but its slave's response.
 func (b *Bus) Tick(cycle uint64) {
-	if b.Split {
-		b.tickSplit()
-		return
-	}
-	b.tickOccupied()
-}
-
-// tickOccupied is the classic four-state engine: one transaction holds
-// the bus end-to-end. Cycle-identical to the pre-port protocol.
-func (b *Bus) tickOccupied() {
 	switch b.state {
-	case busIdle:
-		var pending []int
-		for i, m := range b.masters {
-			if !m.Pending() {
-				continue
+	case chIdle:
+		if b.held >= 0 {
+			if !b.respond(b.held) {
+				b.stats.BusyCycles++ // held while the slave works
 			}
-			if b.Snoop != nil {
-				// Only a snooper needs the request payload; the uncached
-				// hot path stays a sequence-counter compare.
-				if req, ok := m.Peek(); !ok || !b.Snoop.CanProceed(req, i) {
-					continue
-				}
-			}
-			pending = append(pending, i)
-		}
-		if len(pending) == 0 {
 			return
 		}
-		gi := b.arb.Pick(pending)
-		tx, ok := b.masters[gi].Pop()
-		if !ok {
-			return // unreachable if Pending was true, but stay safe
+		if b.outstanding > 0 && b.startResponse() {
+			return
 		}
-		req := tx.Req
-		req.Master = gi
-		if b.Snoop != nil {
-			b.Snoop.OnGrant(req, gi, tx.Tag)
-		}
-		b.cur = req
-		b.curMaster = gi
-		b.curTag = tx.Tag
-		b.stats.Transactions++
-		b.stats.PerMaster[gi]++
-		b.stats.PerOp[req.Op]++
-		b.stats.Words += uint64(req.WireWords())
-		b.counter = b.wordCycles(req.WireWords())
-		b.state = busReqXfer
-		b.stats.BusyCycles++
+		b.startRequest()
 
-	case busReqXfer:
+	case chReqXfer:
 		b.stats.BusyCycles++
 		if b.counter > 0 {
 			b.counter--
@@ -301,31 +241,22 @@ func (b *Bus) tickOccupied() {
 		if b.counter > 0 {
 			return
 		}
-		if b.cur.SM < 0 || b.cur.SM >= len(b.slaves) {
+		if sm := b.req.SM; sm < 0 || sm >= len(b.slaves) {
 			b.stats.NoSlave++
-			b.masters[b.curMaster].Complete(b.curTag, Response{Err: ErrNoSlave})
-			b.state = busIdle
-			return
+			b.masters[b.reqFrom.master].Complete(b.reqFrom.tag, Response{Err: ErrNoSlave})
+		} else {
+			b.stats.PerSlave[sm]++
+			stag := b.slaves[sm].Issue(b.req)
+			b.pend[sm][stag] = b.reqFrom
+			b.outstanding++
+			if !b.Split {
+				b.held = sm
+			}
 		}
-		b.stats.PerSlave[b.cur.SM]++
-		// Single outstanding end-to-end: curMaster/curTag already route
-		// the response, so the slave-port tag needs no pending table.
-		b.slaves[b.cur.SM].Issue(b.cur)
-		b.state = busWaitSlave
+		b.req = Request{}
+		b.state = chIdle
 
-	case busWaitSlave:
-		b.stats.BusyCycles++
-		c, ok := b.slaves[b.cur.SM].TakeCompletion()
-		if !ok {
-			return
-		}
-		b.cur = Request{SM: b.cur.SM} // keep routing info, drop payload
-		b.stats.Words += uint64(c.Resp.WireWords())
-		b.counter = b.wordCycles(c.Resp.WireWords())
-		b.masters[b.curMaster].Complete(b.curTag, c.Resp)
-		b.state = busRespXfer
-
-	case busRespXfer:
+	case chRespXfer:
 		// The response words occupy the bus after completion has been
 		// signalled; the master observes the response when the signal
 		// commits, while the bus remains busy draining the payload.
@@ -334,61 +265,17 @@ func (b *Bus) tickOccupied() {
 			b.counter--
 		}
 		if b.counter == 0 {
-			b.state = busIdle
-		}
-	}
-}
-
-// tickSplit is the split-transaction engine. Response phases have
-// priority over address phases: a finished transaction ties up a slave
-// queue slot (and a master credit) until its response drains, so
-// returning results first maximizes the concurrency both ends can
-// sustain.
-func (b *Bus) tickSplit() {
-	switch b.sstate {
-	case sbIdle:
-		if b.startResponse() {
-			return
-		}
-		b.startRequest()
-
-	case sbReqXfer:
-		b.stats.BusyCycles++
-		if b.scounter > 0 {
-			b.scounter--
-		}
-		if b.scounter > 0 {
-			return
-		}
-		if b.sreq.SM < 0 || b.sreq.SM >= len(b.slaves) {
-			b.stats.NoSlave++
-			b.masters[b.sreqFrom.master].Complete(b.sreqFrom.tag, Response{Err: ErrNoSlave})
-		} else {
-			b.stats.PerSlave[b.sreq.SM]++
-			stag := b.slaves[b.sreq.SM].Issue(b.sreq)
-			b.pend[b.sreq.SM][stag] = b.sreqFrom
-		}
-		b.sreq = Request{}
-		b.sstate = sbIdle
-
-	case sbRespXfer:
-		b.stats.BusyCycles++
-		if b.scounter > 0 {
-			b.scounter--
-		}
-		if b.scounter == 0 {
-			b.sstate = sbIdle
+			b.state = chIdle
 		}
 	}
 }
 
 // startResponse arbitrates the response phase among slaves with a
-// deliverable completion and, on a grant, routes the completion back to
-// its master and occupies the bus for the response words.
+// deliverable completion and starts the winner's response transfer.
 func (b *Bus) startResponse() bool {
-	var cands []int
+	cands := b.scratch[:0]
 	for si, s := range b.slaves {
-		if _, ok := s.PeekCompletion(); ok {
+		if len(b.pend[si]) != 0 && s.HasCompletion() {
 			cands = append(cands, si)
 		}
 	}
@@ -396,33 +283,44 @@ func (b *Bus) startResponse() bool {
 		return false
 	}
 	si := b.respArb().Pick(cands)
+	if !b.respond(si) {
+		return false // unreachable if HasCompletion was true
+	}
+	b.stats.RespGrants[si]++
+	return true
+}
+
+// respond takes slave si's next completion, if it has one, routes it
+// back to its master, releases any hold and occupies the bus for the
+// response words.
+func (b *Bus) respond(si int) bool {
 	c, ok := b.slaves[si].TakeCompletion()
 	if !ok {
-		return false // unreachable if HasCompletion was true
+		return false
 	}
 	src := b.pend[si][c.Tag]
 	delete(b.pend[si], c.Tag)
-	b.stats.RespGrants[si]++
+	b.outstanding--
+	b.held = -1
 	b.stats.Words += uint64(c.Resp.WireWords())
 	b.masters[src.master].Complete(src.tag, c.Resp)
-	b.scounter = b.wordCycles(c.Resp.WireWords())
-	b.sstate = sbRespXfer
+	b.counter = b.wordCycles(c.Resp.WireWords())
+	b.state = chRespXfer
 	b.stats.BusyCycles++
 	return true
 }
 
 // startRequest arbitrates the address phase among masters whose head
 // request can actually be accepted (slave queue credit free, or a
-// nonexistent slave — rejected after the transfer, as the occupied
-// engine does) and, on a grant, pops the request and occupies the bus
-// for its words.
+// nonexistent slave — rejected after the transfer) and, on a grant, pops
+// the request and occupies the bus for its words.
 func (b *Bus) startRequest() {
-	var cands []int
+	cands := b.scratch[:0]
 	for mi, m := range b.masters {
-		req, ok := m.Peek()
-		if !ok {
+		if !m.Pending() {
 			continue
 		}
+		req, _ := m.Peek()
 		if req.SM >= 0 && req.SM < len(b.slaves) && !b.slaves[req.SM].CanAccept() {
 			continue
 		}
@@ -444,13 +342,13 @@ func (b *Bus) startRequest() {
 	if b.Snoop != nil {
 		b.Snoop.OnGrant(req, gi, tx.Tag)
 	}
-	b.sreq = req
-	b.sreqFrom = pendSrc{master: gi, tag: tx.Tag}
+	b.req = req
+	b.reqFrom = pendSrc{master: gi, tag: tx.Tag}
 	b.stats.Transactions++
 	b.stats.PerMaster[gi]++
 	b.stats.PerOp[req.Op]++
 	b.stats.Words += uint64(req.WireWords())
-	b.scounter = b.wordCycles(req.WireWords())
-	b.sstate = sbReqXfer
+	b.counter = b.wordCycles(req.WireWords())
+	b.state = chReqXfer
 	b.stats.BusyCycles++
 }

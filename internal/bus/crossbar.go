@@ -9,19 +9,22 @@ import (
 // parallel. Masters competing for the same slave are arbitrated per
 // lane.
 //
-// Occupied mode (Split=false, the default) runs the same four-state
-// end-to-end engine as the shared Bus on every lane and is
-// cycle-identical to the pre-port protocol. Even so, a master with a
-// multi-outstanding port already overlaps lanes: once lane A pops its
-// head request, the next queued request becomes poppable by lane B in
-// the same cycle.
+// Every lane runs two engines side by side: a request engine that
+// transfers address phases into the slave port's queue, and a response
+// engine that drains slave completions back to the masters.
 //
-// Split mode decomposes each lane into two concurrently running engines:
-// a request engine that transfers address phases into the slave port's
-// queue (per-lane queueing up to the port depth), and a response engine
-// that drains slave completions back to the masters. A lane can accept
-// request N+1 while its slave processes request N and while response N−1
-// is still in flight — pipelined transactions to the same memory.
+// Split mode lets them run concurrently: a lane accepts request N+1
+// while its slave processes request N and while response N−1 is still in
+// flight — pipelined transactions to the same memory, queued per lane up
+// to the port depth.
+//
+// Occupied mode (Split=false, the default) holds the lane from the
+// address phase until the response has drained: the request engine
+// starts only on a lane that was entirely free when the tick began, so
+// one transaction owns the lane end-to-end, cycle-identical to the
+// pre-port protocol. Even so, a master with a multi-outstanding port
+// already overlaps lanes: once lane A pops its head request, the next
+// queued request becomes poppable by lane B in the same cycle.
 type Crossbar struct {
 	name    string
 	masters []*Port
@@ -31,8 +34,8 @@ type Crossbar struct {
 	// WordCycles is the per-word occupancy of each crossbar lane.
 	WordCycles uint32
 
-	// Split selects the pipelined two-engine lanes. Configure before
-	// simulation starts.
+	// Split selects the pipelined lanes. Configure before simulation
+	// starts.
 	Split bool
 
 	// Snoop, when non-nil, is the cache-coherence domain consulted before
@@ -40,24 +43,18 @@ type Crossbar struct {
 	// Configure before simulation starts.
 	Snoop Snooper
 
-	lanes []xbarLane
-	stats Stats
+	lanes   []xbarLane
+	scratch []int // arbitration candidates; sized for every master
+	stats   Stats
 }
 
+// xbarLane is one slave's pair of channels plus its pending table.
 type xbarLane struct {
-	// occupied-engine state
-	state     busState
-	cur       Request
-	curMaster int
-	curTag    Tag
-	counter   uint32
-
-	// split-engine state: independent request and response channels.
-	rqState   splitState // sbIdle or sbReqXfer
+	rqState   chanState // chIdle or chReqXfer
 	rqCounter uint32
 	rqCur     Request
 	rqFrom    pendSrc
-	rsState   splitState // sbIdle or sbRespXfer
+	rsState   chanState // chIdle or chRespXfer
 	rsCounter uint32
 
 	pend map[Tag]pendSrc // slave-port tag → origin
@@ -73,6 +70,7 @@ func NewCrossbar(k *sim.Kernel, name string, masters, slaves []*Port, newArb fun
 		slaves:     slaves,
 		WordCycles: 1,
 		lanes:      make([]xbarLane, len(slaves)),
+		scratch:    make([]int, 0, len(masters)),
 		stats: Stats{
 			PerMaster:  make([]uint64, len(masters)),
 			PerSlave:   make([]uint64, len(slaves)),
@@ -94,7 +92,8 @@ func (x *Crossbar) Name() string { return x.name }
 
 // Stats returns a snapshot of the accumulated counters. BusyCycles counts
 // lane-engine-cycles (two lanes busy in one cycle count twice; in split
-// mode a lane's request and response engines count separately).
+// mode a lane's request and response engines count separately, while a
+// held occupied lane counts once per cycle).
 func (x *Crossbar) Stats() Stats {
 	s := x.stats
 	s.PerMaster = append([]uint64(nil), x.stats.PerMaster...)
@@ -149,15 +148,18 @@ func (x *Crossbar) rejectNoSlave() {
 	}
 }
 
+// held reports whether the occupied protocol reserves lane ln for a
+// transaction past its address phase: waiting on the slave, or draining
+// the response. A split lane is never held.
+func (x *Crossbar) held(ln *xbarLane) bool {
+	return !x.Split && (ln.rsState != chIdle || len(ln.pend) != 0)
+}
+
 // Tick implements sim.Module.
 func (x *Crossbar) Tick(cycle uint64) {
 	x.rejectNoSlave()
 	for si := range x.lanes {
-		if x.Split {
-			x.tickLaneSplit(si)
-		} else {
-			x.tickLaneOccupied(si)
-		}
+		x.tickLane(si)
 	}
 }
 
@@ -177,72 +179,49 @@ func (x *Crossbar) NextWake(now uint64) uint64 {
 			return now
 		}
 		ln := &x.lanes[req.SM]
-		if x.Split {
-			if ln.rqState == sbIdle && x.slaves[req.SM].CanAccept() {
-				return now
-			}
-		} else if ln.state == busIdle {
+		if ln.rqState == chIdle && !x.held(ln) && x.slaves[req.SM].CanAccept() {
 			return now
 		}
 	}
 	wake := uint64(sim.WakeNever)
-	min := func(w uint64) {
+	min := func(counter uint32) {
+		w := now
+		if counter > 1 {
+			w = now + uint64(counter) - 1
+		}
 		if w < wake {
 			wake = w
 		}
 	}
-	counterWake := func(counter uint32) uint64 {
-		if counter <= 1 {
-			return now
-		}
-		return now + uint64(counter) - 1
-	}
 	for i := range x.lanes {
 		ln := &x.lanes[i]
-		if x.Split {
-			if ln.rqState != sbIdle {
-				min(counterWake(ln.rqCounter))
-			}
-			if ln.rsState != sbIdle {
-				min(counterWake(ln.rsCounter))
-			} else if x.slaves[i].HasCompletion() {
-				return now
-			}
-			continue
+		if ln.rqState != chIdle {
+			min(ln.rqCounter)
 		}
-		switch ln.state {
-		case busIdle, busWaitSlave:
-			// Signal-driven; poppable demand was handled above.
-		default: // busReqXfer, busRespXfer
-			min(counterWake(ln.counter))
+		if ln.rsState != chIdle {
+			min(ln.rsCounter)
+		} else if len(ln.pend) != 0 && x.slaves[i].HasCompletion() {
+			return now
 		}
 	}
 	return wake
 }
 
 // Skip implements sim.Sleeper: per busy lane engine, n busy cycles (and
-// counter ticks in the transfer states). BusyCycles counts
-// lane-engine-cycles, so each busy engine contributes n.
+// counter ticks in the transfer states); a held lane waiting on its
+// slave is busy without a counter. BusyCycles counts lane-engine-cycles,
+// so each busy engine contributes n.
 func (x *Crossbar) Skip(n uint64) {
 	for i := range x.lanes {
 		ln := &x.lanes[i]
-		if x.Split {
-			if ln.rqState != sbIdle {
-				ln.rqCounter -= uint32(n)
-				x.stats.BusyCycles += n
-			}
-			if ln.rsState != sbIdle {
-				ln.rsCounter -= uint32(n)
-				x.stats.BusyCycles += n
-			}
-			continue
-		}
-		switch ln.state {
-		case busIdle:
-		case busWaitSlave:
+		if ln.rqState != chIdle {
+			ln.rqCounter -= uint32(n)
 			x.stats.BusyCycles += n
-		default:
-			ln.counter -= uint32(n)
+		}
+		if ln.rsState != chIdle {
+			ln.rsCounter -= uint32(n)
+			x.stats.BusyCycles += n
+		} else if x.held(ln) {
 			x.stats.BusyCycles += n
 		}
 	}
@@ -252,7 +231,7 @@ func (x *Crossbar) Skip(n uint64) {
 // targets lane si and pops the winner's head. ok is false when no master
 // demands this lane.
 func (x *Crossbar) pickRequest(si int) (Txn, int, bool) {
-	var pending []int
+	pending := x.scratch[:0]
 	for mi, m := range x.masters {
 		req, ok := m.Peek()
 		if !ok || req.SM != si {
@@ -279,99 +258,49 @@ func (x *Crossbar) pickRequest(si int) (Txn, int, bool) {
 	return tx, gi, true
 }
 
-// tickLaneOccupied runs the same four-state engine as the shared Bus,
-// restricted to requests targeting its slave.
-func (x *Crossbar) tickLaneOccupied(si int) {
+// tickLane runs the lane's two engines. The response engine runs first,
+// so a completion taken this tick frees its slave queue slot in time for
+// the same tick's request-engine credit check.
+func (x *Crossbar) tickLane(si int) {
 	ln := &x.lanes[si]
-	switch ln.state {
-	case busIdle:
-		tx, gi, ok := x.pickRequest(si)
-		if !ok {
-			return
-		}
-		req := tx.Req
-		req.Master = gi
-		ln.cur = req
-		ln.curMaster = gi
-		ln.curTag = tx.Tag
-		x.stats.Transactions++
-		x.stats.PerMaster[gi]++
-		x.stats.PerOp[req.Op]++
-		x.stats.PerSlave[si]++
-		x.stats.Words += uint64(req.WireWords())
-		ln.counter = x.wordCycles(req.WireWords())
-		ln.state = busReqXfer
-		x.stats.BusyCycles++
-
-	case busReqXfer:
-		x.stats.BusyCycles++
-		if ln.counter > 0 {
-			ln.counter--
-		}
-		if ln.counter > 0 {
-			return
-		}
-		// Single outstanding per lane: curMaster/curTag already route the
-		// response, so the slave-port tag needs no pending table.
-		x.slaves[si].Issue(ln.cur)
-		ln.state = busWaitSlave
-
-	case busWaitSlave:
-		x.stats.BusyCycles++
-		c, ok := x.slaves[si].TakeCompletion()
-		if !ok {
-			return
-		}
-		x.stats.Words += uint64(c.Resp.WireWords())
-		ln.counter = x.wordCycles(c.Resp.WireWords())
-		x.masters[ln.curMaster].Complete(ln.curTag, c.Resp)
-		ln.cur = Request{}
-		ln.state = busRespXfer
-
-	case busRespXfer:
-		x.stats.BusyCycles++
-		if ln.counter > 0 {
-			ln.counter--
-		}
-		if ln.counter == 0 {
-			ln.state = busIdle
-		}
-	}
-}
-
-// tickLaneSplit runs the lane's two independent engines. The response
-// engine runs first, so a completion taken this tick frees its slave
-// queue slot in time for the same tick's request-engine credit check.
-func (x *Crossbar) tickLaneSplit(si int) {
-	ln := &x.lanes[si]
+	held := x.held(ln)
 
 	// Response engine: drain slave completions back to the masters.
 	switch ln.rsState {
-	case sbIdle:
+	case chIdle:
+		if len(ln.pend) == 0 {
+			break // nothing outstanding at this slave
+		}
 		if c, ok := x.slaves[si].TakeCompletion(); ok {
 			src := ln.pend[c.Tag]
 			delete(ln.pend, c.Tag)
-			x.stats.RespGrants[si]++
+			if !held {
+				// A held lane was never released, so its response is not
+				// a grant of its own.
+				x.stats.RespGrants[si]++
+			}
 			x.stats.Words += uint64(c.Resp.WireWords())
 			x.masters[src.master].Complete(src.tag, c.Resp)
 			ln.rsCounter = x.wordCycles(c.Resp.WireWords())
-			ln.rsState = sbRespXfer
+			ln.rsState = chRespXfer
 			x.stats.BusyCycles++
+		} else if held {
+			x.stats.BusyCycles++ // held while the slave works
 		}
-	case sbRespXfer:
+	case chRespXfer:
 		x.stats.BusyCycles++
 		if ln.rsCounter > 0 {
 			ln.rsCounter--
 		}
 		if ln.rsCounter == 0 {
-			ln.rsState = sbIdle
+			ln.rsState = chIdle
 		}
 	}
 
 	// Request engine: transfer address phases into the slave queue.
 	switch ln.rqState {
-	case sbIdle:
-		if !x.slaves[si].CanAccept() {
+	case chIdle:
+		if held || !x.slaves[si].CanAccept() {
 			return
 		}
 		tx, gi, ok := x.pickRequest(si)
@@ -388,9 +317,9 @@ func (x *Crossbar) tickLaneSplit(si int) {
 		x.stats.PerSlave[si]++
 		x.stats.Words += uint64(req.WireWords())
 		ln.rqCounter = x.wordCycles(req.WireWords())
-		ln.rqState = sbReqXfer
+		ln.rqState = chReqXfer
 		x.stats.BusyCycles++
-	case sbReqXfer:
+	case chReqXfer:
 		x.stats.BusyCycles++
 		if ln.rqCounter > 0 {
 			ln.rqCounter--
@@ -401,6 +330,6 @@ func (x *Crossbar) tickLaneSplit(si int) {
 		stag := x.slaves[si].Issue(ln.rqCur)
 		ln.pend[stag] = ln.rqFrom
 		ln.rqCur = Request{}
-		ln.rqState = sbIdle
+		ln.rqState = chIdle
 	}
 }

@@ -38,40 +38,49 @@
 // original single-outstanding Link handshake (NewLink still builds
 // exactly that configuration).
 //
-// # Phases: occupied versus split
+// # Phases: one engine, released or held
 //
-// Both interconnects run one of two protocols, selected by their Split
-// field:
+// Both interconnects move every transaction in two phases through one
+// engine. The address phase occupies the channel while the request words
+// move (WireWords × WordCycles) and deposits the request in the slave
+// port's queue — bounded by the port depth, the protocol's credit pool.
+// The response phase routes the slave's completion back to its master
+// (through a pending table keyed by the slave-port tag) and occupies the
+// channel for the response words. The one thing their Split field
+// selects is what the channel does in between:
 //
-// Occupied (default) is the paper's bus: a granted transaction holds the
-// channel end-to-end — request words, slave wait, response words. It is
-// the 2005-faithful reference and remains bit-identical to the
-// pre-split implementation.
+// Split releases it. Slaves process their queues autonomously, other
+// address phases proceed, and a finished transaction re-arbitrates for
+// the channel (the Bus's RespArb; response phases have priority over
+// address phases, since a parked response pins both a slave queue slot
+// and a master credit). Transactions to different memories, and
+// pipelined transactions to the same memory, therefore overlap in
+// simulated time — the memory-level parallelism experiment E10 measures
+// exactly this.
 //
-// Split decomposes a transaction into an address phase and a response
-// phase. The address phase occupies the channel only while the request
-// words move (WireWords × WordCycles), then deposits the request in the
-// slave port's queue — bounded by the port depth, the protocol's credit
-// pool — and releases the channel. Slaves process their queues
-// autonomously. A finished transaction re-arbitrates for the channel
-// (the Bus's RespArb; response phases have priority over address phases,
-// since a parked response pins both a slave queue slot and a master
-// credit) and occupies it only for the response words. Transactions to
-// different memories, and pipelined transactions to the same memory,
-// therefore overlap in simulated time — the memory-level parallelism
-// experiment E10 measures exactly this.
+// Occupied (default) holds it: from the end of the address phase the
+// channel is reserved for the addressed slave until that response has
+// drained, so a granted transaction owns the channel end-to-end —
+// request words, slave wait, response words — with no response
+// arbitration (RespGrants stays 0) and the wait counted as busy time.
+// This is the paper's bus, the 2005-faithful reference, and it remains
+// bit-identical to the pre-split implementation; the differential
+// reference in internal/experiments/testdata pins both protocols.
 //
-// The Crossbar gives every slave an independent lane. In occupied mode
-// each lane runs the end-to-end engine; in split mode a lane splits into
-// concurrently running request and response engines, so a lane can
-// accept request N+1 while its slave processes N and response N−1
-// drains. Requests to nonexistent slaves are rejected centrally with
-// ErrNoSlave in every mode.
+// On the Bus the hold is one slave index beside the channel state. The
+// Crossbar gives every slave an independent lane with a request engine
+// and a response engine: split lanes run them concurrently, so a lane
+// can accept request N+1 while its slave processes N and response N−1
+// drains; an occupied lane starts an address phase only if it was
+// entirely free (both engines idle, nothing pending) when the tick
+// began. Requests to nonexistent slaves are rejected centrally with
+// ErrNoSlave in either protocol.
 //
 // # Arbitration
 //
 // Arbiters see the indices of requesters with visible demand and pick
-// one per grant. RoundRobin is starvation-free under sustained
+// one per grant (the candidate slice is the interconnect's scratch
+// buffer, valid only during the call). RoundRobin is starvation-free under sustained
 // saturation; FixedPriority is cheap and documents the classic
 // starvation pathology (see the fairness tests). The split Bus
 // arbitrates the response phase with a second, independent arbiter

@@ -8,8 +8,8 @@ import (
 )
 
 // This file makes the transaction layer snapshottable: ports (the only
-// owners of sim.Signals in the tree), both interconnect engines, and
-// the arbiters. Requests and responses get exported codecs because
+// owners of sim.Signals in the tree), both interconnects, and the
+// arbiters. Requests and responses get exported codecs because
 // every FSM upstream (memories, caches, DMA, ISS bridge) parks them in
 // its own state.
 
@@ -304,23 +304,18 @@ func restorePendMap(dec *snapshot.Decoder) map[Tag]pendSrc {
 	return m
 }
 
-// SaveState implements snapshot.Saver: both transfer engines (occupied
-// and split), the per-slave pending maps, the arbiters, and the stats.
-// Topology (masters, slaves, word cycles, snoop hook) is rebuilt from
-// config.
+// SaveState implements snapshot.Saver: the channel state (including an
+// occupied hold), the per-slave pending maps, the arbiters, and the
+// stats. Topology (masters, slaves, word cycles, snoop hook) is rebuilt
+// from config.
 func (b *Bus) SaveState(enc *snapshot.Encoder) {
 	enc.Int(len(b.masters))
 	enc.Int(len(b.slaves))
 	enc.U8(uint8(b.state))
-	EncodeRequest(enc, b.cur)
-	enc.Int(b.curMaster)
-	enc.U64(uint64(b.curTag))
 	enc.U32(b.counter)
-	enc.U8(uint8(b.sstate))
-	enc.U32(b.scounter)
-	EncodeRequest(enc, b.sreq)
-	encodePendSrc(enc, b.sreqFrom)
-	enc.U32(uint32(len(b.pend)))
+	EncodeRequest(enc, b.req)
+	encodePendSrc(enc, b.reqFrom)
+	enc.Int(b.held + 1) // 0: free
 	for _, m := range b.pend {
 		savePendMap(enc, m)
 	}
@@ -339,25 +334,18 @@ func (b *Bus) RestoreState(dec *snapshot.Decoder) error {
 		return fmt.Errorf("bus topology mismatch: snapshot has %dx%d, system has %dx%d",
 			nm, ns, len(b.masters), len(b.slaves))
 	}
-	b.state = busState(dec.U8())
-	b.cur = DecodeRequest(dec)
-	b.curMaster = dec.Int()
-	b.curTag = Tag(dec.U64())
+	b.state = chanState(dec.U8())
 	b.counter = dec.U32()
-	b.sstate = splitState(dec.U8())
-	b.scounter = dec.U32()
-	b.sreq = DecodeRequest(dec)
-	b.sreqFrom = decodePendSrc(dec)
-	np := int(dec.U32())
-	if err := dec.Err(); err != nil {
-		return err
+	b.req = DecodeRequest(dec)
+	b.reqFrom = decodePendSrc(dec)
+	b.held = dec.Int() - 1
+	if dec.Err() == nil && (b.held < -1 || b.held >= ns) {
+		return dec.Fail(fmt.Errorf("bus held for slave %d of %d", b.held, ns))
 	}
-	if np != len(b.slaves) {
-		return fmt.Errorf("bus pending-map count mismatch: snapshot has %d, system has %d slaves", np, len(b.slaves))
-	}
-	b.pend = make([]map[Tag]pendSrc, np)
+	b.outstanding = 0
 	for i := range b.pend {
 		b.pend[i] = restorePendMap(dec)
+		b.outstanding += len(b.pend[i])
 	}
 	if err := restoreArbiter(dec, b.arb); err != nil {
 		return err
@@ -370,17 +358,13 @@ func (b *Bus) RestoreState(dec *snapshot.Decoder) error {
 }
 
 // SaveState implements snapshot.Saver for the crossbar: every lane's
-// occupied and split engines, pending maps, per-lane arbiters, stats.
+// request and response engines and pending map, the per-lane arbiters,
+// the stats.
 func (x *Crossbar) SaveState(enc *snapshot.Encoder) {
 	enc.Int(len(x.masters))
 	enc.Int(len(x.slaves))
 	for i := range x.lanes {
 		l := &x.lanes[i]
-		enc.U8(uint8(l.state))
-		EncodeRequest(enc, l.cur)
-		enc.Int(l.curMaster)
-		enc.U64(uint64(l.curTag))
-		enc.U32(l.counter)
 		enc.U8(uint8(l.rqState))
 		enc.U32(l.rqCounter)
 		EncodeRequest(enc, l.rqCur)
@@ -407,16 +391,11 @@ func (x *Crossbar) RestoreState(dec *snapshot.Decoder) error {
 	}
 	for i := range x.lanes {
 		l := &x.lanes[i]
-		l.state = busState(dec.U8())
-		l.cur = DecodeRequest(dec)
-		l.curMaster = dec.Int()
-		l.curTag = Tag(dec.U64())
-		l.counter = dec.U32()
-		l.rqState = splitState(dec.U8())
+		l.rqState = chanState(dec.U8())
 		l.rqCounter = dec.U32()
 		l.rqCur = DecodeRequest(dec)
 		l.rqFrom = decodePendSrc(dec)
-		l.rsState = splitState(dec.U8())
+		l.rsState = chanState(dec.U8())
 		l.rsCounter = dec.U32()
 		l.pend = restorePendMap(dec)
 	}

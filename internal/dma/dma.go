@@ -12,8 +12,7 @@ import (
 // When source and destination ranges overlap within one memory, the
 // engine serializes the descriptor chunk by chunk regardless of port
 // depth (reads of chunk k+1 must observe writes of chunk k), so the
-// chunked-memmove semantics of the classic engine are preserved at
-// every depth.
+// chunked-memmove semantics of a depth-1 port hold at every depth.
 type Descriptor struct {
 	SrcSM, DstSM     int
 	SrcVPtr, DstVPtr uint32
@@ -23,8 +22,8 @@ type Descriptor struct {
 }
 
 // overlaps reports whether the source and destination byte ranges
-// intersect within the same memory — the case the pipelined engine
-// must not reorder.
+// intersect within the same memory — the case read-ahead must not
+// reorder.
 func (d Descriptor) overlaps() bool {
 	if d.SrcSM != d.DstSM {
 		return false
@@ -53,25 +52,9 @@ type Stats struct {
 	BusyCycles  uint64
 }
 
-type dmaState uint8
-
-const (
-	dmaIdle dmaState = iota
-	dmaReadIssue
-	dmaReadWait
-	dmaWriteIssue
-	dmaWriteWait
-	// dmaPipeline is the single active state of the depth ≥ 2 engine:
-	// reads and writes are tracked per in-flight tag, not by FSM phase.
-	dmaPipeline
-	// dmaDrain waits for outstanding transactions after an error before
-	// retiring the failed descriptor.
-	dmaDrain
-)
-
 // chunk is one burst-sized slice of the current descriptor as it moves
-// through the pipelined engine: read issued → data buffered → write
-// issued → retired.
+// through the engine: read issued → data buffered → write issued →
+// retired.
 type chunk struct {
 	off  uint32 // element offset within the descriptor
 	n    uint32 // elements in this chunk
@@ -88,14 +71,12 @@ type Engine struct {
 	queue []Descriptor
 	done  []Status
 
-	state dmaState
-	cur   Descriptor
-	off   uint32 // depth-1 engine: elements completed of cur
-	chunk uint32 // depth-1 engine: elements in flight
-	data  []uint32
-	err   bus.ErrCode
+	active bool // cur is in progress
+	cur    Descriptor
+	// err is cur's first in-band error. Once set the engine issues nothing
+	// more and retires cur when its outstanding transactions have drained.
+	err bus.ErrCode
 
-	// pipelined-engine state
 	readOff  uint32             // next element offset to issue a read for
 	written  uint32             // elements confirmed written
 	inflight map[bus.Tag]*chunk // outstanding reads and writes by tag
@@ -136,108 +117,60 @@ func (e *Engine) Enqueue(d Descriptor) {
 func (e *Engine) Done() []Status { return e.done }
 
 // Idle reports whether the engine has no pending or in-flight work.
-func (e *Engine) Idle() bool { return e.state == dmaIdle && len(e.queue) == 0 }
+func (e *Engine) Idle() bool { return !e.active && len(e.queue) == 0 }
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// pipelined reports whether the port depth admits the overlapped engine.
-func (e *Engine) pipelined() bool { return e.port.Depth() >= 2 }
+// window is how many chunks of cur may be in flight or buffered at once:
+// the port depth, or one when source and destination overlap (the read of
+// chunk k+1 must observe the write of chunk k).
+func (e *Engine) window() int {
+	if e.cur.overlaps() {
+		return 1
+	}
+	return e.port.Depth()
+}
 
-// Tick implements sim.Module.
+func (e *Engine) canWrite() bool { return len(e.ready) > 0 && e.port.CanIssue() }
+
+func (e *Engine) canRead() bool {
+	return e.readOff < e.cur.Elems && e.port.CanIssue() &&
+		len(e.inflight)+len(e.ready) < e.window()
+}
+
+// Tick implements sim.Module: start the next descriptor if none is in
+// progress, drain every completion the port delivers, retire the
+// descriptor once nothing is outstanding and nothing is left to do (or
+// it failed), and otherwise issue at most one write and one read (a
+// hardware engine with one issue slot per direction). At window 1 this
+// is the strictly alternating read→write engine: a read's completion
+// and its chunk's write, or a write's completion and the next read,
+// share a tick.
 func (e *Engine) Tick(cycle uint64) {
-	switch e.state {
-	case dmaIdle:
+	if !e.active {
 		if len(e.queue) == 0 {
 			return
 		}
 		e.cur = e.queue[0]
 		e.queue = e.queue[1:]
-		e.off = 0
 		e.err = bus.OK
-		e.stats.BusyCycles++
-		if e.pipelined() && !e.cur.overlaps() {
-			e.readOff, e.written = 0, 0
-			e.ready = nil
-			e.state = dmaPipeline
-			e.tickPipeline(cycle)
-			return
-		}
-		e.state = dmaReadIssue
-		e.issueRead(cycle)
-
-	case dmaReadIssue:
-		e.stats.BusyCycles++
-		e.issueRead(cycle)
-
-	case dmaReadWait:
-		e.stats.BusyCycles++
-		resp, ok := e.port.Response()
-		if !ok {
-			return
-		}
-		if resp.Err != bus.OK {
-			e.fail(resp.Err, cycle)
-			return
-		}
-		e.data = resp.Burst
-		e.state = dmaWriteIssue
-		e.issueWrite(cycle)
-
-	case dmaWriteIssue:
-		e.stats.BusyCycles++
-		e.issueWrite(cycle)
-
-	case dmaWriteWait:
-		e.stats.BusyCycles++
-		resp, ok := e.port.Response()
-		if !ok {
-			return
-		}
-		if resp.Err != bus.OK {
-			e.fail(resp.Err, cycle)
-			return
-		}
-		e.off += e.chunk
-		e.stats.ElemsMoved += uint64(e.chunk)
-		if e.off >= e.cur.Elems {
-			e.complete(cycle)
-			return
-		}
-		e.state = dmaReadIssue
-		e.issueRead(cycle)
-
-	case dmaPipeline:
-		e.stats.BusyCycles++
-		e.tickPipeline(cycle)
-
-	case dmaDrain:
-		e.stats.BusyCycles++
-		e.drainCompletions(cycle)
-		if len(e.inflight) == 0 {
-			e.off = e.written
-			e.fail(e.err, cycle)
-		}
+		e.readOff, e.written = 0, 0
+		e.ready = nil
+		e.active = true
 	}
-}
-
-// tickPipeline advances the overlapped engine one cycle: drain every
-// completion the port delivers, then issue at most one write and one
-// read (a hardware engine with one issue slot per direction).
-func (e *Engine) tickPipeline(cycle uint64) {
-	e.drainCompletions(cycle)
-	if e.state != dmaPipeline {
-		return // completed or moved to drain
+	e.stats.BusyCycles++
+	e.drainCompletions()
+	if len(e.inflight) == 0 && (e.err != bus.OK || (e.readOff >= e.cur.Elems && len(e.ready) == 0)) {
+		e.retire(cycle)
+		return
 	}
-	if e.readOff >= e.cur.Elems && len(e.inflight) == 0 && len(e.ready) == 0 {
-		// Nothing left to issue or await — the empty-descriptor case.
-		e.off = e.written
-		e.complete(cycle)
+	if e.err != bus.OK {
 		return
 	}
 	// Writes first: retiring data frees buffer space and keeps the
 	// destination memory fed.
-	if len(e.ready) > 0 && e.port.CanIssue() {
+	if e.canWrite() {
 		c := e.ready[0]
 		e.ready = e.ready[1:]
 		es := e.cur.DType.Size()
@@ -252,10 +185,9 @@ func (e *Engine) tickPipeline(cycle uint64) {
 		e.inflight[tag] = c
 		e.isWrite[tag] = true
 	}
-	// Read ahead while the window (port depth) has room: each buffered or
-	// in-flight chunk occupies one window slot.
-	if e.readOff < e.cur.Elems && e.port.CanIssue() &&
-		len(e.inflight)+len(e.ready) < e.port.Depth() {
+	// Read ahead while the window has room: each buffered or in-flight
+	// chunk occupies one window slot.
+	if e.canRead() {
 		n := e.cur.Elems - e.readOff
 		if n > e.cur.Chunk {
 			n = e.cur.Chunk
@@ -274,81 +206,60 @@ func (e *Engine) tickPipeline(cycle uint64) {
 }
 
 // drainCompletions consumes every completion deliverable this cycle and
-// retires or advances the matching chunks.
-func (e *Engine) drainCompletions(cycle uint64) {
+// advances the matching chunks. After an error, writes already issued
+// still count as moved; read data is dropped.
+func (e *Engine) drainCompletions() {
 	for tag, resp := range e.port.Completions() {
 		c := e.inflight[tag]
 		write := e.isWrite[tag]
 		delete(e.inflight, tag)
 		delete(e.isWrite, tag)
-		if resp.Err != bus.OK {
-			if e.state != dmaDrain {
+		switch {
+		case resp.Err != bus.OK:
+			if e.err == bus.OK {
 				e.err = resp.Err
 				e.ready = nil
-				e.state = dmaDrain
 			}
-			continue
-		}
-		if e.state == dmaDrain {
-			if write {
-				e.written += c.n
-				e.stats.ElemsMoved += uint64(c.n)
-			}
-			continue
-		}
-		if write {
+		case write:
 			e.written += c.n
 			e.stats.ElemsMoved += uint64(c.n)
-			if e.written >= e.cur.Elems {
-				e.off = e.written
-				e.complete(cycle)
-				return
-			}
-		} else {
+		case e.err == bus.OK:
 			c.data = resp.Burst
 			e.ready = append(e.ready, c)
 		}
 	}
 }
 
+func (e *Engine) retire(cycle uint64) {
+	if e.err != bus.OK {
+		e.stats.Errors++
+	}
+	e.done = append(e.done, Status{Desc: e.cur, Err: e.err, Moved: e.written, DoneCycle: cycle})
+	e.stats.Descriptors++
+	e.active = false
+}
+
 // NextWake implements sim.Sleeper. With an empty queue the engine is
 // fully drained (Enqueue happens between steps, and NextWake is
 // re-queried at every skip opportunity, so host-side enqueues are seen
 // immediately). Blocked purely on completions, the engine resumes on the
-// completion signal; whenever an issue slot could fire it ticks every
-// cycle.
+// completion signal; whenever it could retire or an issue slot could
+// fire it ticks every cycle.
 func (e *Engine) NextWake(now uint64) uint64 {
-	switch e.state {
-	case dmaIdle:
+	if !e.active {
 		if len(e.queue) > 0 {
 			return now
 		}
 		return sim.WakeNever
-	case dmaReadWait, dmaWriteWait:
-		return sim.WakeNever
-	case dmaDrain:
-		if len(e.inflight) == 0 {
-			return now // retire the failed descriptor
-		}
-		return sim.WakeNever
-	case dmaPipeline:
-		if e.port.HasCompletion() {
-			return now
-		}
-		if len(e.ready) > 0 && e.port.CanIssue() {
-			return now
-		}
-		if e.readOff < e.cur.Elems && e.port.CanIssue() &&
-			len(e.inflight)+len(e.ready) < e.port.Depth() {
-			return now
-		}
-		if e.readOff >= e.cur.Elems && len(e.inflight) == 0 && len(e.ready) == 0 {
-			return now // empty descriptor retires on the next tick
-		}
-		return sim.WakeNever
-	default:
+	}
+	// Nothing outstanding means the next tick retires or issues.
+	if len(e.inflight) == 0 || e.port.HasCompletion() {
 		return now
 	}
+	if e.err == bus.OK && (e.canWrite() || e.canRead()) {
+		return now
+	}
+	return sim.WakeNever
 }
 
 // ConcurrentTick implements sim.Concurrent — with false, deliberately:
@@ -364,59 +275,7 @@ func (e *Engine) TickWeight() int { return 3 }
 
 // Skip implements sim.Sleeper: waiting on a burst response is busy time.
 func (e *Engine) Skip(n uint64) {
-	switch e.state {
-	case dmaReadWait, dmaWriteWait, dmaPipeline, dmaDrain:
+	if e.active {
 		e.stats.BusyCycles += n
 	}
-}
-
-func (e *Engine) issueRead(cycle uint64) {
-	if !e.port.CanIssue() {
-		e.state = dmaReadIssue
-		return
-	}
-	e.chunk = e.cur.Elems - e.off
-	if e.chunk > e.cur.Chunk {
-		e.chunk = e.cur.Chunk
-	}
-	es := e.cur.DType.Size()
-	e.port.Issue(bus.Request{
-		Op:    bus.OpReadBurst,
-		SM:    e.cur.SrcSM,
-		VPtr:  e.cur.SrcVPtr + e.off*es,
-		Dim:   e.chunk,
-		DType: e.cur.DType,
-	})
-	e.state = dmaReadWait
-}
-
-func (e *Engine) issueWrite(cycle uint64) {
-	if !e.port.CanIssue() {
-		e.state = dmaWriteIssue
-		return
-	}
-	es := e.cur.DType.Size()
-	e.port.Issue(bus.Request{
-		Op:    bus.OpWriteBurst,
-		SM:    e.cur.DstSM,
-		VPtr:  e.cur.DstVPtr + e.off*es,
-		Dim:   uint32(len(e.data)),
-		Burst: e.data,
-		DType: e.cur.DType,
-	})
-	e.state = dmaWriteWait
-}
-
-func (e *Engine) fail(code bus.ErrCode, cycle uint64) {
-	e.err = code
-	e.stats.Errors++
-	e.done = append(e.done, Status{Desc: e.cur, Err: code, Moved: e.off, DoneCycle: cycle})
-	e.stats.Descriptors++
-	e.state = dmaIdle
-}
-
-func (e *Engine) complete(cycle uint64) {
-	e.done = append(e.done, Status{Desc: e.cur, Err: bus.OK, Moved: e.off, DoneCycle: cycle})
-	e.stats.Descriptors++
-	e.state = dmaIdle
 }

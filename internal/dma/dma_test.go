@@ -280,7 +280,7 @@ func runCopy(t *testing.T, depth int, split bool, elems uint32) (uint64, []uint3
 // cycles than the strictly alternating depth-1 engine. On the occupied
 // bus the extra depth must at least never hurt (the bus serializes
 // end-to-end, so the queued request only hides the turnaround the
-// legacy engine already hid). The copied data must be identical in
+// depth-1 window already hid). The copied data must be identical in
 // every mode.
 func TestDMAPipelinedFasterThanSerial(t *testing.T) {
 	const elems = 256
@@ -376,5 +376,61 @@ func TestDMAOverlappingCopyDepthInvariant(t *testing.T) {
 	}
 	if !smeared {
 		t.Fatal("workload did not exercise the overlap semantics")
+	}
+}
+
+// runAlone runs one descriptor on a 1-master, 2-wrapper occupied bus at
+// the given port depth with no other master, and returns its status, the
+// engine's busy cycles and the bus transactions it cost.
+func runAlone(t *testing.T, depth int, d dma.Descriptor) (dma.Status, uint64, uint64) {
+	t.Helper()
+	sys, err := config.Build(config.SystemConfig{
+		Masters: 1, Memories: 2, MemKind: config.MemWrapper, OutstandingDepth: depth,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := dma.New(sys.Kernel, "dma0", sys.MasterPorts[0])
+	eng.Enqueue(d)
+	if _, err := sys.Kernel.RunUntil(eng.Idle, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.Done()) != 1 {
+		t.Fatalf("depth %d: done = %+v", depth, eng.Done())
+	}
+	return eng.Done()[0], eng.Stats().BusyCycles, sys.Inter.Stats().Transactions
+}
+
+// TestDMAEmptyDescriptorDepthInvariant pins the zero-element case: there
+// is nothing to move, so the descriptor retires in the tick it is popped
+// without touching the bus — at every port depth. (The former depth-1
+// FSM sent a Dim-0 read burst and a Dim-0 write burst for it.)
+func TestDMAEmptyDescriptorDepthInvariant(t *testing.T) {
+	for _, depth := range []int{1, 2, 4, 8} {
+		st, busy, txns := runAlone(t, depth, dma.Descriptor{SrcSM: 0, DstSM: 1, DType: bus.U32})
+		if st.Err != bus.OK || st.Moved != 0 || st.DoneCycle != 0 || busy != 1 || txns != 0 {
+			t.Errorf("depth %d: status %+v, %d busy cycles, %d bus transactions; want OK at cycle 0, 1 busy cycle, no traffic",
+				depth, st, busy, txns)
+		}
+	}
+}
+
+// TestDMAErrorRetireDepthInvariant pins when a failed descriptor
+// retires: in the tick its last outstanding transaction completes. A
+// single-chunk descriptor with a dangling source has exactly one
+// transaction, so its completion cycle and busy time cannot depend on
+// the port depth.
+func TestDMAErrorRetireDepthInvariant(t *testing.T) {
+	bad := dma.Descriptor{SrcSM: 0, DstSM: 1, SrcVPtr: 0xDEAD00, Elems: 8, DType: bus.U32}
+	ref, refBusy, _ := runAlone(t, 1, bad)
+	if ref.Err != bus.ErrBadVPtr || ref.Moved != 0 {
+		t.Fatalf("depth 1: %+v", ref)
+	}
+	for _, depth := range []int{2, 4, 8} {
+		st, busy, _ := runAlone(t, depth, bad)
+		st.Desc, ref.Desc = dma.Descriptor{}, dma.Descriptor{}
+		if st != ref || busy != refBusy {
+			t.Errorf("depth %d: %+v after %d busy cycles; depth 1: %+v after %d", depth, st, busy, ref, refBusy)
+		}
 	}
 }

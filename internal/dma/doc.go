@@ -13,14 +13,21 @@
 //
 // # Pipelining
 //
-// The engine adapts to its port's outstanding depth. At depth 1 it runs
-// the classic strictly alternating read→write FSM (cycle-identical to
-// the pre-port engine). At depth ≥ 2 it pipelines: burst reads run
-// ahead of burst writes, keeping a read and a write in flight
+// One engine serves every port depth. Each burst-sized chunk of a
+// descriptor is read, buffered, written and retired; a window bounds how
+// many chunks may be in flight or buffered at once, and each tick drains
+// the port's completions and then issues at most one write and one read.
+// The window is the port's outstanding depth: at depth 1 reads and
+// writes strictly alternate (a completion and the next issue share a
+// tick, cycle-identical to the pre-port engine); at depth ≥ 2 burst
+// reads run ahead of burst writes, keeping a read and a write in flight
 // concurrently (and, at higher depths, several reads buffered), so the
 // source and destination memories overlap their work. Descriptors whose
-// source and destination ranges overlap in one memory always run on the
-// serial FSM — read-ahead would change what the later chunks observe.
+// source and destination ranges overlap in one memory run at window 1
+// whatever the depth — read-ahead would change what the later chunks
+// observe. A zero-element descriptor retires in the tick it is popped,
+// and a failed one in the tick its last outstanding transaction
+// completes, at every depth.
 //
 // # Programming model
 //

@@ -40,8 +40,7 @@ func decodeChunk(dec *snapshot.Decoder) *chunk {
 }
 
 // SaveState implements snapshot.Saver: the descriptor queue, completed
-// statuses, both engine FSMs (single-outstanding and pipelined), and
-// every in-flight chunk. The inflight map and the ready slice hold
+// statuses, the descriptor in progress and every in-flight chunk. The inflight map and the ready slice hold
 // disjoint chunk sets (a chunk moves from ready to inflight when its
 // write issues), so they serialize independently without aliasing.
 func (e *Engine) SaveState(enc *snapshot.Encoder) {
@@ -56,11 +55,8 @@ func (e *Engine) SaveState(enc *snapshot.Encoder) {
 		enc.U32(s.Moved)
 		enc.U64(s.DoneCycle)
 	}
-	enc.U8(uint8(e.state))
+	enc.Bool(e.active)
 	encodeDescriptor(enc, e.cur)
-	enc.U32(e.off)
-	enc.U32(e.chunk)
-	enc.U32s(e.data)
 	enc.U8(uint8(e.err))
 	enc.U32(e.readOff)
 	enc.U32(e.written)
@@ -100,11 +96,8 @@ func (e *Engine) RestoreState(dec *snapshot.Decoder) error {
 		s.DoneCycle = dec.U64()
 		e.done = append(e.done, s)
 	}
-	e.state = dmaState(dec.U8())
+	e.active = dec.Bool()
 	e.cur = decodeDescriptor(dec)
-	e.off = dec.U32()
-	e.chunk = dec.U32()
-	e.data = dec.U32s()
 	e.err = bus.ErrCode(dec.U8())
 	e.readOff = dec.U32()
 	e.written = dec.U32()

@@ -27,10 +27,10 @@
 // WB is the checkpoint/restore experiment: it runs the shared GSM
 // warm-up phase once, snapshots (config.System.Snapshot), fans the
 // scheduler variants out from that one snapshot via
-// config.RestoreSystem, and memoizes finished runs in a WarmBootCache
-// keyed by (config hash, snapshot hash). Every warm leg must reproduce
-// the cold leg's exact cycle count — restore correctness is asserted
-// inside the measurement. The snapshot differential tests
+// config.RestoreSystem. Every warm leg must reproduce the cold leg's
+// exact cycle count — restore correctness is asserted inside the
+// measurement. (Answering a repeated leg without simulating belongs to
+// internal/service's result store.) The snapshot differential tests
 // (TestSchedDiffSnapshot and friends) hold the underlying machinery to
 // bit-identical resume across the scheduler matrix, including VCD byte
 // identity across the checkpoint boundary.

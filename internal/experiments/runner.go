@@ -27,66 +27,6 @@ import (
 // (and equal warm snapshots) produce bit-identical results, so a
 // persistent store can answer repeated legs without simulating.
 
-// ctxChunk is the cycle granularity at which a context-aware run
-// checks for cancellation. It is a fixed constant, not a knob: the
-// chunk boundary influences how idle spans are split (and thereby the
-// kernel's informational span counters, which travel in snapshots), so
-// keeping it constant keeps context-aware runs deterministic. Cycle
-// counts, module stats and all observable state are chunk-invariant —
-// the RunUntil predicate contract guarantees a conforming predicate
-// cannot flip mid-span.
-const ctxChunk = 65536
-
-// runUntilCtx is Kernel.RunUntil with cooperative cancellation: it
-// advances k toward pred in ctxChunk-cycle slices, returning ctx.Err()
-// at the first boundary after cancellation. A nil ctx (or
-// context.Background()) degrades to the plain uninterruptible call.
-func runUntilCtx(ctx context.Context, k *sim.Kernel, pred func() bool, limit uint64) (uint64, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return k.RunUntil(pred, limit)
-	}
-	var done uint64
-	for done < limit {
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		budget := limit - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		adv, err := k.RunUntil(pred, budget)
-		done += adv
-		if err == nil {
-			return done, nil
-		}
-		if err != sim.ErrLimit {
-			return done, err
-		}
-	}
-	return limit, sim.ErrLimit
-}
-
-// runCtx is Kernel.Run with the same cooperative cancellation.
-func runCtx(ctx context.Context, k *sim.Kernel, n uint64) error {
-	if ctx == nil || ctx.Done() == nil {
-		return k.Run(n)
-	}
-	for done := uint64(0); done < n; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		budget := n - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		if err := k.Run(budget); err != nil {
-			return err
-		}
-		done += budget
-	}
-	return nil
-}
-
 // WithContext returns a copy of the mode whose measured runs honor ctx:
 // RunGSMISS and the warm-boot helpers abort with ctx.Err() at the next
 // chunk boundary after cancellation. The zero mode runs uninterrupted.
@@ -97,7 +37,7 @@ func (m Mode) WithContext(ctx context.Context) Mode {
 
 // runUntil is the mode-aware RunUntil every cancellable run site uses.
 func (m Mode) runUntil(k *sim.Kernel, pred func() bool, limit uint64) (uint64, error) {
-	return runUntilCtx(m.ctx, k, pred, limit)
+	return k.RunUntilCtx(m.ctx, pred, limit)
 }
 
 // LegSpec describes one simulation leg in JSON-friendly terms: the
@@ -424,7 +364,7 @@ func (r SimRunner) RunLeg(ctx context.Context, leg LegSpec, warm []byte) (LegRes
 	}
 
 	start := time.Now()
-	if _, err := runUntilCtx(ctx, sys.Kernel, sys.CPUsHalted, runLimit); err != nil {
+	if _, err := sys.Kernel.RunUntilCtx(ctx, sys.CPUsHalted, runLimit); err != nil {
 		return LegResult{}, err
 	}
 	res.WallNS = time.Since(start).Nanoseconds()
@@ -453,7 +393,7 @@ func (r SimRunner) Warmup(ctx context.Context, leg LegSpec, cycles uint64) ([]by
 	if err != nil {
 		return nil, err
 	}
-	if err := runCtx(ctx, sys.Kernel, cycles); err != nil {
+	if err := sys.Kernel.RunCtx(ctx, cycles); err != nil {
 		return nil, err
 	}
 	return sys.Snapshot()

@@ -21,40 +21,8 @@ import (
 // still produces the cold run's exact cycle count — and the WB
 // experiment proves it by checking, not assuming.
 
-// WarmBootCache memoizes finished runs by (config hash, snapshot
-// hash): with a deterministic simulator, that pair fully determines
-// the result, so a hit can skip the simulation outright.
-type WarmBootCache struct {
-	results map[string]stats.RunResult
-	Hits    uint64
-	Misses  uint64
-}
-
-// NewWarmBootCache returns an empty cache.
-func NewWarmBootCache() *WarmBootCache {
-	return &WarmBootCache{results: make(map[string]stats.RunResult)}
-}
-
-// Key combines a full config hash with a snapshot hash.
-func (c *WarmBootCache) Key(cfg config.SystemConfig, snapHash string) string {
-	return cfg.Hash() + ":" + snapHash
-}
-
-// Get looks up a cached result.
-func (c *WarmBootCache) Get(key string) (stats.RunResult, bool) {
-	r, ok := c.results[key]
-	if ok {
-		c.Hits++
-	} else {
-		c.Misses++
-	}
-	return r, ok
-}
-
-// Put stores a result.
-func (c *WarmBootCache) Put(key string, r stats.RunResult) { c.results[key] = r }
-
-// SnapshotHash digests snapshot bytes for cache keying.
+// SnapshotHash digests snapshot bytes for result-store keying (see
+// LegSpec.Key).
 func SnapshotHash(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:16])
@@ -110,7 +78,7 @@ func WarmBootSnapshot(frames int, m Mode, coldCycles uint64) ([]byte, uint64, er
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := runCtx(m.ctx, sys.Kernel, warmK); err != nil {
+	if err := sys.Kernel.RunCtx(m.ctx, warmK); err != nil {
 		return nil, 0, err
 	}
 	data, err := sys.Snapshot()
@@ -143,10 +111,11 @@ func WarmBootResume(m Mode, snap []byte) (uint64, error) {
 
 // WB is the warm-boot experiment: a scheduler sweep over the GSM
 // configuration, run cold (from cycle 0) and warm (restored from one
-// shared warm-up snapshot), with per-variant results memoized by
-// (config hash, snapshot hash). Every warm leg must reproduce the cold
+// shared warm-up snapshot). Every warm leg must reproduce the cold
 // leg's exact cycle count — restore correctness is asserted inside the
-// measurement, not alongside it.
+// measurement, not alongside it. Serving a repeated variant without
+// simulating is the result store's job (internal/service), not the
+// experiment's.
 func WB(o Options) (*stats.Table, error) {
 	frames := o.pick(20, 3)
 	base := o.mode()
@@ -182,7 +151,6 @@ func WB(o Options) (*stats.Table, error) {
 			return nil, err
 		}
 	}
-	snapHash := SnapshotHash(snap)
 
 	variants := []struct {
 		name string
@@ -191,12 +159,8 @@ func WB(o Options) (*stats.Table, error) {
 		{"lockstep/w1", func() Mode { m := base; m.Lockstep, m.Workers = true, 1; return m }()},
 		{"event-driven/w1", func() Mode { m := base; m.Lockstep, m.Workers = false, 1; return m }()},
 		{"event-driven/w4", func() Mode { m := base; m.Lockstep, m.Workers = false, 4; return m }()},
-		// Repeated on purpose: the second run must come from the result
-		// cache without simulating.
-		{"event-driven/w1 (again)", func() Mode { m := base; m.Lockstep, m.Workers = false, 1; return m }()},
 	}
 
-	cache := NewWarmBootCache()
 	warmDesc := fmt.Sprintf("warm-up %d of %d cycles", warmK, total)
 	if o.Restore != "" {
 		warmDesc = fmt.Sprintf("warm-up restored from %s, %d total cycles", o.Restore, total)
@@ -204,14 +168,8 @@ func WB(o Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("WB: warm-boot sweep on GSM 4 ISS / 1 mem (%d frames, %s, snapshot %d KiB)",
 			frames, warmDesc, len(snap)/1024),
-		"variant", "cold wall", "warm wall", "saving", "cycles", "source")
+		"variant", "cold wall", "warm wall", "saving", "cycles")
 	for _, v := range variants {
-		cfg := wbConfig(v.mode)
-		key := cache.Key(cfg, snapHash)
-		if r, ok := cache.Get(key); ok {
-			t.Add(v.name, "-", "0s", "-", fmt.Sprint(r.Cycles), "cache hit")
-			continue
-		}
 		// Cold leg.
 		coldSys, err := wbBuild(frames, v.mode)
 		if err != nil {
@@ -226,7 +184,7 @@ func WB(o Options) (*stats.Table, error) {
 		// Warm leg: restore the shared snapshot under this variant's
 		// scheduler knobs and run the remainder.
 		warmStart := time.Now()
-		warmSys, err := config.RestoreSystem(cfg, snap)
+		warmSys, err := config.RestoreSystem(wbConfig(v.mode), snap)
 		if err != nil {
 			return nil, err
 		}
@@ -240,10 +198,8 @@ func WB(o Options) (*stats.Table, error) {
 				v.name, coldCycles, warmCycles, total)
 		}
 		saving := 1 - warmWall.Seconds()/coldWall.Seconds()
-		r := stats.RunResult{Name: v.name, Cycles: warmCycles, Wall: warmWall}
-		cache.Put(key, r)
 		t.Add(v.name, coldWall.Round(time.Millisecond).String(), warmWall.Round(time.Millisecond).String(),
-			stats.Pct(saving), fmt.Sprint(warmCycles), "simulated")
+			stats.Pct(saving), fmt.Sprint(warmCycles))
 	}
 	return t, nil
 }

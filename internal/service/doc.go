@@ -8,8 +8,7 @@
 // timeouts, and panic isolation: a crashing leg fails its job, never
 // the server.
 //
-// The store generalizes experiments.WarmBootCache to disk. Result keys
-// are digests of (full config hash, canonical leg spec, warm-snapshot
+// The store is the tree's one result cache. Result keys are digests of (full config hash, canonical leg spec, warm-snapshot
 // hash) — with the deterministic scheduler that triple fully determines
 // the outcome, so a repeated or overlapping sweep is answered from the
 // store without simulating, and warm-boot snapshots stored under their

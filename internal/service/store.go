@@ -14,8 +14,7 @@ import (
 )
 
 // Store is the persistent result store: leg results and warm-boot
-// snapshots content-addressed on disk. It is the WarmBootCache idea
-// generalized across processes — keys come from
+// snapshots content-addressed on disk. Keys come from
 // experiments.LegSpec.Key (full config hash + canonical spec +
 // snapshot hash) and LegSpec.StateKey (warm-boot compatibility class),
 // so any server pointed at the same directory serves the same sweeps

@@ -1,11 +1,13 @@
 package service
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/snapshot"
 )
 
 func testResult() experiments.LegResult {
@@ -121,6 +123,40 @@ func TestStoreSnapshotCorruptionIsAMiss(t *testing.T) {
 	}
 	if _, err := os.Stat(s.snapPath("aa00")); !os.IsNotExist(err) {
 		t.Error("corrupt snapshot not deleted")
+	}
+}
+
+// TestStoreStaleSnapshotVersionIsAMiss covers a store directory that
+// outlives a format bump: a well-formed snapshot written by a build with
+// another snapshot.Version fails snapshot.Read with ErrVersion, which the
+// store must turn into a miss (and a re-run of the warm-up), not an
+// error and never a restore.
+func TestStoreStaleSnapshotVersionIsAMiss(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snapshot.NewWriter()
+	w.Add("meta", []byte("payload"))
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutSnapshot("bb00", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetSnapshot("bb00"); !ok {
+		t.Fatal("current-version snapshot not served")
+	}
+	binary.LittleEndian.PutUint32(data[len(snapshot.Magic):], snapshot.Version-1)
+	if err := s.PutSnapshot("bb00", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetSnapshot("bb00"); ok {
+		t.Fatal("previous-version snapshot served")
+	}
+	if _, err := os.Stat(s.snapPath("bb00")); !os.IsNotExist(err) {
+		t.Error("stale snapshot not deleted")
 	}
 }
 

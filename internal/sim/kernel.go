@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -236,6 +237,66 @@ func (k *Kernel) RunUntil(pred func() bool, limit uint64) (uint64, error) {
 		}
 		if pred() {
 			return done, nil
+		}
+	}
+	return limit, ErrLimit
+}
+
+// ctxChunk is the cycle granularity at which a context-aware run
+// checks for cancellation. It is a fixed constant, not a knob: the
+// chunk boundary influences how idle spans are split (and thereby the
+// kernel's informational span counters, which travel in snapshots), so
+// keeping it constant keeps context-aware runs deterministic. Cycle
+// counts, module stats and all observable state are chunk-invariant —
+// the RunUntil predicate contract guarantees a conforming predicate
+// cannot flip mid-span.
+const ctxChunk = 65536
+
+// RunCtx is Run with cooperative cancellation: it advances in
+// ctxChunk-cycle slices and returns ctx.Err() at the first boundary
+// after cancellation. A nil ctx (or one that can never be cancelled)
+// degrades to the plain uninterruptible call.
+func (k *Kernel) RunCtx(ctx context.Context, n uint64) error {
+	if ctx == nil || ctx.Done() == nil {
+		return k.Run(n)
+	}
+	for done := uint64(0); done < n; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		budget := n - done
+		if budget > ctxChunk {
+			budget = ctxChunk
+		}
+		if err := k.Run(budget); err != nil {
+			return err
+		}
+		done += budget
+	}
+	return nil
+}
+
+// RunUntilCtx is RunUntil with the same cooperative cancellation.
+func (k *Kernel) RunUntilCtx(ctx context.Context, pred func() bool, limit uint64) (uint64, error) {
+	if ctx == nil || ctx.Done() == nil {
+		return k.RunUntil(pred, limit)
+	}
+	var done uint64
+	for done < limit {
+		if err := ctx.Err(); err != nil {
+			return done, err
+		}
+		budget := limit - done
+		if budget > ctxChunk {
+			budget = ctxChunk
+		}
+		adv, err := k.RunUntil(pred, budget)
+		done += adv
+		if err == nil {
+			return done, nil
+		}
+		if err != ErrLimit {
+			return done, err
 		}
 	}
 	return limit, ErrLimit

@@ -30,7 +30,7 @@ import (
 // incompatible change to the container or to a section payload.
 const (
 	Magic   = "MPSNAP\x00\x01"
-	Version = uint32(1)
+	Version = uint32(2)
 )
 
 // Saver is implemented by modules that can serialize their dynamic

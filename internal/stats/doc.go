@@ -21,8 +21,5 @@
 // Rate, SI and Pct are the shared formatting helpers: Rate guards
 // against zero-duration division, SI renders large rates with
 // engineering suffixes (k, M, G), and Pct renders signed relative
-// differences the way every results table spells them. The warm-boot
-// result cache (experiments.WarmBootCache) memoizes RunResult values
-// keyed by config and snapshot hashes, which is why the type carries
-// everything a table row needs.
+// differences the way every results table spells them.
 package stats

@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,16 +44,16 @@ func reportSimSpeed(b *testing.B, totalCycles uint64) {
 
 func benchGSMISS(b *testing.B, nISS, nMem, frames int) {
 	b.Helper()
-	benchGSMISSMode(b, nISS, nMem, frames, experiments.Mode{})
+	benchGSMISSMode(b, nISS, nMem, frames, config.SystemConfig{})
 }
 
 // benchGSMISSMode is benchGSMISS with an explicit kernel mode (the PAR
 // family sweeps worker counts through it).
-func benchGSMISSMode(b *testing.B, nISS, nMem, frames int, m experiments.Mode) {
+func benchGSMISSMode(b *testing.B, nISS, nMem, frames int, m config.SystemConfig) {
 	b.Helper()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunGSMISS(nISS, nMem, frames, m)
+		r, err := experiments.RunGSMISS(nil, m, nISS, nMem, frames)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func benchPipeline(b *testing.B, nMem, frames int) {
 	b.Helper()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunGSMPipeline(nMem, frames, experiments.Mode{})
+		r, err := experiments.RunGSMPipeline(nil, config.SystemConfig{}, nMem, frames)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func benchTrace(b *testing.B, kind config.MemKind, tr *trace.Trace, mode trace.M
 	b.Helper()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		r, _, err := experiments.RunTrace(kind, tr, mode, memBytes, experiments.Mode{})
+		r, _, err := experiments.RunTrace(nil, config.SystemConfig{}, kind, tr, mode, memBytes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func benchEV(b *testing.B, lockstep bool) {
 	b.Helper()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		r, _, err := experiments.RunEV(4000, experiments.Mode{Lockstep: lockstep})
+		r, _, err := experiments.RunEV(nil, config.SystemConfig{Lockstep: lockstep}, 4000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func benchPAR(b *testing.B, nISS, nMem int) {
 	b.Helper()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchGSMISSMode(b, nISS, nMem, 10, experiments.Mode{Workers: w})
+			benchGSMISSMode(b, nISS, nMem, 10, config.SystemConfig{Workers: w})
 		})
 	}
 }
@@ -212,7 +213,7 @@ func BenchmarkPAR_FourISS_OneMem(b *testing.B)  { benchPAR(b, 4, 1) }
 // the workers=1 → workers=4 gap (CI-gated via benchjson -speedup) is
 // the parallel win on top of it.
 func BenchmarkPAR_PlainISS(b *testing.B) {
-	benchGSMISSMode(b, 4, 4, 10, experiments.Mode{Workers: 1, NoBatch: true, NoDecodeCache: true})
+	benchGSMISSMode(b, 4, 4, 10, config.SystemConfig{Workers: 1, DisableISSBatch: true, DisableISSDecodeCache: true})
 }
 
 // --- E5: degradation curves ------------------------------------------------
@@ -566,8 +567,8 @@ func benchMLP(b *testing.B, depth int, split bool, inter config.InterconnectKind
 	elems := experiments.E10Elems(experiments.Options{})
 	var total, cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunMLP(experiments.E10Streams(), elems, inter,
-			experiments.Mode{Depth: depth, Split: split})
+		r, err := experiments.RunMLP(nil, config.SystemConfig{OutstandingDepth: depth, SplitBus: split},
+			experiments.E10Streams(), elems, inter)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -604,7 +605,7 @@ func benchCache(b *testing.B, w experiments.CacheWorkload, cached bool) {
 	b.Helper()
 	var total, cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, _, err := experiments.RunCache(w, cached, config.InterBus, experiments.Mode{})
+		r, _, err := experiments.RunCache(nil, config.SystemConfig{}, w, cached, config.InterBus)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -637,11 +638,11 @@ func BenchmarkCache(b *testing.B) {
 // through the shared inclusive L2. The deterministic "simcycles" metric
 // gates the L2 pipeline, the DRAM bank model and the UCP repartitioner
 // against timing regressions.
-func benchL2(b *testing.B, w experiments.E12Workload, part cache.PartitionKind, m experiments.Mode) {
+func benchL2(b *testing.B, w experiments.E12Workload, part cache.PartitionKind, m config.SystemConfig) {
 	b.Helper()
 	var total, cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, _, err := experiments.RunE12(w, part, m)
+		r, _, err := experiments.RunE12(nil, m, w, part)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -657,12 +658,12 @@ func BenchmarkL2(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		part cache.PartitionKind
-		m    experiments.Mode
+		m    config.SystemConfig
 	}{
-		{"static/lru", cache.PartNone, experiments.Mode{}},
-		{"static/ucp", cache.PartUCP, experiments.Mode{}},
-		{"dram-open/ucp", cache.PartUCP, experiments.Mode{DRAM: true}},
-		{"dram-close/swp", cache.PartSWP, experiments.Mode{DRAM: true, ClosePage: true}},
+		{"static/lru", cache.PartNone, config.SystemConfig{}},
+		{"static/ucp", cache.PartUCP, config.SystemConfig{}},
+		{"dram-open/ucp", cache.PartUCP, config.SystemConfig{MemKind: config.MemDRAM}},
+		{"dram-close/swp", cache.PartSWP, config.SystemConfig{MemKind: config.MemDRAM, DRAMClosePage: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) { benchL2(b, w, tc.part, tc.m) })
 	}
@@ -676,37 +677,34 @@ func BenchmarkL2(b *testing.B) {
 // gap between the two is the warm-up cost a snapshot-fanned sweep
 // avoids paying per configuration.
 func BenchmarkWarmBoot(b *testing.B) {
-	const frames = 10
-	total, err := experiments.WarmBootColdRun(frames, experiments.Mode{})
+	// The WB experiment's platform and software as a service leg.
+	leg := experiments.LegSpec{Workload: "gsm", ISSes: 4, Memories: 1, Frames: 10}
+	r, ctx := experiments.SimRunner{}, context.Background()
+	ref, err := r.RunLeg(ctx, leg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap, _, err := experiments.WarmBootSnapshot(frames, experiments.Mode{}, total)
+	total := ref.Cycles
+	snap, err := r.Warmup(ctx, leg, total/2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("cold", func(b *testing.B) {
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			n, err := experiments.WarmBootColdRun(frames, experiments.Mode{})
-			if err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		warm []byte
+	}{{"cold", nil}, {"resume", snap}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var cycles uint64
+			for i := 0; i < b.N; i++ {
+				res, err := r.RunLeg(ctx, leg, tc.warm)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += res.SimCycles()
 			}
-			cycles += n
-		}
-		reportSimSpeed(b, cycles)
-	})
-	b.Run("resume", func(b *testing.B) {
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			n, err := experiments.WarmBootResume(experiments.Mode{}, snap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += n - total/2
-		}
-		reportSimSpeed(b, cycles)
-	})
+			reportSimSpeed(b, cycles)
+		})
+	}
 }
 
 // --- Service: jobs/sec through the full HTTP + store path ----------------

@@ -95,7 +95,7 @@ func run() error {
 			return err
 		}
 		k := sim.New()
-		link := bus.NewLink(k, "cpu-mem")
+		link := bus.NewPort(k, "cpu-mem", bus.PortConfig{})
 		if _, err := core.NewWrapper(k, core.Config{
 			TotalSize: uint32(*memBytes),
 			Delays:    core.DefaultDelays(),

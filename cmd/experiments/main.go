@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-run e1,e2,a2] [-workers n] [-alloc buddy]
+//	experiments [-quick] [-run e1,e2,a2] [-workers n] [-alloc buddy] [-memkind dram]
 //	experiments -run wb -checkpoint warm.snap   # persist the warm-up snapshot
 //	experiments -run wb -restore warm.snap      # sweep from a saved snapshot
 package main
@@ -19,11 +19,11 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
-	"repro/internal/alloc"
-	"repro/internal/cache"
+	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
@@ -74,28 +74,59 @@ func (p *profiles) exit(code int) {
 	os.Exit(code)
 }
 
+// one adapts a single-table experiment to the suite's signature.
+func one(f func(experiments.Options) (*stats.Table, error)) func(experiments.Options) ([]*stats.Table, error) {
+	return func(o experiments.Options) ([]*stats.Table, error) {
+		t, err := f(o)
+		if err != nil {
+			return nil, err
+		}
+		return []*stats.Table{t}, nil
+	}
+}
+
+// suite is every experiment in print order; -run selects from its ids.
+var suite = []struct {
+	id  string
+	run func(experiments.Options) ([]*stats.Table, error)
+}{
+	{"e1", one(experiments.E1)},
+	{"e1b", one(experiments.E1b)},
+	{"e2", one(experiments.E2)},
+	{"e3", one(experiments.E3)},
+	{"e4", experiments.E4},
+	{"e5", experiments.E5},
+	{"e6", one(experiments.E6)},
+	{"e7", one(experiments.E7)},
+	{"e8", one(experiments.E8)},
+	{"e9", one(experiments.E9)},
+	{"e10", one(experiments.E10)},
+	{"e11", one(experiments.E11)},
+	{"e12", one(experiments.E12)},
+	{"ev", one(experiments.EV)},
+	{"par", one(experiments.PAR)},
+	{"wb", one(experiments.WB)},
+	{"a1", one(experiments.A1)},
+	{"a2", one(experiments.A2)},
+}
+
 func main() {
+	ids := make([]string, len(suite))
+	for i, e := range suite {
+		ids[i] = e.id
+	}
+	// The platform flags set the base every measured system starts from;
+	// each experiment overrides the axes it sizes or sweeps itself.
+	var base config.SystemConfig
+	resolve := base.BindFlags(flag.CommandLine)
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-	run := flag.String("run", "all", "comma-separated experiment ids (e1,e1b,e2,e3,e4,e5,e6,e7,e8,e9,e10,e11,e12,ev,par,wb,a1,a2) or 'all'")
-	lockstep := flag.Bool("lockstep", false, "pin every measured kernel to lockstep stepping (EV always compares both)")
-	workers := flag.Int("workers", 1, "tick-phase parallelism for every measured kernel (0 = GOMAXPROCS, 1 = sequential; PAR sweeps its own counts)")
-	allocFlag := flag.String("alloc", "default", "allocation policy for every measured memory: default | first-fit | best-fit | buddy | segregated (E9 sweeps all)")
-	depth := flag.Int("depth", 1, "per-port outstanding-transaction depth for every measured system (E10 sweeps its own depths)")
-	split := flag.Bool("split", false, "run every measured interconnect in split-transaction mode (E10 sweeps both protocols)")
-	ooo := flag.Bool("ooo", false, "deliver completions out of order on every measured master port (default: in issue order)")
-	cacheOn := flag.Bool("cache", false, "front every measured master with a coherent private L1 cache (E11 sweeps cached vs uncached)")
-	l2On := flag.Bool("l2", false, "interpose the shared inclusive L2 on every measured cacheable system (E12 sweeps its partition policies)")
-	partit := flag.String("partition", "none", "L2 way partitioning with -l2: none | swp | ucp")
-	dram := flag.Bool("dram", false, "swap flat static memories for the banked DRAM timing model (E12 sweeps static vs DRAM)")
-	closePage := flag.Bool("close-page", false, "DRAM close-page row policy with -dram (default: open-page)")
+	run := flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(ids, ",")+") or 'all'")
 	checkpoint := flag.String("checkpoint", "", "wb: write the shared warm-up snapshot to this file")
 	restore := flag.String("restore", "", "wb: restore the shared warm-up snapshot from this file instead of simulating the warm-up")
 	cpuprof := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprof := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
-	if *workers == 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
+	resolve()
 
 	// SIGINT/SIGTERM cancel in-flight runs through the context; the
 	// suite then exits through prof.exit, so -cpuprofile/-memprofile
@@ -109,10 +140,14 @@ func main() {
 	}()
 
 	prof := &profiles{memPath: *memprof}
-	policy, err := alloc.ParseKind(*allocFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.exit(2)
+	selected := map[string]bool{}
+	for _, id := range strings.Split(*run, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if id != "all" && !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q in -run (want 'all' or any of %s)\n", id, strings.Join(ids, ","))
+			prof.exit(2)
+		}
+		selected[id] = true
 	}
 	if *cpuprof != "" {
 		if err := prof.startCPU(*cpuprof); err != nil {
@@ -121,98 +156,16 @@ func main() {
 		}
 	}
 
-	var part cache.PartitionKind
-	switch *partit {
-	case "none":
-		part = cache.PartNone
-	case "swp":
-		part = cache.PartSWP
-	case "ucp":
-		part = cache.PartUCP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -partition %q\n", *partit)
-		prof.exit(2)
-	}
-
-	opts := experiments.Options{Quick: *quick, Lockstep: *lockstep, Workers: *workers,
-		Alloc: policy, Depth: *depth, Split: *split, OOO: *ooo, Cache: *cacheOn,
-		L2: *l2On, Partition: part, DRAM: *dram, ClosePage: *closePage,
+	opts := experiments.Options{Quick: *quick, Base: base,
 		Checkpoint: *checkpoint, Restore: *restore, Ctx: ctx}
 
-	// Run header: the tables below are attributable to this scheduler
-	// configuration — including the completion-delivery order, so the
-	// header reports the full port configuration mpsim prints.
-	mode := "event-driven"
-	if *lockstep {
-		mode = "lockstep"
-	}
-	proto := "occupied"
-	if *split {
-		proto = "split"
-	}
-	order := "in-order"
-	if *ooo {
-		order = "out-of-order"
-	}
-	caches := "uncached"
-	if *cacheOn {
-		caches = "coherent L1"
-	}
-	if *l2On {
-		caches = fmt.Sprintf("coherent L1 + shared L2 (%s partitioning)", *partit)
-	}
-	if *dram {
-		page := "open-page"
-		if *closePage {
-			page = "close-page"
-		}
-		caches += fmt.Sprintf(" × %s DRAM", page)
-	}
-	fmt.Printf("experiments: scheduler %s × workers=%d × alloc=%s × port depth=%d × %s protocol × %s × %s (host GOMAXPROCS %d, NumCPU %d)\n\n",
-		mode, *workers, policy, *depth, proto, order, caches, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	selected := map[string]bool{}
-	for _, id := range strings.Split(*run, ",") {
-		selected[strings.TrimSpace(strings.ToLower(id))] = true
-	}
-	want := func(id string) bool { return selected["all"] || selected[id] }
-
-	type exp struct {
-		id  string
-		run func(experiments.Options) ([]*stats.Table, error)
-	}
-	one := func(f func(experiments.Options) (*stats.Table, error)) func(experiments.Options) ([]*stats.Table, error) {
-		return func(o experiments.Options) ([]*stats.Table, error) {
-			t, err := f(o)
-			if err != nil {
-				return nil, err
-			}
-			return []*stats.Table{t}, nil
-		}
-	}
-	suite := []exp{
-		{"e1", one(experiments.E1)},
-		{"e1b", one(experiments.E1b)},
-		{"e2", one(experiments.E2)},
-		{"e3", one(experiments.E3)},
-		{"e4", experiments.E4},
-		{"e5", experiments.E5},
-		{"e6", one(experiments.E6)},
-		{"e7", one(experiments.E7)},
-		{"e8", one(experiments.E8)},
-		{"e9", one(experiments.E9)},
-		{"e10", one(experiments.E10)},
-		{"e11", one(experiments.E11)},
-		{"e12", one(experiments.E12)},
-		{"ev", one(experiments.EV)},
-		{"par", one(experiments.PAR)},
-		{"wb", one(experiments.WB)},
-		{"a1", one(experiments.A1)},
-		{"a2", one(experiments.A2)},
-	}
+	// Run header: the tables below are attributable to this base
+	// configuration.
+	fmt.Printf("experiments: %s\n\n", base.Describe())
 
 	failed := false
 	for _, e := range suite {
-		if !want(e.id) {
+		if !selected["all"] && !selected[e.id] {
 			continue
 		}
 		tables, err := e.run(opts)

@@ -22,11 +22,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/bus"
-	"repro/internal/cache"
 	"repro/internal/config"
-	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -41,43 +38,18 @@ func main() {
 }
 
 func run() error {
+	var cfg config.SystemConfig
+	resolve := cfg.BindFlags(flag.CommandLine)
 	var (
 		isses    = flag.Int("isses", 0, "number of ISS masters (armlet CPUs)")
 		pes      = flag.Int("pes", 0, "number of native PE masters (trace replay)")
-		memories = flag.Int("memories", 1, "number of shared memory modules")
-		memkind  = flag.String("memkind", "wrapper", "memory model: wrapper | static | heapsim | dram")
-		inter    = flag.String("interconnect", "bus", "interconnect: bus | crossbar")
 		wl       = flag.String("workload", "gsm", "workload: gsm | traffic | sweep | trace (sweep is the scalar cacheable sweep for flat memories: static, dram)")
 		frames   = flag.Int("frames", 10, "gsm: frames per ISS")
-		iters    = flag.Int("iters", 50, "traffic: iterations per ISS")
+		iters    = flag.Int("iters", 50, "traffic, sweep: iterations per ISS")
 		events   = flag.Int("events", 10000, "trace: events per PE")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		vcdPath  = flag.String("vcd", "", "write a VCD waveform of the interconnect handshake")
 		profile  = flag.Bool("profile", false, "report host time per module (explains simulation-speed degradation)")
-		lockstep = flag.Bool("lockstep", false, "pin the kernel to lockstep stepping (default: event-driven idle-skip)")
-		workers  = flag.Int("workers", 1, "tick-phase parallelism: modules sharded across this many concurrent workers (0 = GOMAXPROCS, 1 = sequential)")
-		policy   = flag.String("alloc", "default", "allocation policy: default | first-fit | best-fit | buddy | segregated (heapsim metadata allocator / wrapper virtual placement)")
-		depth    = flag.Int("depth", 1, "per-port outstanding-transaction depth (credit pool; 1 = classic single-outstanding)")
-		split    = flag.Bool("split", false, "split-transaction interconnect: address phase releases the bus, responses re-arbitrate")
-		ooo      = flag.Bool("ooo", false, "deliver completions out of order (default: in issue order)")
-		cacheOn  = flag.Bool("cache", false, "front every master with a private write-back L1 cache (MESI-snooped when -coherent)")
-		coherent = flag.Bool("coherent", true, "attach the L1s to a MESI snoop domain (only meaningful with -cache)")
-		l1sets   = flag.Int("l1sets", 0, "L1 sets (0 = default 64)")
-		l1ways   = flag.Int("l1ways", 0, "L1 ways (0 = default 2)")
-		l1line   = flag.Uint("l1line", 0, "L1 line size in bytes (0 = default 32)")
-		mshrs    = flag.Int("mshrs", 0, "L1 miss-status-holding registers (0 = default 4)")
-		l2on     = flag.Bool("l2", false, "interpose a shared inclusive L2 between interconnect and memory (implies -cache -coherent)")
-		l2sets   = flag.Int("l2sets", 0, "L2 sets (0 = default 64)")
-		l2ways   = flag.Int("l2ways", 0, "L2 ways (0 = default 8)")
-		l2line   = flag.Uint("l2line", 0, "L2 line size in bytes (0 = default 64)")
-		l2mshrs  = flag.Int("l2mshrs", 0, "L2 miss-status-holding registers (0 = default 8)")
-		partit   = flag.String("partition", "none", "L2 way partitioning: none | swp | ucp")
-		ucpPer   = flag.Uint64("ucp-period", 0, "demand accesses between UCP repartitions (0 = default)")
-		dbanks   = flag.Int("dram-banks", 0, "DRAM banks (0 = default 8)")
-		drow     = flag.Uint("dram-rowbytes", 0, "DRAM row-buffer bytes per bank (0 = default 1024)")
-		dclose   = flag.Bool("dram-close-page", false, "DRAM close-page policy (default: open-page row buffers)")
-		drefp    = flag.Uint64("dram-refresh-period", 0, "cycles between DRAM refresh epochs (0 = refresh off)")
-		drefc    = flag.Uint("dram-refresh-cycles", 0, "cycles a bank stalls per refresh epoch")
 		limit    = flag.Uint64("limit", 2_000_000_000, "cycle budget")
 		ckpt     = flag.Uint64("checkpoint", 0, "write a snapshot after this many cycles, then keep running")
 		ckptFile = flag.String("checkpoint-file", "mpsim.snap", "path the -checkpoint snapshot is written to")
@@ -86,9 +58,7 @@ func run() error {
 		memprof  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
-	if *workers == 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
+	resolve()
 
 	// SIGINT/SIGTERM cancel the simulation at the next chunk boundary;
 	// run() then returns through its defers, so -cpuprofile/-memprofile
@@ -133,64 +103,10 @@ func run() error {
 	if *isses > 0 && *pes > 0 {
 		return fmt.Errorf("choose either -isses or -pes")
 	}
+	cfg.Masters = *isses + *pes
 
-	var kind config.MemKind
-	switch *memkind {
-	case "wrapper":
-		kind = config.MemWrapper
-	case "static":
-		kind = config.MemStatic
-	case "heapsim":
-		kind = config.MemHeapSim
-	case "dram":
-		kind = config.MemDRAM
-	default:
-		return fmt.Errorf("unknown -memkind %q", *memkind)
-	}
-	var ic config.InterconnectKind
-	switch *inter {
-	case "bus":
-		ic = config.InterBus
-	case "crossbar":
-		ic = config.InterCrossbar
-	default:
-		return fmt.Errorf("unknown -interconnect %q", *inter)
-	}
-
-	allocKind, err := alloc.ParseKind(*policy)
-	if err != nil {
-		return err
-	}
-	var part cache.PartitionKind
-	switch *partit {
-	case "none":
-		part = cache.PartNone
-	case "swp":
-		part = cache.PartSWP
-	case "ucp":
-		part = cache.PartUCP
-	default:
-		return fmt.Errorf("unknown -partition %q", *partit)
-	}
-	if *l2on {
-		// The L2's inclusion machinery back-invalidates L1 lines through
-		// the MESI domain, so an L2 always implies coherent L1s.
-		*cacheOn, *coherent = true, true
-	}
-
-	masters := *isses + *pes
-	cfg := config.SystemConfig{
-		Masters: masters, Memories: *memories, MemKind: kind, Interconnect: ic,
-		AllocPolicy: allocKind, Lockstep: *lockstep, Workers: *workers,
-		OutstandingDepth: *depth, SplitBus: *split, OutOfOrder: *ooo,
-		Cache: *cacheOn, Coherent: *cacheOn && *coherent,
-		CacheSets: *l1sets, CacheWays: *l1ways, CacheLineBytes: uint32(*l1line), CacheMSHRs: *mshrs,
-		L2: *l2on, L2Sets: *l2sets, L2Ways: *l2ways, L2LineBytes: uint32(*l2line), L2MSHRs: *l2mshrs,
-		Partition: part, UCPPeriod: *ucpPer,
-		DRAMBanks: *dbanks, DRAMRowBytes: uint32(*drow), DRAMClosePage: *dclose,
-		DRAMRefreshPeriod: *drefp, DRAMRefreshCycles: uint32(*drefc),
-	}
 	var sys *config.System
+	var err error
 	if *restore != "" {
 		// Resume: the snapshot carries the programs and all state; the
 		// flags must describe a state-compatible system (scheduler knobs
@@ -212,39 +128,8 @@ func run() error {
 	}
 
 	// Run header: every number printed below is attributable to this
-	// scheduler configuration.
-	schedMode := "event-driven"
-	if *lockstep {
-		schedMode = "lockstep"
-	}
-	proto := "occupied"
-	if *split {
-		proto = "split"
-	}
-	order := "in-order"
-	if *ooo {
-		order = "out-of-order"
-	}
-	cacheDesc := "uncached"
-	if len(sys.Caches) > 0 {
-		coh := "private"
-		if sys.Domain != nil {
-			coh = "MESI-coherent"
-		}
-		cacheDesc = fmt.Sprintf("%s L1 ×%d (%dB lines)", coh, len(sys.Caches), sys.Caches[0].LineBytes())
-	}
-	if sys.L2 != nil {
-		cacheDesc += fmt.Sprintf(" + shared inclusive L2 (%s partitioning)", *partit)
-	}
-	if kind == config.MemDRAM {
-		page := "open-page"
-		if *dclose {
-			page = "close-page"
-		}
-		cacheDesc += fmt.Sprintf("; banked DRAM (%s)", page)
-	}
-	fmt.Printf("mpsim: %d masters × %s × %d %s memories (alloc %s); %s; %s protocol × depth=%d × %s; scheduler %s × workers=%d (host GOMAXPROCS %d, NumCPU %d)\n\n",
-		masters, ic, *memories, kind, allocKind, cacheDesc, proto, *depth, order, schedMode, sys.Kernel.Workers(), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	// configuration.
+	fmt.Printf("mpsim: %d masters × %d memories; %s\n\n", cfg.Masters, cfg.Memories, cfg.Describe())
 
 	var doneFn func() bool
 	switch {
@@ -254,34 +139,13 @@ func run() error {
 		}
 		doneFn = sys.CPUsHalted
 	case *isses > 0:
-		var progs [][]byte
-		for i := 0; i < *isses; i++ {
-			var src string
-			switch *wl {
-			case "gsm":
-				src = workload.GSMKernelSource(workload.GSMKernelConfig{
-					Frames: *frames, SM: i % *memories, Seed: uint32(*seed) + uint32(i),
-				})
-			case "traffic":
-				src = workload.TrafficKernelSource(workload.TrafficKernelConfig{
-					Iterations: *iters, SM: i % *memories,
-				})
-			case "sweep":
-				// Interleaved word ranges: ISS i owns words i, i+n, i+2n, …
-				// — neighbouring ISSs falsely share every cache line.
-				src = workload.SweepKernelSource(workload.SweepKernelConfig{
-					Iterations: *iters, SM: i % *memories,
-					Base: 4 * i, Stride: 4 * *isses, Words: 64,
-					Seed: uint32(*seed) + uint32(16*(i+1)),
-				})
-			default:
-				return fmt.Errorf("workload %q needs -pes masters", *wl)
-			}
-			p, err := isa.Assemble(src)
-			if err != nil {
-				return fmt.Errorf("assemble iss %d: %w", i, err)
-			}
-			progs = append(progs, p.Code)
+		work := *iters
+		if *wl == "gsm" {
+			work = *frames
+		}
+		progs, err := workload.ISSImages(*wl, *isses, cfg.Memories, work, uint32(*seed))
+		if err != nil {
+			return err
 		}
 		if err := sys.AddCPUs(progs...); err != nil {
 			return err
@@ -292,12 +156,12 @@ func run() error {
 			return fmt.Errorf("workload %q needs -isses masters", *wl)
 		}
 		mode := trace.ModeDynamic
-		if kind == config.MemStatic || kind == config.MemDRAM {
+		if cfg.MemKind == config.MemStatic || cfg.MemKind == config.MemDRAM {
 			mode = trace.ModeStatic
 		}
 		for i := 0; i < *pes; i++ {
 			tr := trace.Generate(trace.GenConfig{
-				Seed: *seed + int64(i), Events: *events, Slots: 16, NumSM: *memories,
+				Seed: *seed + int64(i), Events: *events, Slots: 16, NumSM: cfg.Memories,
 				MinDim: 4, MaxDim: 128, DType: bus.U32, Mix: trace.DefaultMix(), PtrArithPct: 20,
 			})
 			if err := sys.AddProcs(trace.ReplayTask(tr, mode, nil)); err != nil {

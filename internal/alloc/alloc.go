@@ -44,14 +44,25 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind parses the -alloc flag spelling of a policy kind.
-func ParseKind(s string) (Kind, error) {
-	for k := Default; k < numKinds; k++ {
-		if s == k.String() {
-			return k, nil
+// MarshalText spells the kind as String does, so Kind is a value of
+// flag.TextVar and encoding/json alike.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText is the one parser of the -alloc flags and the "alloc"
+// JSON key: it accepts exactly the spellings String produces, plus the
+// empty string for Default (a key present but blank).
+func (k *Kind) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*k = Default
+		return nil
+	}
+	for c := Default; c < numKinds; c++ {
+		if string(text) == c.String() {
+			*k = c
+			return nil
 		}
 	}
-	return Default, fmt.Errorf("alloc: unknown policy %q (want default|first-fit|best-fit|buddy|segregated)", s)
+	return fmt.Errorf("alloc: unknown policy %q (want default|first-fit|best-fit|buddy|segregated)", text)
 }
 
 // Kinds returns the concrete policies (Default excluded), for sweeps.

@@ -1,7 +1,10 @@
 package alloc
 
 import (
+	"encoding/json"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -17,13 +20,31 @@ func mustPolicy(t *testing.T, kind Kind, size uint32) (Policy, *SliceMem) {
 
 func TestKindParseRoundTrip(t *testing.T) {
 	for k := Default; k < numKinds; k++ {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
+		var got Kind
+		if err := got.UnmarshalText([]byte(k.String())); err != nil || got != k {
+			t.Errorf("UnmarshalText(%q) = %v, %v", k.String(), got, err)
+		}
+		// The JSON face is the same parser.
+		j, err := json.Marshal(k)
+		if err != nil || string(j) != strconv.Quote(k.String()) {
+			t.Errorf("Marshal(%v) = %s, %v", k, j, err)
+		}
+		if err := json.Unmarshal(j, &got); err != nil || got != k {
+			t.Errorf("Unmarshal(%s) = %v, %v", j, got, err)
 		}
 	}
-	if _, err := ParseKind("slab"); err == nil {
-		t.Error("ParseKind accepted an unknown policy")
+	got := Buddy
+	if err := got.UnmarshalText(nil); err != nil || got != Default {
+		t.Errorf("empty text = %v, %v, want Default", got, err)
+	}
+	err := got.UnmarshalText([]byte("slab"))
+	if err == nil {
+		t.Fatal("UnmarshalText accepted an unknown policy")
+	}
+	for k := Default; k < numKinds; k++ {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("error %q does not name valid policy %q", err, k)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@
 // # Selection and determinism
 //
 // Kind names a policy the way the -alloc command-line flags spell it
-// (ParseKind converts); the zero value Default preserves each
+// (UnmarshalText parses them); the zero value Default preserves each
 // consumer's historical behavior bit-for-bit, so pre-policy runs stay
 // reproducible. Policies are deterministic: the same op sequence
 // against the same arena produces the same placements, which is what

@@ -15,14 +15,14 @@ func buildBusSystem(t *testing.T, nMasters, nSlaves, slaveLatency int, reqsFor f
 	var masters []*scriptMaster
 	var slaves []*echoSlave
 	for i := 0; i < nMasters; i++ {
-		l := NewLink(k, "m"+string(rune('0'+i)))
+		l := NewPort(k, "m"+string(rune('0'+i)), PortConfig{})
 		mLinks = append(mLinks, l)
 		sm := &scriptMaster{name: "master", link: l, reqs: reqsFor(i)}
 		masters = append(masters, sm)
 		k.Add(sm)
 	}
 	for i := 0; i < nSlaves; i++ {
-		l := NewLink(k, "s"+string(rune('0'+i)))
+		l := NewPort(k, "s"+string(rune('0'+i)), PortConfig{})
 		sLinks = append(sLinks, l)
 		es := &echoSlave{name: "slave", link: l, latency: slaveLatency}
 		slaves = append(slaves, es)
@@ -173,14 +173,14 @@ func TestCrossbarParallelism(t *testing.T) {
 	var mLinks, sLinks []*Port
 	var masters []*scriptMaster
 	for i := 0; i < 2; i++ {
-		l := NewLink(k, "m")
+		l := NewPort(k, "m", PortConfig{})
 		mLinks = append(mLinks, l)
 		sm := &scriptMaster{name: "master", link: l, reqs: []Request{{Op: OpRead, SM: i, VPtr: uint32(i)}}}
 		masters = append(masters, sm)
 		k.Add(sm)
 	}
 	for i := 0; i < 2; i++ {
-		l := NewLink(k, "s")
+		l := NewPort(k, "s", PortConfig{})
 		sLinks = append(sLinks, l)
 		k.Add(&echoSlave{name: "slave", link: l, latency: 5})
 	}
@@ -200,8 +200,8 @@ func TestCrossbarParallelism(t *testing.T) {
 
 func TestCrossbarNoSlave(t *testing.T) {
 	k := sim.New()
-	ml := NewLink(k, "m")
-	sl := NewLink(k, "s")
+	ml := NewPort(k, "m", PortConfig{})
+	sl := NewPort(k, "s", PortConfig{})
 	sm := &scriptMaster{name: "m", link: ml, reqs: []Request{{Op: OpRead, SM: 5}}}
 	k.Add(sm)
 	k.Add(&echoSlave{name: "s", link: sl})
@@ -220,13 +220,13 @@ func TestCrossbarContentionSameSlave(t *testing.T) {
 	var mLinks []*Port
 	var masters []*scriptMaster
 	for i := 0; i < 2; i++ {
-		l := NewLink(k, "m")
+		l := NewPort(k, "m", PortConfig{})
 		mLinks = append(mLinks, l)
 		sm := &scriptMaster{name: "m", link: l, reqs: []Request{{Op: OpRead, SM: 0, VPtr: uint32(i)}}}
 		masters = append(masters, sm)
 		k.Add(sm)
 	}
-	sl := NewLink(k, "s")
+	sl := NewPort(k, "s", PortConfig{})
 	k.Add(&echoSlave{name: "s", link: sl, latency: 5})
 	NewCrossbar(k, "xbar", mLinks, []*Port{sl}, func() Arbiter { return NewRoundRobin() })
 	if _, err := k.RunUntil(allDone(masters), 1000); err != nil {

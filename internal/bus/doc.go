@@ -35,8 +35,8 @@
 // in cycle c are visible to the master from c+1 — registered
 // communication, "incoming signals are evaluated cycle by cycle". At
 // Depth 1 with in-order delivery a port is cycle-identical to the
-// original single-outstanding Link handshake (NewLink still builds
-// exactly that configuration).
+// original single-outstanding Link handshake; the zero PortConfig
+// selects exactly that configuration.
 //
 // # Phases: one engine, released or held
 //

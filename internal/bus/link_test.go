@@ -72,7 +72,7 @@ func (m *scriptMaster) Tick(cycle uint64) {
 
 func TestLinkHandshakeTiming(t *testing.T) {
 	k := sim.New()
-	l := NewLink(k, "l")
+	l := NewPort(k, "l", PortConfig{})
 	sl := &echoSlave{name: "slave", link: l, latency: 0}
 	var issued, responded uint64
 	ma := &sim.FuncModule{Nm: "master", Fn: func(cycle uint64) {
@@ -101,7 +101,7 @@ func TestLinkHandshakeTiming(t *testing.T) {
 
 func TestLinkIssueWhileBusyPanics(t *testing.T) {
 	k := sim.New()
-	l := NewLink(k, "l")
+	l := NewPort(k, "l", PortConfig{})
 	defer func() {
 		if recover() == nil {
 			t.Error("second Issue did not panic")
@@ -113,7 +113,7 @@ func TestLinkIssueWhileBusyPanics(t *testing.T) {
 
 func TestLinkResponseConsumedOnce(t *testing.T) {
 	k := sim.New()
-	l := NewLink(k, "l")
+	l := NewPort(k, "l", PortConfig{})
 	sl := &echoSlave{name: "s", link: l}
 	k.Add(sl)
 	l.Issue(Request{Op: OpRead, VPtr: 1})
@@ -133,7 +133,7 @@ func TestLinkResponseConsumedOnce(t *testing.T) {
 
 func TestLinkTakeRequestOnce(t *testing.T) {
 	k := sim.New()
-	l := NewLink(k, "l")
+	l := NewPort(k, "l", PortConfig{})
 	l.Issue(Request{Op: OpWrite, VPtr: 5})
 	if err := k.Step(); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestLinkTakeRequestOnce(t *testing.T) {
 
 func TestLinkBackToBackTransactions(t *testing.T) {
 	k := sim.New()
-	l := NewLink(k, "l")
+	l := NewPort(k, "l", PortConfig{})
 	reqs := make([]Request, 5)
 	for i := range reqs {
 		reqs[i] = Request{Op: OpRead, VPtr: uint32(i * 10)}

@@ -119,13 +119,6 @@ func NewPort(k *sim.Kernel, name string, cfg PortConfig) *Port {
 	}
 }
 
-// NewLink creates the classic single-outstanding, in-order port — the
-// point-to-point wiring used when no multi-outstanding behavior is
-// wanted (direct CPU↔memory connections, tests).
-func NewLink(k *sim.Kernel, name string) *Port {
-	return NewPort(k, name, PortConfig{})
-}
-
 // Name returns the port's diagnostic name.
 func (p *Port) Name() string { return p.name }
 

@@ -25,7 +25,7 @@ func TestBusScoreboardProperty(t *testing.T) {
 		var mLinks, sLinks []*Port
 		var masters []*scriptMaster
 		for i := 0; i < nMasters; i++ {
-			l := NewLink(k, "m")
+			l := NewPort(k, "m", PortConfig{})
 			mLinks = append(mLinks, l)
 			reqs := make([]Request, perMaster)
 			for j := range reqs {
@@ -42,7 +42,7 @@ func TestBusScoreboardProperty(t *testing.T) {
 			k.Add(sm)
 		}
 		for i := 0; i < nSlaves; i++ {
-			l := NewLink(k, "s")
+			l := NewPort(k, "s", PortConfig{})
 			sLinks = append(sLinks, l)
 			k.Add(&echoSlave{name: "s", link: l, latency: latency})
 		}

@@ -30,18 +30,26 @@ func (p PartitionKind) String() string {
 	}
 }
 
-// ParsePartition parses a -partition flag value.
-func ParsePartition(s string) (PartitionKind, error) {
-	switch s {
-	case "", "none":
-		return PartNone, nil
-	case "swp":
-		return PartSWP, nil
-	case "ucp":
-		return PartUCP, nil
-	default:
-		return PartNone, fmt.Errorf("unknown partition policy %q (none, swp, ucp)", s)
+// MarshalText spells the policy as String does, so PartitionKind is a
+// value of flag.TextVar and encoding/json alike.
+func (p PartitionKind) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText is the one parser of the -partition flag and the
+// "partition" JSON key: it accepts exactly the spellings String
+// produces, plus the empty string for PartNone (a key present but
+// blank).
+func (p *PartitionKind) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*p = PartNone
+		return nil
 	}
+	for c := PartNone; c <= PartUCP; c++ {
+		if string(text) == c.String() {
+			*p = c
+			return nil
+		}
+	}
+	return fmt.Errorf("cache: unknown partition policy %q (want none|swp|ucp)", text)
 }
 
 // equalSplit returns contiguous way masks dividing `ways` ways over

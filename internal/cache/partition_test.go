@@ -1,6 +1,11 @@
 package cache
 
-import "testing"
+import (
+	"encoding/json"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestEqualSplit(t *testing.T) {
 	cases := []struct {
@@ -183,18 +188,31 @@ func TestSWPMaskValidation(t *testing.T) {
 }
 
 func TestParsePartition(t *testing.T) {
-	for s, want := range map[string]PartitionKind{"": PartNone, "none": PartNone, "swp": PartSWP, "ucp": PartUCP} {
-		got, err := ParsePartition(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePartition(%q) = %v, %v", s, got, err)
+	for _, k := range []PartitionKind{PartNone, PartSWP, PartUCP} {
+		got := PartitionKind(99)
+		if err := got.UnmarshalText([]byte(k.String())); err != nil || got != k {
+			t.Errorf("UnmarshalText(%q) = %v, %v", k.String(), got, err)
+		}
+		// The JSON face is the same parser.
+		j, err := json.Marshal(k)
+		if err != nil || string(j) != strconv.Quote(k.String()) {
+			t.Errorf("Marshal(%v) = %s, %v", k, j, err)
+		}
+		if err := json.Unmarshal(j, &got); err != nil || got != k {
+			t.Errorf("Unmarshal(%s) = %v, %v", j, got, err)
 		}
 	}
-	if _, err := ParsePartition("bogus"); err == nil {
-		t.Error("bogus policy accepted")
+	got := PartUCP
+	if err := got.UnmarshalText(nil); err != nil || got != PartNone {
+		t.Errorf("empty text = %v, %v, want PartNone", got, err)
 	}
-	for _, k := range []PartitionKind{PartNone, PartSWP, PartUCP} {
-		if got, err := ParsePartition(k.String()); err != nil || got != k {
-			t.Errorf("round trip %v failed", k)
+	err := got.UnmarshalText([]byte("bogus"))
+	if err == nil {
+		t.Fatal("bogus policy accepted")
+	}
+	for _, want := range []string{"none", "swp", "ucp"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name valid policy %q", err, want)
 		}
 	}
 }

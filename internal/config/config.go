@@ -47,6 +47,22 @@ func (k MemKind) String() string {
 	}
 }
 
+// MarshalText spells the kind as String does, so MemKind is a value of
+// flag.TextVar and encoding/json alike.
+func (k MemKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText is the one parser of the -memkind flag: it accepts
+// exactly the spellings String produces.
+func (k *MemKind) UnmarshalText(text []byte) error {
+	for c := MemWrapper; c <= MemDRAM; c++ {
+		if string(text) == c.String() {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("config: unknown memory kind %q (want wrapper|static|heapsim|dram)", text)
+}
+
 // InterconnectKind selects the interconnect topology.
 type InterconnectKind int
 
@@ -64,6 +80,22 @@ func (k InterconnectKind) String() string {
 		return "crossbar"
 	}
 	return "bus"
+}
+
+// MarshalText spells the kind as String does, so InterconnectKind is a
+// value of flag.TextVar and encoding/json alike.
+func (k InterconnectKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText is the one parser of the -interconnect flag: it accepts
+// exactly the spellings String produces.
+func (k *InterconnectKind) UnmarshalText(text []byte) error {
+	for c := InterBus; c <= InterCrossbar; c++ {
+		if string(text) == c.String() {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("config: unknown interconnect %q (want bus|crossbar)", text)
 }
 
 // SystemConfig describes a system to build.
@@ -179,9 +211,9 @@ type SystemConfig struct {
 	// 1 pins the sequential tick loop, negative selects GOMAXPROCS, and
 	// 0 — the zero value — keeps the kernel's sequential default, so
 	// existing configurations are unaffected. All settings are
-	// observably identical; see the sim package docs. (The commands'
-	// -workers flags map their conventional "0 = all cores" to a
-	// GOMAXPROCS count before building.)
+	// observably identical; see the sim package docs. (The -workers flag
+	// maps its conventional "0 = all cores" to a GOMAXPROCS count; see
+	// BindFlags.)
 	Workers int
 	// DisableISSBatch turns off ISS instruction batching (on by default
 	// for built systems; see iss.Config.Batch). Batching is cycle-exact
@@ -192,6 +224,15 @@ type SystemConfig struct {
 	// DisableISSDecodeCache turns off the per-CPU decode cache (on by
 	// default for built systems; see iss.Config.DecodeCache).
 	DisableISSDecodeCache bool
+}
+
+// l1LineBytes is the L1 line size Build uses: the configured one, or the
+// cache package's 32-byte default.
+func (c SystemConfig) l1LineBytes() uint32 {
+	if c.CacheLineBytes == 0 {
+		return 32
+	}
+	return c.CacheLineBytes
 }
 
 // Interconnect is the common face of Bus and Crossbar.
@@ -359,10 +400,7 @@ func Build(cfg SystemConfig) (*System, error) {
 	// interposed — the caches' downstream ports.
 	interMasters := sys.MasterPorts
 	if cfg.Cache || cfg.Coherent {
-		cacheLine := cfg.CacheLineBytes
-		if cacheLine == 0 {
-			cacheLine = 32
-		}
+		cacheLine := cfg.l1LineBytes()
 		flatMem := cfg.MemKind == MemStatic || cfg.MemKind == MemDRAM
 		if flatMem && cfg.MemBytes%cacheLine != 0 {
 			return nil, fmt.Errorf("config: MemBytes %d not a multiple of the %d-byte cache line", cfg.MemBytes, cacheLine)

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -63,6 +65,34 @@ func TestKindStrings(t *testing.T) {
 	}
 	if MemKind(9).String() == "" {
 		t.Error("unknown kind empty")
+	}
+	// Text and JSON parse exactly what String prints; an unknown spelling
+	// is an error naming the valid ones.
+	for k := MemWrapper; k <= MemDRAM; k++ {
+		got := MemKind(-1)
+		if err := got.UnmarshalText([]byte(k.String())); err != nil || got != k {
+			t.Errorf("MemKind.UnmarshalText(%q) = %v, %v", k.String(), got, err)
+		}
+		if j, err := json.Marshal(k); err != nil || string(j) != strconv.Quote(k.String()) || json.Unmarshal(j, &got) != nil || got != k {
+			t.Errorf("MemKind JSON round trip of %v: %s, %v, back %v", k, j, err, got)
+		}
+	}
+	for k := InterBus; k <= InterCrossbar; k++ {
+		got := InterconnectKind(-1)
+		if err := got.UnmarshalText([]byte(k.String())); err != nil || got != k {
+			t.Errorf("InterconnectKind.UnmarshalText(%q) = %v, %v", k.String(), got, err)
+		}
+		if j, err := json.Marshal(k); err != nil || string(j) != strconv.Quote(k.String()) || json.Unmarshal(j, &got) != nil || got != k {
+			t.Errorf("InterconnectKind JSON round trip of %v: %s, %v, back %v", k, j, err, got)
+		}
+	}
+	var mk MemKind
+	if err := mk.UnmarshalText([]byte("rom")); err == nil || !strings.Contains(err.Error(), "wrapper|static|heapsim|dram") {
+		t.Errorf("unknown memory kind: err = %v", err)
+	}
+	var ik InterconnectKind
+	if err := ik.UnmarshalText([]byte("ring")); err == nil || !strings.Contains(err.Error(), "bus|crossbar") {
+		t.Errorf("unknown interconnect: err = %v", err)
 	}
 }
 

@@ -22,6 +22,16 @@
 // a repo-wide convention (CPUs first, then DMA engines) because
 // snapshot restore replays it.
 //
+// # Three faces of one description
+//
+// SystemConfig is the single description of a platform. Go literals
+// write it directly; the commands fill it through BindFlags, the one
+// declaration of the platform flags (Describe prints the matching run
+// header); the service's LegSpec JSON maps onto it field to field. The
+// kind-typed fields (MemKind, InterconnectKind, alloc.Kind,
+// cache.PartitionKind) parse through their own UnmarshalText, so flags
+// and JSON accept exactly the spellings String prints.
+//
 // # Scheduler knobs versus state
 //
 // SystemConfig mixes two kinds of fields. Structural fields (masters,

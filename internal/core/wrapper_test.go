@@ -20,7 +20,7 @@ type harness struct {
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	k := sim.New()
-	link := bus.NewLink(k, "t")
+	link := bus.NewPort(k, "t", bus.PortConfig{})
 	w, err := NewWrapper(k, cfg, link)
 	if err != nil {
 		t.Fatalf("NewWrapper: %v", err)
@@ -313,8 +313,8 @@ func TestWrapperMultipleInstances(t *testing.T) {
 	// provides the generation of a different host pointer for every
 	// allocation." Two wrappers on one kernel hold independent state.
 	k := sim.New()
-	l1 := bus.NewLink(k, "l1")
-	l2 := bus.NewLink(k, "l2")
+	l1 := bus.NewPort(k, "l1", bus.PortConfig{})
+	l2 := bus.NewPort(k, "l2", bus.PortConfig{})
 	w1, err := NewWrapper(k, Config{Name: "sm0", Delays: DefaultDelays()}, l1)
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +415,7 @@ func TestWrapperExactlyOneHostCallPerAllocation(t *testing.T) {
 
 func TestWrapperDefaultName(t *testing.T) {
 	k := sim.New()
-	l := bus.NewLink(k, "l")
+	l := bus.NewPort(k, "l", bus.PortConfig{})
 	w, err := NewWrapper(k, Config{}, l)
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +474,7 @@ func TestWrapperPlacementPolicy(t *testing.T) {
 	}
 	// An unsatisfiable placement config must error, not panic later.
 	k := sim.New()
-	l := bus.NewLink(k, "l")
+	l := bus.NewPort(k, "l", bus.PortConfig{})
 	if _, err := NewWrapper(k, Config{Policy: alloc.Buddy}, l); err == nil {
 		t.Error("placement policy without TotalSize accepted")
 	}

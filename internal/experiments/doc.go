@@ -11,16 +11,22 @@
 // data, pointer arithmetic, coherence) and the ablations DESIGN.md
 // commits to. See DESIGN.md §5 for the experiment index.
 //
-// # Options and modes
+// # One description, one run path
 //
-// Options tunes a whole suite invocation (Quick shrinks workloads for
-// smoke runs; the remaining fields pin scheduler, allocator, port and
-// cache configuration for every measured system). Mode is the
-// per-run scheduler selection the differential tests sweep: lockstep
-// versus event-driven, sequential versus sharded-parallel ticking, and
-// the ISS fast paths — axes that are observably identical by
-// construction and proven so by the scheduler differential matrix in
-// this package's tests.
+// A measured system is described once, by config.SystemConfig. Options
+// carries the base description of a suite invocation (Options.Base —
+// filled from Go literals by tests and from the platform flags of
+// config.SystemConfig.BindFlags by cmd/experiments); each experiment
+// copies it and sets the axes it sizes or sweeps. LegSpec is the JSON
+// face of the same description for the service. ISS software comes
+// from workload.ISSImages. Everything then goes through the one
+// function simulation.run — build or restore, attach, run under the
+// caller's context, check ISS exit codes — so every run is cancellable
+// and a new platform axis is one SystemConfig field away from every
+// experiment. The scheduler axes (lockstep versus event-driven,
+// sequential versus sharded-parallel ticking, the ISS fast paths) are
+// observably identical by construction and proven so by the scheduler
+// differential matrix in this package's tests.
 //
 // # Warm-boot sweeps
 //

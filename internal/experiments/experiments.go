@@ -14,7 +14,6 @@ import (
 	"repro/internal/dma"
 	"repro/internal/gsm"
 	"repro/internal/heapsim"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/smapi"
@@ -23,52 +22,19 @@ import (
 	"repro/internal/workload"
 )
 
-// Options tunes experiment scale.
+// Options tunes a suite invocation.
 type Options struct {
 	// Quick shrinks workloads for smoke runs (CI, tests).
 	Quick bool
-	// Lockstep runs every measured system with the kernel pinned to
-	// lockstep stepping instead of the default event-driven scheduler,
-	// so the whole suite can be replayed in either mode (the EV
-	// experiment and the differential tests compare the two).
-	Lockstep bool
-	// Workers is the tick-phase parallelism applied to every measured
-	// kernel (see config.SystemConfig.Workers; 0 keeps the sequential
-	// default). The PAR experiment sweeps its own worker counts.
-	Workers int
-	// Alloc is the allocation policy applied to every measured memory
-	// module (see config.SystemConfig.AllocPolicy; the zero value keeps
-	// the historical defaults). The E9 experiment sweeps all policies
-	// regardless.
-	Alloc alloc.Kind
-	// Depth is the per-port outstanding-transaction capacity applied to
-	// every measured system (see config.SystemConfig.OutstandingDepth;
-	// 0 and 1 keep the classic single-outstanding ports). The E10
-	// experiment sweeps its own depths.
-	Depth int
-	// Split runs every measured interconnect in split-transaction mode
-	// (see config.SystemConfig.SplitBus). E10 sweeps both protocols.
-	Split bool
-	// OOO lets every measured master port deliver completions out of
-	// order (see config.SystemConfig.OutOfOrder). Off keeps the default
-	// in-order delivery.
-	OOO bool
-	// Cache fronts every measured master with a private coherent L1 (see
-	// config.SystemConfig.Cache/Coherent). The E11 experiment sweeps
-	// cached versus uncached regardless.
-	Cache bool
-	// L2 inserts the shared inclusive L2 between interconnect and
-	// memories (implies Cache; see config.SystemConfig.L2). The E12
-	// experiment sweeps its partition policies regardless.
-	L2 bool
-	// Partition selects the L2 way-partitioning policy (PartNone,
-	// PartSWP, PartUCP; meaningful only with L2).
-	Partition cache.PartitionKind
-	// DRAM swaps flat static memories for the banked DRAM timing model
-	// in experiments that measure cacheable flat memory (E11/E12-class
-	// runs); ClosePage selects its close-page row policy.
-	DRAM      bool
-	ClosePage bool
+	// Base is the platform description every measured system starts
+	// from: each experiment copies it, sets the axes it sizes or sweeps
+	// itself (masters, memories, memory kind, and whatever its table
+	// varies) and leaves the rest as given — so a scheduler, protocol,
+	// allocator or cache setting made here (see
+	// config.SystemConfig.BindFlags) applies to the whole suite. The
+	// flat-memory experiments (E11, E12) run on the banked DRAM model
+	// when Base.MemKind is MemDRAM and on the static table otherwise.
+	Base config.SystemConfig
 	// Checkpoint, when non-empty, makes the WB experiment write its
 	// shared warm-up snapshot to this file.
 	Checkpoint string
@@ -78,8 +44,7 @@ type Options struct {
 	Restore string
 	// Ctx, when non-nil, makes every measured run cancellable: a run
 	// aborts with Ctx.Err() at the next chunk boundary after
-	// cancellation (see Mode.WithContext). Nil keeps runs
-	// uninterruptible.
+	// cancellation. Nil keeps runs uninterruptible.
 	Ctx context.Context
 }
 
@@ -90,74 +55,11 @@ func (o Options) pick(full, quick int) int {
 	return full
 }
 
-// Mode selects the kernel scheduling of one measured run — lockstep
-// versus event-driven idle-skip, and sequential versus sharded parallel
-// ticking (all four combinations observably identical, differing only
-// in host speed) — plus the allocation policy of the measured memory
-// modules, threaded through the same plumbing. Unlike the scheduler
-// axes, a non-default Alloc is observable: it changes placements and,
-// for heapsim, metered manager traffic. The zero value is the default
-// mode (event-driven, sequential, historical allocator).
-type Mode struct {
-	Lockstep bool
-	Workers  int
-	Alloc    alloc.Kind
-	Depth    int
-	Split    bool
-	OOO      bool
-	Cache    bool
-	// L2, Partition, DRAM and ClosePage select the shared-L2 hierarchy
-	// axes: unlike the scheduler knobs all four are observable — they
-	// change cycle counts — but each fixed combination stays bit
-	// identical across the scheduler matrix (TestSchedDiffL2).
-	L2        bool
-	Partition cache.PartitionKind
-	DRAM      bool
-	ClosePage bool
-	// NoBatch and NoDecodeCache disable the ISS fast paths (instruction
-	// batching, decode memoization) that built systems enable by default.
-	// Like Lockstep they are observably identical scheduler axes — the
-	// plain-interpreter side of the differential matrix.
-	NoBatch       bool
-	NoDecodeCache bool
-
-	// ctx, when set via WithContext, makes measured runs cancellable:
-	// they abort with ctx.Err() at the next chunk boundary. Unexported
-	// so keyed Mode literals elsewhere stay valid; nil means
-	// uninterruptible (and chunk-free, byte-for-byte the historical
-	// behavior).
-	ctx context.Context
-}
-
-func (o Options) mode() Mode {
-	return Mode{Lockstep: o.Lockstep, Workers: o.Workers, Alloc: o.Alloc,
-		Depth: o.Depth, Split: o.Split, OOO: o.OOO, Cache: o.Cache,
-		L2: o.L2, Partition: o.Partition, DRAM: o.DRAM, ClosePage: o.ClosePage,
-		ctx: o.Ctx}
-}
-
-// sysConfig translates the mode's protocol and scheduler axes into the
-// common SystemConfig fields every measured system shares.
-func (m Mode) sysConfig() config.SystemConfig {
-	cfg := config.SystemConfig{
-		Lockstep: m.Lockstep, Workers: m.Workers, AllocPolicy: m.Alloc,
-		OutstandingDepth: m.Depth, SplitBus: m.Split, OutOfOrder: m.OOO,
-		Cache: m.Cache, Coherent: m.Cache,
-		DisableISSBatch: m.NoBatch, DisableISSDecodeCache: m.NoDecodeCache,
-	}
-	if m.L2 {
-		cfg.L2, cfg.Cache, cfg.Coherent = true, true, true
-		cfg.Partition = m.Partition
-	}
-	cfg.DRAMClosePage = m.ClosePage
-	return cfg
-}
-
-// flatKind maps the mode's DRAM axis onto the cacheable flat memory
-// kinds: the banked DRAM timing model when DRAM is set, the plain
+// flatKind is the cacheable flat memory kind a base configuration
+// selects: the banked DRAM timing model when it names it, the plain
 // static table otherwise.
-func (m Mode) flatKind() config.MemKind {
-	if m.DRAM {
+func flatKind(base config.SystemConfig) config.MemKind {
+	if base.MemKind == config.MemDRAM {
 		return config.MemDRAM
 	}
 	return config.MemStatic
@@ -172,45 +74,18 @@ func flatPeek(sys *config.System, sm int) func(uint32) byte {
 	return sys.Statics[sm].Peek
 }
 
-// runLimit is the cycle budget for any single measured run.
-const runLimit = 2_000_000_000
-
 // RunGSMISS builds the paper's configuration — nISS armlet ISSs running
-// the GSM traffic kernel against nMem wrapper memories over a shared
-// bus — runs it to completion in kernel mode m and returns the measured
-// result.
-func RunGSMISS(nISS, nMem, frames int, m Mode) (stats.RunResult, error) {
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind = nISS, nMem, config.MemWrapper
-	sys, err := config.Build(cfg)
+// the GSM traffic kernel against nMem wrapper memories — on the base
+// platform, runs it to completion and returns the measured result.
+func RunGSMISS(ctx context.Context, base config.SystemConfig, nISS, nMem, frames int) (stats.RunResult, error) {
+	progs, err := workload.ISSImages("gsm", nISS, nMem, frames, 1)
 	if err != nil {
 		return stats.RunResult{}, err
 	}
-	progs := make([][]byte, nISS)
-	for i := 0; i < nISS; i++ {
-		src := workload.GSMKernelSource(workload.GSMKernelConfig{
-			Frames: frames,
-			SM:     i % nMem,
-			Seed:   uint32(i + 1),
-		})
-		p, err := isa.Assemble(src)
-		if err != nil {
-			return stats.RunResult{}, fmt.Errorf("iss %d: %w", i, err)
-		}
-		progs[i] = p.Code
-	}
-	if err := sys.AddCPUs(progs...); err != nil {
+	base.Masters, base.Memories, base.MemKind = nISS, nMem, config.MemWrapper
+	sys, wall, err := simulation{cfg: base, progs: progs}.run(ctx)
+	if err != nil {
 		return stats.RunResult{}, err
-	}
-	start := time.Now()
-	if _, err := m.runUntil(sys.Kernel, sys.CPUsHalted, runLimit); err != nil {
-		return stats.RunResult{}, err
-	}
-	wall := time.Since(start)
-	for i, cpu := range sys.CPUs {
-		if cpu.ExitCode() != 0 {
-			return stats.RunResult{}, fmt.Errorf("iss %d exited %#x", i, cpu.ExitCode())
-		}
 	}
 	return stats.RunResult{
 		Name:   fmt.Sprintf("%d ISS / %d mem", nISS, nMem),
@@ -223,13 +98,13 @@ func RunGSMISS(nISS, nMem, frames int, m Mode) (stats.RunResult, error) {
 // takes the best of `reps` measured runs, suppressing host scheduling
 // noise (the measured quantity, cycles per host second, is a wall-clock
 // rate).
-func measureGSMISS(nISS, nMem, frames, reps int, m Mode) (stats.RunResult, error) {
-	if _, err := RunGSMISS(nISS, nMem, frames, m); err != nil { // warmup
+func measureGSMISS(ctx context.Context, base config.SystemConfig, nISS, nMem, frames, reps int) (stats.RunResult, error) {
+	if _, err := RunGSMISS(ctx, base, nISS, nMem, frames); err != nil { // warmup
 		return stats.RunResult{}, err
 	}
 	var best stats.RunResult
 	for i := 0; i < reps; i++ {
-		r, err := RunGSMISS(nISS, nMem, frames, m)
+		r, err := RunGSMISS(ctx, base, nISS, nMem, frames)
 		if err != nil {
 			return stats.RunResult{}, err
 		}
@@ -246,11 +121,11 @@ func measureGSMISS(nISS, nMem, frames, reps int, m Mode) (stats.RunResult, error
 func E1(o Options) (*stats.Table, error) {
 	frames := o.pick(40, 4)
 	reps := o.pick(3, 1)
-	one, err := measureGSMISS(4, 1, frames, reps, o.mode())
+	one, err := measureGSMISS(o.Ctx, o.Base, 4, 1, frames, reps)
 	if err != nil {
 		return nil, err
 	}
-	four, err := measureGSMISS(4, 4, frames, reps, o.mode())
+	four, err := measureGSMISS(o.Ctx, o.Base, 4, 4, frames, reps)
 	if err != nil {
 		return nil, err
 	}
@@ -266,24 +141,15 @@ func E1(o Options) (*stats.Table, error) {
 // against nMem wrapper memories and returns the measured result. This is
 // the compiled-software variant of E1: computation executes natively
 // while every frame hand-off is simulated cycle-true.
-func RunGSMPipeline(nMem, frames int, m Mode) (stats.RunResult, error) {
+func RunGSMPipeline(ctx context.Context, base config.SystemConfig, nMem, frames int) (stats.RunResult, error) {
 	tasks, res := gsm.BuildPipeline(gsm.PipelineConfig{
 		Frames: frames, Seed: 42, NumSM: nMem,
 	})
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind = 4, nMem, config.MemWrapper
-	sys, err := config.Build(cfg)
+	base.Masters, base.Memories, base.MemKind = 4, nMem, config.MemWrapper
+	sys, wall, err := simulation{cfg: base, tasks: tasks}.run(ctx)
 	if err != nil {
 		return stats.RunResult{}, err
 	}
-	if err := sys.AddProcs(tasks...); err != nil {
-		return stats.RunResult{}, err
-	}
-	start := time.Now()
-	if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-		return stats.RunResult{}, err
-	}
-	wall := time.Since(start)
 	if res.Frames != frames {
 		return stats.RunResult{}, fmt.Errorf("pipeline delivered %d/%d frames", res.Frames, frames)
 	}
@@ -299,11 +165,11 @@ func RunGSMPipeline(nMem, frames int, m Mode) (stats.RunResult, error) {
 // and the memory-count degradation is measured on that workload.
 func E1b(o Options) (*stats.Table, error) {
 	frames := o.pick(30, 4)
-	one, err := RunGSMPipeline(1, frames, o.mode())
+	one, err := RunGSMPipeline(o.Ctx, o.Base, 1, frames)
 	if err != nil {
 		return nil, err
 	}
-	four, err := RunGSMPipeline(4, frames, o.mode())
+	four, err := RunGSMPipeline(o.Ctx, o.Base, 4, frames)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +192,7 @@ func E5(o Options) ([]*stats.Table, error) {
 		"memories", "sim cycles", "cycles/s", "degradation vs 1")
 	var base stats.RunResult
 	for _, m := range []int{1, 2, 4, 8} {
-		r, err := measureGSMISS(4, m, frames, reps, o.mode())
+		r, err := measureGSMISS(o.Ctx, o.Base, 4, m, frames, reps)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +209,7 @@ func E5(o Options) ([]*stats.Table, error) {
 		"ISSs", "sim cycles", "cycles/s", "degradation vs 1")
 	var peBase stats.RunResult
 	for _, n := range []int{1, 2, 4, 8} {
-		r, err := measureGSMISS(n, 1, frames, reps, o.mode())
+		r, err := measureGSMISS(o.Ctx, o.Base, n, 1, frames, reps)
 		if err != nil {
 			return nil, err
 		}
@@ -358,37 +224,25 @@ func E5(o Options) ([]*stats.Table, error) {
 }
 
 // RunTrace replays a trace on a freshly built single-master system of
-// the given memory kind, in kernel mode km, and returns the measured
+// the given memory kind on the base platform and returns the measured
 // result.
-func RunTrace(kind config.MemKind, tr *trace.Trace, mode trace.Mode, memBytes uint32, km Mode) (stats.RunResult, *config.System, error) {
+func RunTrace(ctx context.Context, base config.SystemConfig, kind config.MemKind, tr *trace.Trace, mode trace.Mode, memBytes uint32) (stats.RunResult, *config.System, error) {
 	if memBytes == 0 {
 		memBytes = tr.StaticBytesNeeded()
 		if memBytes < 1<<20 {
 			memBytes = 1 << 20
 		}
 	}
-	if km.Cache {
+	if base.Cache {
 		// Cached static tables must be line-aligned.
 		memBytes = (memBytes + 63) &^ 63
 	}
-	cfg := km.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind, cfg.MemBytes = 1, maxInt(1, numSMs(tr)), kind, memBytes
-	sys, err := config.Build(cfg)
+	base.Masters, base.Memories, base.MemKind, base.MemBytes = 1, max(1, numSMs(tr)), kind, memBytes
+	sys, wall, err := simulation{cfg: base, tasks: []smapi.Task{trace.ReplayTask(tr, mode, nil)}}.run(ctx)
 	if err != nil {
 		return stats.RunResult{}, nil, err
 	}
-	if err := sys.AddProcs(trace.ReplayTask(tr, mode, nil)); err != nil {
-		return stats.RunResult{}, nil, err
-	}
-	start := time.Now()
-	if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-		return stats.RunResult{}, nil, err
-	}
-	return stats.RunResult{
-		Name:   kind.String(),
-		Cycles: sys.Kernel.Cycle(),
-		Wall:   time.Since(start),
-	}, sys, nil
+	return stats.RunResult{Name: kind.String(), Cycles: sys.Kernel.Cycle(), Wall: wall}, sys, nil
 }
 
 func numSMs(tr *trace.Trace) int {
@@ -399,13 +253,6 @@ func numSMs(tr *trace.Trace) int {
 		}
 	}
 	return max + 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E2 measures the wrapper's host-side overhead against the static table
@@ -420,11 +267,11 @@ func E2(o Options) (*stats.Table, error) {
 		Mix:         trace.Mix{Alloc: 1, Read: 45, Write: 30, ReadBurst: 12, WriteBurst: 12},
 		PtrArithPct: 25,
 	})
-	wrap, _, err := RunTrace(config.MemWrapper, tr, trace.ModeDynamic, 0, o.mode())
+	wrap, _, err := RunTrace(o.Ctx, o.Base, config.MemWrapper, tr, trace.ModeDynamic, 0)
 	if err != nil {
 		return nil, err
 	}
-	stat, _, err := RunTrace(config.MemStatic, tr, trace.ModeStatic, 0, o.mode())
+	stat, _, err := RunTrace(o.Ctx, o.Base, config.MemStatic, tr, trace.ModeStatic, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -450,11 +297,11 @@ func E3(o Options) (*stats.Table, error) {
 			MinDim: 8, MaxDim: 128, DType: bus.U32,
 			Mix: trace.Mix{Alloc: 30, Free: 28, Read: 21, Write: 21},
 		})
-		wrap, _, err := RunTrace(config.MemWrapper, tr, trace.ModeDynamic, 1<<22, o.mode())
+		wrap, _, err := RunTrace(o.Ctx, o.Base, config.MemWrapper, tr, trace.ModeDynamic, 1<<22)
 		if err != nil {
 			return nil, err
 		}
-		heap, _, err := RunTrace(config.MemHeapSim, tr, trace.ModeDynamic, 1<<22, o.mode())
+		heap, _, err := RunTrace(o.Ctx, o.Base, config.MemHeapSim, tr, trace.ModeDynamic, 1<<22)
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +325,7 @@ func E4(o Options) ([]*stats.Table, error) {
 	rep := stats.NewTable("E4a: determinism — identical seeded runs", "run", "sim cycles")
 	var first uint64
 	for i := 0; i < 3; i++ {
-		r, _, err := RunTrace(config.MemWrapper, tr, trace.ModeDynamic, 0, o.mode())
+		r, _, err := RunTrace(o.Ctx, o.Base, config.MemWrapper, tr, trace.ModeDynamic, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -498,23 +345,14 @@ func E4(o Options) ([]*stats.Table, error) {
 	for _, d := range []uint32{1, 4, 16, 64} {
 		delays := core.DefaultDelays()
 		delays.Read, delays.Write = d, d
-		cfg := o.mode().sysConfig()
-		cfg.Masters, cfg.Memories, cfg.MemKind, cfg.WrapperDelays = 1, 1, config.MemWrapper, &delays
-		sys, err := config.Build(cfg)
+		cfg := o.Base
+		cfg.WrapperDelays = &delays
+		r, _, err := RunTrace(o.Ctx, cfg, config.MemWrapper, tr, trace.ModeDynamic, 0)
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.AddProcs(trace.ReplayTask(tr, trace.ModeDynamic, nil)); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
-		cyc := sys.Kernel.Cycle()
-		sweep.Add(fmt.Sprint(d), fmt.Sprint(cyc), wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1f", float64(wall.Nanoseconds())/float64(cyc)))
+		sweep.Add(fmt.Sprint(d), fmt.Sprint(r.Cycles), r.Wall.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.1f", float64(r.Wall.Nanoseconds())/float64(r.Cycles)))
 	}
 	return []*stats.Table{rep, sweep}, nil
 }
@@ -556,21 +394,13 @@ func E6(o Options) (*stats.Table, error) {
 				}
 			}
 		}
-		cfg := o.mode().sysConfig()
+		cfg := o.Base
 		cfg.Masters, cfg.Memories, cfg.MemKind = 1, 1, config.MemWrapper
 		cfg.MemBytes = target + bufBytes // capacity sized to the live set
-		sys, err := config.Build(cfg)
+		sys, wall, err := simulation{cfg: cfg, tasks: []smapi.Task{task}}.run(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.AddProcs(task); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
 		cyc := sys.Kernel.Cycle()
 		hostBytes := sys.Wrappers[0].Stats().HostBytes
 		t.Add(fmt.Sprint(target), fmt.Sprint(cyc), stats.SI(stats.Rate(cyc, wall)),
@@ -619,7 +449,7 @@ func E7(o Options) (*stats.Table, error) {
 	for _, slots := range []int{10, 100, 1000} {
 		for _, pct := range []int{0, 100} {
 			tr := PtrArithTrace(slots, events, pct, 71)
-			r, sys, err := RunTrace(config.MemWrapper, tr, trace.ModeDynamic, 1<<26, o.mode())
+			r, sys, err := RunTrace(o.Ctx, o.Base, config.MemWrapper, tr, trace.ModeDynamic, 1<<26)
 			if err != nil {
 				return nil, err
 			}
@@ -628,7 +458,7 @@ func E7(o Options) (*stats.Table, error) {
 			for _, c := range sys.Wrappers[0].Stats().Ops {
 				lookups += c
 			}
-			probes := float64(tbl.Probes) / float64(maxU64(lookups, 1))
+			probes := float64(tbl.Probes) / float64(max(lookups, 1))
 			t.Add(fmt.Sprint(slots), fmt.Sprint(pct),
 				r.Wall.Round(time.Millisecond).String(),
 				fmt.Sprintf("%.1f", probes),
@@ -636,13 +466,6 @@ func E7(o Options) (*stats.Table, error) {
 		}
 	}
 	return t, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E8 measures the reservation (coherence) protocol under contention:
@@ -690,16 +513,10 @@ func E8(o Options) (*stats.Table, error) {
 		for i := 0; i < pes; i++ {
 			tasks = append(tasks, worker)
 		}
-		cfg := o.mode().sysConfig()
+		cfg := o.Base
 		cfg.Masters, cfg.Memories, cfg.MemKind = pes+1, 1, config.MemWrapper
-		sys, err := config.Build(cfg)
+		sys, _, err := simulation{cfg: cfg, tasks: tasks}.run(o.Ctx)
 		if err != nil {
-			return nil, err
-		}
-		if err := sys.AddProcs(tasks...); err != nil {
-			return nil, err
-		}
-		if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
 			return nil, err
 		}
 		cyc := sys.Kernel.Cycle()
@@ -719,32 +536,13 @@ func A1(o Options) (*stats.Table, error) {
 		"A1: interconnect ablation — 4 ISSs, 4 memories, GSM workload",
 		"interconnect", "sim cycles", "wall", "cycles/s")
 	for _, ic := range []config.InterconnectKind{config.InterBus, config.InterCrossbar} {
-		cfg := o.mode().sysConfig()
-		cfg.Masters, cfg.Memories, cfg.MemKind, cfg.Interconnect = 4, 4, config.MemWrapper, ic
-		sys, err := config.Build(cfg)
+		cfg := o.Base
+		cfg.Interconnect = ic
+		r, err := RunGSMISS(o.Ctx, cfg, 4, 4, frames)
 		if err != nil {
 			return nil, err
 		}
-		var progs [][]byte
-		for i := 0; i < 4; i++ {
-			p, err := isa.Assemble(workload.GSMKernelSource(workload.GSMKernelConfig{
-				Frames: frames, SM: i, Seed: uint32(i + 1),
-			}))
-			if err != nil {
-				return nil, err
-			}
-			progs = append(progs, p.Code)
-		}
-		if err := sys.AddCPUs(progs...); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := sys.Kernel.RunUntil(sys.CPUsHalted, runLimit); err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
-		cyc := sys.Kernel.Cycle()
-		t.Add(ic.String(), fmt.Sprint(cyc), wall.Round(time.Millisecond).String(), stats.SI(stats.Rate(cyc, wall)))
+		t.Add(ic.String(), fmt.Sprint(r.Cycles), r.Wall.Round(time.Millisecond).String(), stats.SI(r.CyclesPerSec()))
 	}
 	return t, nil
 }
@@ -795,36 +593,24 @@ func evDelays() core.DelayParams {
 }
 
 // RunEV runs the EV workload — one PE replaying a mixed trace against a
-// high-latency wrapper — in the given kernel mode and returns the
-// measured result plus the kernel's scheduling counters.
-func RunEV(events int, m Mode) (stats.RunResult, sim.SchedStats, error) {
+// high-latency wrapper — on the base platform and returns the measured
+// result plus the kernel's scheduling counters.
+func RunEV(ctx context.Context, base config.SystemConfig, events int) (stats.RunResult, sim.SchedStats, error) {
 	tr := trace.Generate(trace.GenConfig{
 		Seed: 91, Events: events, Slots: 24, NumSM: 1,
 		MinDim: 8, MaxDim: 128, DType: bus.U32, Mix: trace.DefaultMix(),
 	})
 	delays := evDelays()
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind, cfg.WrapperDelays = 1, 1, config.MemWrapper, &delays
-	sys, err := config.Build(cfg)
+	base.WrapperDelays = &delays
+	r, sys, err := RunTrace(ctx, base, config.MemWrapper, tr, trace.ModeDynamic, 0)
 	if err != nil {
 		return stats.RunResult{}, sim.SchedStats{}, err
 	}
-	if err := sys.AddProcs(trace.ReplayTask(tr, trace.ModeDynamic, nil)); err != nil {
-		return stats.RunResult{}, sim.SchedStats{}, err
+	r.Name = "event-driven"
+	if base.Lockstep {
+		r.Name = "lockstep"
 	}
-	start := time.Now()
-	if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-		return stats.RunResult{}, sim.SchedStats{}, err
-	}
-	name := "event-driven"
-	if m.Lockstep {
-		name = "lockstep"
-	}
-	return stats.RunResult{
-		Name:   name,
-		Cycles: sys.Kernel.Cycle(),
-		Wall:   time.Since(start),
-	}, sys.Kernel.Sched(), nil
+	return r, sys.Kernel.Sched(), nil
 }
 
 // EV measures the event-driven scheduler against lockstep on the
@@ -836,14 +622,14 @@ func EV(o Options) (*stats.Table, error) {
 	events := o.pick(20000, 1500)
 	reps := o.pick(3, 1)
 	measure := func(lockstep bool) (stats.RunResult, sim.SchedStats, error) {
-		m := Mode{Lockstep: lockstep, Workers: o.Workers}
-		if _, _, err := RunEV(events, m); err != nil { // warmup
+		cfg := config.SystemConfig{Lockstep: lockstep, Workers: o.Base.Workers}
+		if _, _, err := RunEV(o.Ctx, cfg, events); err != nil { // warmup
 			return stats.RunResult{}, sim.SchedStats{}, err
 		}
 		var best stats.RunResult
 		var sched sim.SchedStats
 		for i := 0; i < reps; i++ {
-			r, s, err := RunEV(events, m)
+			r, s, err := RunEV(o.Ctx, cfg, events)
 			if err != nil {
 				return stats.RunResult{}, sim.SchedStats{}, err
 			}
@@ -902,14 +688,14 @@ func PAR(o Options) (*stats.Table, error) {
 		fmt.Sprintf("PAR: sharded parallel tick engine — 4 ISS / 4 mem GSM (%d frames/ISS; host GOMAXPROCS=%d)",
 			frames, runtime.GOMAXPROCS(0)),
 		"workers", "sim cycles", "wall", "cycles/s", "speedup vs 1")
-	plain, err := measureGSMISS(4, 4, frames, reps,
-		Mode{Lockstep: o.Lockstep, Workers: 1, NoBatch: true, NoDecodeCache: true})
+	plain, err := measureGSMISS(o.Ctx, config.SystemConfig{Lockstep: o.Base.Lockstep, Workers: 1,
+		DisableISSBatch: true, DisableISSDecodeCache: true}, 4, 4, frames, reps)
 	if err != nil {
 		return nil, err
 	}
 	var base stats.RunResult
 	for _, w := range []int{1, 2, 4, 8} {
-		r, err := measureGSMISS(4, 4, frames, reps, Mode{Lockstep: o.Lockstep, Workers: w})
+		r, err := measureGSMISS(o.Ctx, config.SystemConfig{Lockstep: o.Base.Lockstep, Workers: w}, 4, 4, frames, reps)
 		if err != nil {
 			return nil, err
 		}
@@ -1042,17 +828,6 @@ func E9(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// MLPResult is one E10 measurement: a memory-level-parallelism copy
-// workload at one (interconnect, protocol, depth, policy) point.
-type MLPResult struct {
-	Inter  config.InterconnectKind
-	Split  bool
-	Depth  int
-	Alloc  alloc.Kind
-	Cycles uint64
-	Wall   time.Duration
-}
-
 // RunMLP measures the split-transaction protocol's memory-level
 // parallelism: `streams` DMA engines each copy `elems` 32-bit elements
 // between a disjoint (source, destination) pair of wrapper memories —
@@ -1062,18 +837,18 @@ type MLPResult struct {
 // turns directly into fewer simulated cycles. Buffers are placed and
 // verified host-side (the wrapper's functional path, zero simulated
 // cycles), so the measured cycle count is pure transfer traffic.
-func RunMLP(streams int, elems uint32, inter config.InterconnectKind, m Mode) (stats.RunResult, error) {
+func RunMLP(ctx context.Context, base config.SystemConfig, streams int, elems uint32, inter config.InterconnectKind) (stats.RunResult, error) {
 	start := time.Now()
-	sys, err := buildMLP(streams, elems, inter, m)
+	sys, err := buildMLP(ctx, base, streams, elems, inter)
 	if err != nil {
 		return stats.RunResult{}, err
 	}
 	proto := "occupied"
-	if m.Split {
+	if base.SplitBus {
 		proto = "split"
 	}
 	return stats.RunResult{
-		Name:   fmt.Sprintf("%s/%s d=%d", inter, proto, m.Depth),
+		Name:   fmt.Sprintf("%s/%s d=%d", inter, proto, base.OutstandingDepth),
 		Cycles: sys.Kernel.Cycle(),
 		Wall:   time.Since(start),
 	}, nil
@@ -1082,43 +857,41 @@ func RunMLP(streams int, elems uint32, inter config.InterconnectKind, m Mode) (s
 // buildMLP builds the MLP system, runs every stream's copy to
 // completion, and verifies the destination buffers before returning the
 // finished system (the differential harness snapshots it).
-func buildMLP(streams int, elems uint32, inter config.InterconnectKind, m Mode) (*config.System, error) {
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind = streams, 2*streams, config.MemWrapper
-	cfg.Interconnect, cfg.MemBytes = inter, elems*4+4096
-	sys, err := config.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
+func buildMLP(ctx context.Context, base config.SystemConfig, streams int, elems uint32, inter config.InterconnectKind) (*config.System, error) {
+	base.Masters, base.Memories, base.MemKind = streams, 2*streams, config.MemWrapper
+	base.Interconnect, base.MemBytes = inter, elems*4+4096
 	tr := core.Translator{}
 	type stream struct {
 		src, dst uint32
 		eng      *dma.Engine
 	}
 	sts := make([]stream, streams)
-	for i := range sts {
-		wSrc, wDst := sys.Wrappers[2*i], sys.Wrappers[2*i+1]
-		src, code := wSrc.Table().Alloc(elems, bus.U32)
-		if code != bus.OK {
-			return nil, fmt.Errorf("mlp: src alloc: %v", code)
+	place := func(sys *config.System) error {
+		for i := range sts {
+			wSrc, wDst := sys.Wrappers[2*i], sys.Wrappers[2*i+1]
+			src, code := wSrc.Table().Alloc(elems, bus.U32)
+			if code != bus.OK {
+				return fmt.Errorf("mlp: src alloc: %v", code)
+			}
+			dst, code := wDst.Table().Alloc(elems, bus.U32)
+			if code != bus.OK {
+				return fmt.Errorf("mlp: dst alloc: %v", code)
+			}
+			e, _, _ := wSrc.Table().Resolve(src)
+			for j := uint32(0); j < elems; j++ {
+				tr.WriteElem(e.Host, bus.U32, j, 0x5EED0000+uint32(i)<<16+j)
+			}
+			eng, err := sys.AddDMA(i, fmt.Sprintf("dma%d", i))
+			if err != nil {
+				return err
+			}
+			eng.Enqueue(dma.Descriptor{
+				SrcSM: 2 * i, DstSM: 2*i + 1, SrcVPtr: src, DstVPtr: dst,
+				Elems: elems, DType: bus.U32, Chunk: 32,
+			})
+			sts[i] = stream{src: src, dst: dst, eng: eng}
 		}
-		dst, code := wDst.Table().Alloc(elems, bus.U32)
-		if code != bus.OK {
-			return nil, fmt.Errorf("mlp: dst alloc: %v", code)
-		}
-		e, _, _ := wSrc.Table().Resolve(src)
-		for j := uint32(0); j < elems; j++ {
-			tr.WriteElem(e.Host, bus.U32, j, 0x5EED0000+uint32(i)<<16+j)
-		}
-		eng, err := sys.AddDMA(i, fmt.Sprintf("dma%d", i))
-		if err != nil {
-			return nil, err
-		}
-		eng.Enqueue(dma.Descriptor{
-			SrcSM: 2 * i, DstSM: 2*i + 1, SrcVPtr: src, DstVPtr: dst,
-			Elems: elems, DType: bus.U32, Chunk: 32,
-		})
-		sts[i] = stream{src: src, dst: dst, eng: eng}
+		return nil
 	}
 	done := func() bool {
 		for i := range sts {
@@ -1128,7 +901,8 @@ func buildMLP(streams int, elems uint32, inter config.InterconnectKind, m Mode) 
 		}
 		return true
 	}
-	if _, err := sys.Kernel.RunUntil(done, runLimit); err != nil {
+	sys, _, err := simulation{cfg: base, attach: place, done: done}.run(ctx)
+	if err != nil {
 		return nil, err
 	}
 	for i := range sts {
@@ -1251,31 +1025,23 @@ func (w CacheWorkload) verify(peek func(uint32) byte) error {
 }
 
 // RunCache runs the E11 workload cached (coherent private L1s) or
-// uncached in kernel mode m, flushes the caches, verifies the final
+// uncached on the base platform, flushes the caches, verifies the final
 // memory image and returns the measurement (cycles taken at workload
 // completion, before the host-requested flush) plus the finished system
 // for differential snapshots.
-func RunCache(w CacheWorkload, cached bool, inter config.InterconnectKind, m Mode) (CacheResult, *config.System, error) {
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind = w.PEs, 1, m.flatKind()
-	cfg.MemBytes, cfg.Interconnect = w.memBytes(), inter
-	cfg.Cache, cfg.Coherent = cached || cfg.L2, cached || cfg.L2
-	sys, err := config.Build(cfg)
-	if err != nil {
-		return CacheResult{}, nil, err
-	}
+func RunCache(ctx context.Context, base config.SystemConfig, w CacheWorkload, cached bool, inter config.InterconnectKind) (CacheResult, *config.System, error) {
+	base.Masters, base.Memories, base.MemKind = w.PEs, 1, flatKind(base)
+	base.MemBytes, base.Interconnect = w.memBytes(), inter
+	base.Cache, base.Coherent = cached || base.L2, cached || base.L2
 	tasks := make([]smapi.Task, w.PEs)
 	for p := range tasks {
 		tasks[p] = w.task(p)
 	}
-	if err := sys.AddProcs(tasks...); err != nil {
+	sys, wall, err := simulation{cfg: base, tasks: tasks}.run(ctx)
+	if err != nil {
 		return CacheResult{}, nil, err
 	}
-	start := time.Now()
-	if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-		return CacheResult{}, nil, err
-	}
-	res := CacheResult{Cached: cached, Cycles: sys.Kernel.Cycle(), Wall: time.Since(start)}
+	res := CacheResult{Cached: cached, Cycles: sys.Kernel.Cycle(), Wall: wall}
 	// Aggregate stats before the host-requested drain: FlushAll counts
 	// its evictions as flushes/writebacks too, which would conflate the
 	// terminal drain with genuine snoop-demand traffic.
@@ -1312,12 +1078,12 @@ func E11(o Options) (*stats.Table, error) {
 		name string
 		w    CacheWorkload
 	}{{"locality-heavy", locality}, {"sharing-heavy", sharing}} {
-		base, _, err := RunCache(tc.w, false, config.InterBus, o.mode())
+		base, _, err := RunCache(o.Ctx, o.Base, tc.w, false, config.InterBus)
 		if err != nil {
 			return nil, err
 		}
 		t.Add(tc.name, "off", fmt.Sprint(base.Cycles), base.Wall.Round(time.Millisecond).String(), "-", "-", "-", "-")
-		r, _, err := RunCache(tc.w, true, config.InterBus, o.mode())
+		r, _, err := RunCache(o.Ctx, o.Base, tc.w, true, config.InterBus)
 		if err != nil {
 			return nil, err
 		}
@@ -1420,46 +1186,42 @@ type E12Result struct {
 }
 
 // RunE12 runs the asymmetric two-PE workload behind the shared
-// inclusive L2 under the given partition policy, in kernel mode m
-// (whose DRAM axis selects the memory model), drains the hierarchy and
-// verifies the exact final image.
-func RunE12(w E12Workload, part cache.PartitionKind, m Mode) (E12Result, *config.System, error) {
-	m.L2, m.Partition = true, part
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind = 2, 1, m.flatKind()
+// inclusive L2 under the given partition policy on the base platform
+// (whose MemKind selects static or DRAM backing, see flatKind), drains
+// the hierarchy and verifies the exact final image.
+func RunE12(ctx context.Context, base config.SystemConfig, w E12Workload, part cache.PartitionKind) (E12Result, *config.System, error) {
+	cfg := base
+	cfg.L2, cfg.Cache, cfg.Coherent, cfg.Partition = true, true, true, part
+	cfg.Masters, cfg.Memories, cfg.MemKind = 2, 1, flatKind(base)
 	cfg.MemBytes = w.memBytes()
 	// Tiny L1s so the reuse loop's traffic reaches the L2; a 4-set ×
 	// 4-way L2 whose per-set capacity the two working sets fight over.
 	cfg.CacheSets, cfg.CacheWays = 2, 1
 	cfg.L2Sets, cfg.L2Ways, cfg.L2LineBytes = 4, 4, 64
 	cfg.UCPPeriod = 128
-	if m.DRAM {
+	if cfg.MemKind == config.MemDRAM {
 		// Periodic refresh on, so the E12 DRAM legs (and the scheduler
 		// differential matrix over them) exercise the stall window.
 		cfg.DRAMRefreshPeriod, cfg.DRAMRefreshCycles = 4096, 64
 	}
-	sys, err := config.Build(cfg)
+	res := E12Result{Partition: part}
+	// The reuse PE's finish is an observation on the way to full-system
+	// completion, not a stop: a cycle hook records the first cycle after
+	// which it is done — the cycle a run stopping there would end on.
+	watchReuse := func(sys *config.System) error {
+		sys.Kernel.AfterCycle(func(c uint64) {
+			if res.ReuseCycles == 0 && sys.Procs[1].Done() {
+				res.ReuseCycles = c + 1
+			}
+		})
+		return nil
+	}
+	sys, wall, err := simulation{cfg: cfg, tasks: w.tasks(), attach: watchReuse}.run(ctx)
 	if err != nil {
 		return E12Result{}, nil, err
 	}
-	if err := sys.AddProcs(w.tasks()...); err != nil {
-		return E12Result{}, nil, err
-	}
-	start := time.Now()
-	reuseDone := func() bool { return sys.Procs[1].Done() }
-	if _, err := sys.Kernel.RunUntil(reuseDone, runLimit); err != nil {
-		return E12Result{}, nil, err
-	}
-	res := E12Result{Partition: part, ReuseCycles: sys.Kernel.Cycle()}
-	// Guard: with the predicate already true, the event-driven scheduler
-	// would skip the whole budget before checking it.
-	if !sys.ProcsDone() {
-		if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-			return E12Result{}, nil, err
-		}
-	}
 	res.TotalCycles = sys.Kernel.Cycle()
-	res.Wall = time.Since(start)
+	res.Wall = wall
 	res.L2 = sys.L2.Stats()
 	if len(sys.DRAMs) > 0 {
 		res.DRAM = sys.DRAMs[0].Stats()
@@ -1485,16 +1247,12 @@ func E12(o Options) (*stats.Table, error) {
 		fmt.Sprintf("E12: shared-L2 way partitioning — stream (%d lines/pass) vs reuse loop (%d lines), 4-set × 4-way L2",
 			w.ThrashLines, w.ReuseLines),
 		"memory", "partition", "reuse-PE cycles", "total cycles", "wall", "L2 hit rate", "repartitions", "back-inv", "recovery")
-	for _, dram := range []bool{false, true} {
-		memName := "static"
-		if dram {
-			memName = "dram"
-		}
+	for _, kind := range []config.MemKind{config.MemStatic, config.MemDRAM} {
 		var base uint64
 		for _, part := range []cache.PartitionKind{cache.PartNone, cache.PartSWP, cache.PartUCP} {
-			m := o.mode()
-			m.DRAM = dram
-			r, _, err := RunE12(w, part, m)
+			cfg := o.Base
+			cfg.MemKind = kind
+			r, _, err := RunE12(o.Ctx, cfg, w, part)
 			if err != nil {
 				return nil, err
 			}
@@ -1504,7 +1262,7 @@ func E12(o Options) (*stats.Table, error) {
 			} else {
 				rec = fmt.Sprintf("%.2fx", float64(base)/float64(r.ReuseCycles))
 			}
-			t.Add(memName, part.String(), fmt.Sprint(r.ReuseCycles), fmt.Sprint(r.TotalCycles),
+			t.Add(kind.String(), part.String(), fmt.Sprint(r.ReuseCycles), fmt.Sprint(r.TotalCycles),
 				r.Wall.Round(time.Millisecond).String(),
 				fmt.Sprintf("%.1f%%", 100*r.L2.HitRate()),
 				fmt.Sprint(r.L2.Repartitions), fmt.Sprint(r.L2.BackInvalidations), rec)
@@ -1533,8 +1291,8 @@ func E10Elems(o Options) uint32 { return uint32(o.pick(4096, 768)) }
 func E10(o Options) (*stats.Table, error) {
 	elems := E10Elems(o)
 	streams := E10Streams()
-	policies := []alloc.Kind{o.Alloc}
-	if !o.Quick && o.Alloc == alloc.Default {
+	policies := []alloc.Kind{o.Base.AllocPolicy}
+	if !o.Quick && o.Base.AllocPolicy == alloc.Default {
 		policies = []alloc.Kind{alloc.Default, alloc.Segregated}
 	}
 	t := stats.NewTable(
@@ -1543,11 +1301,11 @@ func E10(o Options) (*stats.Table, error) {
 		"interconnect", "protocol", "alloc", "depth", "sim cycles", "wall", "speedup vs d=1")
 	for _, inter := range []config.InterconnectKind{config.InterBus, config.InterCrossbar} {
 		for _, pol := range policies {
-			mode := o.mode()
-			mode.Alloc = pol
+			cfg := o.Base
+			cfg.AllocPolicy = pol
 			// Reference: the occupied single-outstanding protocol.
-			mode.Depth, mode.Split = 1, false
-			ref, err := RunMLP(streams, elems, inter, mode)
+			cfg.OutstandingDepth, cfg.SplitBus = 1, false
+			ref, err := RunMLP(o.Ctx, cfg, streams, elems, inter)
 			if err != nil {
 				return nil, err
 			}
@@ -1555,8 +1313,8 @@ func E10(o Options) (*stats.Table, error) {
 				fmt.Sprint(ref.Cycles), ref.Wall.Round(time.Millisecond).String(), "-")
 			var base stats.RunResult
 			for _, depth := range []int{1, 2, 4, 8} {
-				mode.Depth, mode.Split = depth, true
-				r, err := RunMLP(streams, elems, inter, mode)
+				cfg.OutstandingDepth, cfg.SplitBus = depth, true
+				r, err := RunMLP(o.Ctx, cfg, streams, elems, inter)
 				if err != nil {
 					return nil, err
 				}

@@ -18,11 +18,11 @@ var quick = Options{Quick: true}
 func TestE1ShapeHolds(t *testing.T) {
 	// The multi-memory configuration must simulate slower per cycle (the
 	// paper's degradation) while the simulated cycle counts stay close.
-	one, err := RunGSMISS(4, 1, 6, Mode{})
+	one, err := RunGSMISS(nil, config.SystemConfig{}, 4, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := RunGSMISS(4, 4, 6, Mode{})
+	four, err := RunGSMISS(nil, config.SystemConfig{}, 4, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestE3HeapsimSlower(t *testing.T) {
 		MinDim: 8, MaxDim: 128, DType: bus.U32,
 		Mix: trace.Mix{Alloc: 30, Free: 28, Read: 21, Write: 21},
 	})
-	wrap, _, err := RunTrace(config.MemWrapper, tr, trace.ModeDynamic, 1<<22, Mode{})
+	wrap, _, err := RunTrace(nil, config.SystemConfig{}, config.MemWrapper, tr, trace.ModeDynamic, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, _, err := RunTrace(config.MemHeapSim, tr, trace.ModeDynamic, 1<<22, Mode{})
+	heap, _, err := RunTrace(nil, config.SystemConfig{}, config.MemHeapSim, tr, trace.ModeDynamic, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestE9PolicyShape(t *testing.T) {
 func TestE10MLPAcceptance(t *testing.T) {
 	elems := E10Elems(Options{Quick: true})
 	streams := E10Streams()
-	ref, err := RunMLP(streams, elems, config.InterBus, Mode{Depth: 1})
+	ref, err := RunMLP(nil, config.SystemConfig{OutstandingDepth: 1}, streams, elems, config.InterBus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := RunMLP(streams, elems, config.InterBus, Mode{Depth: 4, Split: true})
+	deep, err := RunMLP(nil, config.SystemConfig{OutstandingDepth: 4, SplitBus: true}, streams, elems, config.InterBus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestE10MLPAcceptance(t *testing.T) {
 	} else {
 		t.Logf("depth-4 split bus: %.2fx (%d → %d cycles)", ratio, ref.Cycles, deep.Cycles)
 	}
-	x1, err := RunMLP(streams, elems, config.InterCrossbar, Mode{Depth: 1, Split: true})
+	x1, err := RunMLP(nil, config.SystemConfig{OutstandingDepth: 1, SplitBus: true}, streams, elems, config.InterCrossbar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x4, err := RunMLP(streams, elems, config.InterCrossbar, Mode{Depth: 4, Split: true})
+	x4, err := RunMLP(nil, config.SystemConfig{OutstandingDepth: 4, SplitBus: true}, streams, elems, config.InterCrossbar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestE10Table(t *testing.T) {
 // protocol. Quick-sized so CI replays it on every run.
 func TestE11CacheAcceptance(t *testing.T) {
 	locality, sharing := E11Workload(Options{Quick: true})
-	base, _, err := RunCache(locality, false, config.InterBus, Mode{})
+	base, _, err := RunCache(nil, config.SystemConfig{}, locality, false, config.InterBus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, _, err := RunCache(locality, true, config.InterBus, Mode{})
+	cached, _, err := RunCache(nil, config.SystemConfig{}, locality, true, config.InterBus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestE11CacheAcceptance(t *testing.T) {
 	if cached.HitRate() < 0.5 {
 		t.Errorf("locality-heavy hit rate %.1f%% implausibly low", 100*cached.HitRate())
 	}
-	share, _, err := RunCache(sharing, true, config.InterBus, Mode{})
+	share, _, err := RunCache(nil, config.SystemConfig{}, sharing, true, config.InterBus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +273,11 @@ func TestE11Table(t *testing.T) {
 // utility monitors amortize their warm-up.
 func TestE12PartitionAcceptance(t *testing.T) {
 	w := E12Params(Options{})
-	lru, _, err := RunE12(w, cache.PartNone, Mode{})
+	lru, _, err := RunE12(nil, config.SystemConfig{}, w, cache.PartNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ucp, _, err := RunE12(w, cache.PartUCP, Mode{})
+	ucp, _, err := RunE12(nil, config.SystemConfig{}, w, cache.PartUCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestE12PartitionAcceptance(t *testing.T) {
 			100*ucp.L2.HitRate(), 100*lru.L2.HitRate(), ucp.L2.Repartitions)
 	}
 	// The DRAM leg must stay correct and exercise the bank model.
-	dr, _, err := RunE12(w, cache.PartUCP, Mode{DRAM: true})
+	dr, _, err := RunE12(nil, config.SystemConfig{MemKind: config.MemDRAM}, w, cache.PartUCP)
 	if err != nil {
 		t.Fatal(err)
 	}

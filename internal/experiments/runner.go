@@ -8,12 +8,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/cache"
 	"repro/internal/config"
-	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -27,23 +25,11 @@ import (
 // (and equal warm snapshots) produce bit-identical results, so a
 // persistent store can answer repeated legs without simulating.
 
-// WithContext returns a copy of the mode whose measured runs honor ctx:
-// RunGSMISS and the warm-boot helpers abort with ctx.Err() at the next
-// chunk boundary after cancellation. The zero mode runs uninterrupted.
-func (m Mode) WithContext(ctx context.Context) Mode {
-	m.ctx = ctx
-	return m
-}
-
-// runUntil is the mode-aware RunUntil every cancellable run site uses.
-func (m Mode) runUntil(k *sim.Kernel, pred func() bool, limit uint64) (uint64, error) {
-	return k.RunUntilCtx(m.ctx, pred, limit)
-}
-
-// LegSpec describes one simulation leg in JSON-friendly terms: the
-// workload, its scale, and the full scheduler/protocol mode — strings
-// where the in-process Mode uses enums. The zero value normalizes to
-// the paper's 4-ISS GSM configuration on one wrapper memory.
+// LegSpec is the JSON face of a simulation: the workload, its scale,
+// and the platform axes a service client may set, each mapped
+// field-to-field onto config.SystemConfig by Config (docs/SERVICE.md
+// tabulates key ↔ flag ↔ field). The zero value normalizes to the
+// paper's 4-ISS GSM configuration on one wrapper memory.
 type LegSpec struct {
 	// Name labels the leg in reports; it does not affect the result and
 	// is excluded from cache keys.
@@ -66,16 +52,16 @@ type LegSpec struct {
 	Workers  int  `json:"workers,omitempty"`
 
 	// Protocol/hierarchy axes (observable).
-	Alloc     string `json:"alloc,omitempty"`     // default | first-fit | best-fit | buddy | segregated
-	Depth     int    `json:"depth,omitempty"`     // outstanding-transaction depth
-	Split     bool   `json:"split,omitempty"`     // split-transaction interconnect
-	OOO       bool   `json:"ooo,omitempty"`       // out-of-order completion delivery
-	Crossbar  bool   `json:"crossbar,omitempty"`  // crossbar instead of shared bus
-	Cache     bool   `json:"cache,omitempty"`     // coherent private L1s
-	L2        bool   `json:"l2,omitempty"`        // shared inclusive L2 (implies cache)
-	Partition string `json:"partition,omitempty"` // none | swp | ucp
-	Dram      bool   `json:"dram,omitempty"`      // banked DRAM under flat workloads
-	ClosePage bool   `json:"close_page,omitempty"`
+	Alloc     alloc.Kind          `json:"alloc,omitempty"`     // default | first-fit | best-fit | buddy | segregated
+	Depth     int                 `json:"depth,omitempty"`     // outstanding-transaction depth
+	Split     bool                `json:"split,omitempty"`     // split-transaction interconnect
+	OOO       bool                `json:"ooo,omitempty"`       // out-of-order completion delivery
+	Crossbar  bool                `json:"crossbar,omitempty"`  // crossbar instead of shared bus
+	Cache     bool                `json:"cache,omitempty"`     // coherent private L1s
+	L2        bool                `json:"l2,omitempty"`        // shared inclusive L2 (implies cache)
+	Partition cache.PartitionKind `json:"partition,omitempty"` // none | swp | ucp (meaningful only with l2)
+	Dram      bool                `json:"dram,omitempty"`      // banked DRAM under flat workloads
+	ClosePage bool                `json:"close_page,omitempty"`
 
 	// Optional geometry overrides (zero = package defaults).
 	CacheSets int    `json:"cache_sets,omitempty"`
@@ -144,95 +130,57 @@ func (l LegSpec) Validate() error {
 	if n.L2 && n.Workload != "sweep" {
 		return fmt.Errorf("leg %q: l2 requires the sweep workload (the L2 caches flat memories only)", l.Name)
 	}
-	if _, err := n.Mode(); err != nil {
-		return fmt.Errorf("leg %q: %w", l.Name, err)
-	}
 	return nil
 }
 
-// Mode translates the spec's string axes into the in-process Mode.
-func (l LegSpec) Mode() (Mode, error) {
-	var m Mode
-	m.Lockstep, m.Workers = l.Lockstep, l.Workers
-	m.Depth, m.Split, m.OOO, m.Cache = l.Depth, l.Split, l.OOO, l.Cache
-	m.L2, m.DRAM, m.ClosePage = l.L2, l.Dram, l.ClosePage
-	if l.Alloc != "" {
-		kind, err := alloc.ParseKind(l.Alloc)
-		if err != nil {
-			return Mode{}, err
-		}
-		m.Alloc = kind
-	}
-	switch l.Partition {
-	case "", "none":
-		m.Partition = cache.PartNone
-	case "swp":
-		m.Partition = cache.PartSWP
-	case "ucp":
-		m.Partition = cache.PartUCP
-	default:
-		return Mode{}, fmt.Errorf("unknown partition %q (want none, swp or ucp)", l.Partition)
-	}
-	return m, nil
-}
-
-// Config builds the full SystemConfig the leg runs on. The workload
-// selects the memory kind: gsm allocates, so it needs wrappers; sweep
-// targets the flat (cacheable) memories.
+// Config maps the spec onto the SystemConfig the leg runs on, field to
+// field. The workload selects the memory kind: gsm allocates, so it
+// needs wrappers; sweep targets the flat (cacheable) memories.
 func (l LegSpec) Config() (config.SystemConfig, error) {
 	n := l.Normalized()
-	m, err := n.Mode()
-	if err != nil {
-		return config.SystemConfig{}, err
+	cached := n.Cache || n.L2
+	cfg := config.SystemConfig{
+		Masters: n.ISSes, Memories: n.Memories,
+		Lockstep: n.Lockstep, Workers: n.Workers,
+		AllocPolicy:      n.Alloc,
+		OutstandingDepth: n.Depth, SplitBus: n.Split, OutOfOrder: n.OOO,
+		Cache: cached, Coherent: cached, L2: n.L2,
+		CacheSets: n.CacheSets, CacheWays: n.CacheWays,
+		L2Sets: n.L2Sets, L2Ways: n.L2Ways, UCPPeriod: n.UCPPeriod,
+		DRAMClosePage: n.ClosePage,
 	}
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories = n.ISSes, n.Memories
-	switch n.Workload {
-	case "gsm":
+	if n.L2 {
+		cfg.Partition = n.Partition
+	}
+	switch {
+	case n.Workload == "gsm":
 		cfg.MemKind = config.MemWrapper
-	case "sweep":
-		cfg.MemKind = m.flatKind()
+	case n.Workload == "sweep" && n.Dram:
+		cfg.MemKind = config.MemDRAM
+	case n.Workload == "sweep":
+		cfg.MemKind = config.MemStatic
 	default:
 		return config.SystemConfig{}, fmt.Errorf("unknown workload %q", n.Workload)
 	}
 	if n.Crossbar {
 		cfg.Interconnect = config.InterCrossbar
 	}
-	cfg.CacheSets, cfg.CacheWays = n.CacheSets, n.CacheWays
-	cfg.L2Sets, cfg.L2Ways = n.L2Sets, n.L2Ways
-	cfg.UCPPeriod = n.UCPPeriod
 	return cfg, nil
 }
 
-// programs assembles the per-ISS workload images.
-func (l LegSpec) programs() ([][]byte, error) {
-	n := l.Normalized()
-	progs := make([][]byte, n.ISSes)
-	for i := 0; i < n.ISSes; i++ {
-		var src string
-		switch n.Workload {
-		case "gsm":
-			src = workload.GSMKernelSource(workload.GSMKernelConfig{
-				Frames: n.Frames, SM: i % n.Memories, Seed: n.Seed + uint32(i),
-			})
-		case "sweep":
-			// Interleaved word ranges, like mpsim -workload sweep:
-			// neighbouring ISSs falsely share every cache line.
-			src = workload.SweepKernelSource(workload.SweepKernelConfig{
-				Iterations: n.Frames, SM: i % n.Memories,
-				Base: 4 * i, Stride: 4 * n.ISSes, Words: 64,
-				Seed: n.Seed + uint32(16*(i+1)),
-			})
-		default:
-			return nil, fmt.Errorf("unknown workload %q", n.Workload)
-		}
-		p, err := isa.Assemble(src)
-		if err != nil {
-			return nil, fmt.Errorf("assemble iss %d: %w", i, err)
-		}
-		progs[i] = p.Code
+// simulation is the run the (normalized) leg describes: its system
+// configuration plus either the warm snapshot to resume from or, for a
+// cold start, the per-ISS program images.
+func (l LegSpec) simulation(warm []byte) (simulation, error) {
+	cfg, err := l.Config()
+	if err != nil {
+		return simulation{}, err
 	}
-	return progs, nil
+	s := simulation{cfg: cfg, warm: warm}
+	if warm == nil {
+		s.progs, err = workload.ISSImages(l.Workload, l.ISSes, l.Memories, l.Frames, l.Seed)
+	}
+	return s, err
 }
 
 // Key is the leg's result-store address: a digest of the full system
@@ -313,65 +261,34 @@ type Runner interface {
 // SimRunner runs legs on the in-process simulator.
 type SimRunner struct{}
 
-// build constructs the leg's system with its programs attached.
-func (SimRunner) build(leg LegSpec) (*config.System, error) {
-	cfg, err := leg.Config()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := config.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	progs, err := leg.programs()
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.AddCPUs(progs...); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
 // RunLeg simulates the leg to completion and returns its result. A
 // non-nil warm snapshot resumes from it (the snapshot must belong to
 // the leg's warm-boot compatibility class) instead of starting cold.
-func (r SimRunner) RunLeg(ctx context.Context, leg LegSpec, warm []byte) (LegResult, error) {
+func (SimRunner) RunLeg(ctx context.Context, leg LegSpec, warm []byte) (LegResult, error) {
 	leg = leg.Normalized()
-	var sys *config.System
-	var err error
-	if warm != nil {
-		cfg, cerr := leg.Config()
-		if cerr != nil {
-			return LegResult{}, cerr
-		}
-		sys, err = config.RestoreSystem(cfg, warm)
-	} else {
-		sys, err = r.build(leg)
-	}
+	s, err := leg.simulation(warm)
 	if err != nil {
 		return LegResult{}, err
 	}
-	res := LegResult{Name: leg.Name, StartCycle: sys.Kernel.Cycle()}
-
+	res := LegResult{Name: leg.Name}
 	var vcdBuf bytes.Buffer
 	var vcd *sim.VCD
-	if leg.VCD {
-		vcd = sim.NewVCD(&vcdBuf, "1ns")
-		vcd.AddVar("bus", "transactions", 32, func() uint64 { return sys.Inter.Stats().Transactions })
-		vcd.AddVar("bus", "words", 32, func() uint64 { return sys.Inter.Stats().Words })
-		sys.Kernel.AfterCycle(vcd.Sample)
+	s.attach = func(sys *config.System) error {
+		res.StartCycle = sys.Kernel.Cycle()
+		if leg.VCD {
+			vcd = sim.NewVCD(&vcdBuf, "1ns")
+			vcd.AddVar("bus", "transactions", 32, func() uint64 { return sys.Inter.Stats().Transactions })
+			vcd.AddVar("bus", "words", 32, func() uint64 { return sys.Inter.Stats().Words })
+			sys.Kernel.AfterCycle(vcd.Sample)
+		}
+		return nil
 	}
-
-	start := time.Now()
-	if _, err := sys.Kernel.RunUntilCtx(ctx, sys.CPUsHalted, runLimit); err != nil {
+	sys, wall, err := s.run(ctx)
+	if err != nil {
 		return LegResult{}, err
 	}
-	res.WallNS = time.Since(start).Nanoseconds()
-	for i, cpu := range sys.CPUs {
-		if cpu.ExitCode() != 0 {
-			return LegResult{}, fmt.Errorf("iss %d exited %#x", i, cpu.ExitCode())
-		}
+	res.WallNS = wall.Nanoseconds()
+	for _, cpu := range sys.CPUs {
 		res.Instructions += cpu.Icount
 	}
 	res.Cycles = sys.Kernel.Cycle()
@@ -387,13 +304,17 @@ func (r SimRunner) RunLeg(ctx context.Context, leg LegSpec, warm []byte) (LegRes
 
 // Warmup runs the leg's warm-up prefix — cycles from cold — and
 // returns the system snapshot at that point.
-func (r SimRunner) Warmup(ctx context.Context, leg LegSpec, cycles uint64) ([]byte, error) {
-	leg = leg.Normalized()
-	sys, err := r.build(leg)
+func (SimRunner) Warmup(ctx context.Context, leg LegSpec, cycles uint64) ([]byte, error) {
+	if cycles == 0 {
+		return nil, fmt.Errorf("warm-up prefix of 0 cycles")
+	}
+	s, err := leg.Normalized().simulation(nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Kernel.RunCtx(ctx, cycles); err != nil {
+	s.cycles = cycles
+	sys, _, err := s.run(ctx)
+	if err != nil {
 		return nil, err
 	}
 	return sys.Snapshot()

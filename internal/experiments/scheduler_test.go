@@ -119,27 +119,27 @@ func snapshot(sys *config.System) sysSnapshot {
 // (workers 1/2/4/8, exercising the shard-local commit, the per-shard
 // wake filter and the subset barrier release) and the ISS fast paths
 // (batching and the decode cache, individually and together).
-var diffModes = []Mode{
-	{Lockstep: true, Workers: 1, NoBatch: true, NoDecodeCache: true},
+var diffModes = []config.SystemConfig{
+	{Lockstep: true, Workers: 1, DisableISSBatch: true, DisableISSDecodeCache: true},
 	{Lockstep: true, Workers: 1},
-	{Lockstep: false, Workers: 1, NoBatch: true, NoDecodeCache: true},
+	{Lockstep: false, Workers: 1, DisableISSBatch: true, DisableISSDecodeCache: true},
 	{Lockstep: false, Workers: 1},
 	{Lockstep: false, Workers: 2},
-	{Lockstep: false, Workers: 4, NoBatch: true},
+	{Lockstep: false, Workers: 4, DisableISSBatch: true},
 	{Lockstep: false, Workers: 8},
 	{Lockstep: true, Workers: 4},
 }
 
-func modeName(m Mode) string {
+func modeName(m config.SystemConfig) string {
 	n := "event-driven"
 	if m.Lockstep {
 		n = "lockstep"
 	}
 	n = fmt.Sprintf("%s/workers=%d", n, m.Workers)
-	if m.NoBatch {
+	if m.DisableISSBatch {
 		n += "/nobatch"
 	}
-	if m.NoDecodeCache {
+	if m.DisableISSDecodeCache {
 		n += "/nodc"
 	}
 	return n
@@ -150,7 +150,7 @@ func modeName(m Mode) string {
 // committed testdata/schedref.json, compares every other mode's snapshot
 // against that reference, and returns the event-driven sequential
 // kernel's scheduling stats so callers can assert skipping engaged.
-func runBoth(t *testing.T, name string, scenario func(m Mode) (*config.System, error)) sim.SchedStats {
+func runBoth(t *testing.T, name string, scenario func(m config.SystemConfig) (*config.System, error)) sim.SchedStats {
 	t.Helper()
 	var ref sysSnapshot
 	var sched sim.SchedStats
@@ -185,8 +185,8 @@ func runBoth(t *testing.T, name string, scenario func(m Mode) (*config.System, e
 func TestSchedDiffGSMISS(t *testing.T) {
 	for _, tc := range []struct{ nISS, nMem int }{{1, 1}, {4, 1}, {4, 4}} {
 		name := fmt.Sprintf("gsm-iss-%dx%d", tc.nISS, tc.nMem)
-		runBoth(t, name, func(m Mode) (*config.System, error) {
-			cfg := m.sysConfig()
+		runBoth(t, name, func(m config.SystemConfig) (*config.System, error) {
+			cfg := m
 			cfg.Masters, cfg.Memories, cfg.MemKind = tc.nISS, tc.nMem, config.MemWrapper
 			sys, err := config.Build(cfg)
 			if err != nil {
@@ -215,8 +215,8 @@ func TestSchedDiffGSMISS(t *testing.T) {
 
 // TestSchedDiffCrossbar is the A1 ablation topology.
 func TestSchedDiffCrossbar(t *testing.T) {
-	runBoth(t, "crossbar", func(m Mode) (*config.System, error) {
-		cfg := m.sysConfig()
+	runBoth(t, "crossbar", func(m config.SystemConfig) (*config.System, error) {
+		cfg := m
 		cfg.Masters, cfg.Memories, cfg.MemKind = 2, 2, config.MemWrapper
 		cfg.Interconnect = config.InterCrossbar
 		sys, err := config.Build(cfg)
@@ -247,9 +247,9 @@ func TestSchedDiffCrossbar(t *testing.T) {
 // codec on native PEs.
 func TestSchedDiffPipeline(t *testing.T) {
 	const frames = 3
-	runBoth(t, "gsm-pipeline", func(m Mode) (*config.System, error) {
+	runBoth(t, "gsm-pipeline", func(m config.SystemConfig) (*config.System, error) {
 		tasks, res := gsm.BuildPipeline(gsm.PipelineConfig{Frames: frames, Seed: 42, NumSM: 2})
-		cfg := m.sysConfig()
+		cfg := m
 		cfg.Masters, cfg.Memories, cfg.MemKind = 4, 2, config.MemWrapper
 		sys, err := config.Build(cfg)
 		if err != nil {
@@ -288,8 +288,8 @@ func TestSchedDiffTraceReplay(t *testing.T) {
 		{"static", config.MemStatic, trace.ModeStatic, false},
 		{"heapsim", config.MemHeapSim, trace.ModeDynamic, false},
 	} {
-		sched := runBoth(t, "trace-"+tc.name, func(m Mode) (*config.System, error) {
-			cfg := m.sysConfig()
+		sched := runBoth(t, "trace-"+tc.name, func(m config.SystemConfig) (*config.System, error) {
+			cfg := m
 			cfg.Masters, cfg.Memories, cfg.MemKind = 1, 1, tc.kind
 			cfg.MemBytes = 1 << 22
 			if tc.heavy {
@@ -317,9 +317,9 @@ func TestSchedDiffTraceReplay(t *testing.T) {
 // TestSchedDiffDMA wires the heterogeneous-master topology: a native PE
 // staging buffers, a DMA engine copying between two wrappers.
 func TestSchedDiffDMA(t *testing.T) {
-	runBoth(t, "dma", func(m Mode) (*config.System, error) {
+	runBoth(t, "dma", func(m config.SystemConfig) (*config.System, error) {
 		delays := evDelays()
-		cfg := m.sysConfig()
+		cfg := m
 		cfg.Masters, cfg.Memories, cfg.MemKind = 2, 2, config.MemWrapper
 		cfg.WrapperDelays = &delays
 		sys, err := config.Build(cfg)
@@ -398,8 +398,8 @@ func TestSchedDiffDMAEdges(t *testing.T) {
 	} {
 		for _, depth := range []int{1, 4} {
 			name := fmt.Sprintf("dma-%s-d%d", tc.name, depth)
-			runBoth(t, name, func(m Mode) (*config.System, error) {
-				cfg := m.sysConfig()
+			runBoth(t, name, func(m config.SystemConfig) (*config.System, error) {
+				cfg := m
 				cfg.Masters, cfg.Memories, cfg.MemKind = 1, 2, config.MemWrapper
 				cfg.OutstandingDepth, cfg.SplitBus = depth, depth > 1
 				sys, err := config.Build(cfg)
@@ -440,7 +440,7 @@ func TestSchedDiffDMAEdges(t *testing.T) {
 // contending on one reserved buffer with sleep-based backoff.
 func TestSchedDiffReservation(t *testing.T) {
 	const pes, sections = 3, 12
-	runBoth(t, "reservation", func(m Mode) (*config.System, error) {
+	runBoth(t, "reservation", func(m config.SystemConfig) (*config.System, error) {
 		var vptr uint32
 		var ready bool
 		var doneCount int
@@ -478,7 +478,7 @@ func TestSchedDiffReservation(t *testing.T) {
 		for j := 0; j < pes; j++ {
 			tasks = append(tasks, worker)
 		}
-		cfg := m.sysConfig()
+		cfg := m
 		cfg.Masters, cfg.Memories, cfg.MemKind = pes+1, 1, config.MemWrapper
 		sys, err := config.Build(cfg)
 		if err != nil {
@@ -504,7 +504,7 @@ func TestSchedDiffVCD(t *testing.T) {
 	dumps := make([]bytes.Buffer, len(diffModes))
 	for i, m := range diffModes {
 		delays := evDelays()
-		cfg := m.sysConfig()
+		cfg := m
 		cfg.Masters, cfg.Memories, cfg.MemKind = 1, 1, config.MemWrapper
 		cfg.WrapperDelays = &delays
 		sys, err := config.Build(cfg)
@@ -543,7 +543,7 @@ func TestSchedDiffExperimentSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite replay")
 	}
-	o := Options{Quick: true, Lockstep: true}
+	o := Options{Quick: true, Base: config.SystemConfig{Lockstep: true}}
 	if _, err := E1(o); err != nil {
 		t.Fatal(err)
 	}
@@ -585,8 +585,8 @@ func TestSchedDiffAllocPolicy(t *testing.T) {
 		{"wrapper-segregated", config.MemWrapper, alloc.Segregated},
 		{"wrapper-bestfit", config.MemWrapper, alloc.BestFit},
 	} {
-		runBoth(t, "alloc-"+tc.name, func(m Mode) (*config.System, error) {
-			cfg := m.sysConfig()
+		runBoth(t, "alloc-"+tc.name, func(m config.SystemConfig) (*config.System, error) {
+			cfg := m
 			cfg.Masters, cfg.Memories, cfg.MemKind = 1, 1, tc.kind
 			cfg.MemBytes = 1 << 22
 			cfg.AllocPolicy = tc.policy
@@ -631,8 +631,8 @@ func TestSchedDiffSplitPort(t *testing.T) {
 		for _, depth := range []int{1, 4} {
 			for _, split := range []bool{false, true} {
 				name := fmt.Sprintf("gsm-%s-d%d-split%v", inter, depth, split)
-				runBoth(t, name, func(m Mode) (*config.System, error) {
-					cfg := m.sysConfig()
+				runBoth(t, name, func(m config.SystemConfig) (*config.System, error) {
+					cfg := m
 					cfg.Masters, cfg.Memories, cfg.MemKind = 4, 4, config.MemWrapper
 					cfg.Interconnect, cfg.OutstandingDepth, cfg.SplitBus = inter, depth, split
 					sys, err := config.Build(cfg)
@@ -677,9 +677,9 @@ func TestSchedDiffMLP(t *testing.T) {
 		{config.InterCrossbar, 4, true},
 	} {
 		name := fmt.Sprintf("mlp-%s-d%d-split%v", tc.inter, tc.depth, tc.split)
-		runBoth(t, name, func(m Mode) (*config.System, error) {
-			m.Depth, m.Split = tc.depth, tc.split
-			sys, err := buildMLP(2, 512, tc.inter, m)
+		runBoth(t, name, func(m config.SystemConfig) (*config.System, error) {
+			m.OutstandingDepth, m.SplitBus = tc.depth, tc.split
+			sys, err := buildMLP(nil, m, 2, 512, tc.inter)
 			if err != nil {
 				return nil, err
 			}
@@ -712,9 +712,9 @@ func TestSchedDiffCache(t *testing.T) {
 		{"sharing-bus-d4-split", sharing, config.InterBus, 4, true},
 		{"sharing-xbar-d4-split", sharing, config.InterCrossbar, 4, true},
 	} {
-		runBoth(t, "cache-"+tc.name, func(m Mode) (*config.System, error) {
-			m.Depth, m.Split = tc.depth, tc.split
-			r, sys, err := RunCache(tc.w, true, tc.inter, m)
+		runBoth(t, "cache-"+tc.name, func(m config.SystemConfig) (*config.System, error) {
+			m.OutstandingDepth, m.SplitBus = tc.depth, tc.split
+			r, sys, err := RunCache(nil, m, tc.w, true, tc.inter)
 			if err != nil {
 				return nil, err
 			}
@@ -749,9 +749,12 @@ func TestSchedDiffL2(t *testing.T) {
 		{"dram-open-ucp", cache.PartUCP, true, false},
 		{"dram-close-lru", cache.PartNone, true, true},
 	} {
-		runBoth(t, "l2-"+tc.name, func(m Mode) (*config.System, error) {
-			m.DRAM, m.ClosePage = tc.dram, tc.closePage
-			r, sys, err := RunE12(w, tc.part, m)
+		runBoth(t, "l2-"+tc.name, func(m config.SystemConfig) (*config.System, error) {
+			if tc.dram {
+				m.MemKind = config.MemDRAM
+			}
+			m.DRAMClosePage = tc.closePage
+			r, sys, err := RunE12(nil, m, w, tc.part)
 			if err != nil {
 				return nil, err
 			}
@@ -765,9 +768,9 @@ func TestSchedDiffL2(t *testing.T) {
 	// private L1s straight onto the DRAM, pinning the DRAM timing model
 	// alone across the kernel-mode matrix.
 	locality, _ := E11Workload(Options{Quick: true})
-	runBoth(t, "l2-off-dram", func(m Mode) (*config.System, error) {
-		m.DRAM = true
-		_, sys, err := RunCache(locality, true, config.InterBus, m)
+	runBoth(t, "l2-off-dram", func(m config.SystemConfig) (*config.System, error) {
+		m.MemKind = config.MemDRAM
+		_, sys, err := RunCache(nil, m, locality, true, config.InterBus)
 		if err != nil {
 			return nil, err
 		}
@@ -787,9 +790,9 @@ func TestSchedDiffCacheTraceReplay(t *testing.T) {
 		MinDim: 4, MaxDim: 64, DType: bus.U32, Mix: trace.DefaultMix(), PtrArithPct: 20,
 	})
 	for _, ooo := range []bool{false, true} {
-		runBoth(t, fmt.Sprintf("cache-trace-ooo=%v", ooo), func(m Mode) (*config.System, error) {
-			m.Cache, m.OOO = true, ooo
-			_, sys, err := RunTrace(config.MemStatic, tr, trace.ModeStatic, 0, m)
+		runBoth(t, fmt.Sprintf("cache-trace-ooo=%v", ooo), func(m config.SystemConfig) (*config.System, error) {
+			m.Cache, m.Coherent, m.OutOfOrder = true, true, ooo
+			_, sys, err := RunTrace(nil, m, config.MemStatic, tr, trace.ModeStatic, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -31,12 +31,12 @@ import (
 // fail loudly with a sectioned error, never load garbage.
 
 // snapDiffModes is the restore-side scheduler matrix.
-var snapDiffModes = []Mode{
+var snapDiffModes = []config.SystemConfig{
 	{Lockstep: true, Workers: 1},
 	{Lockstep: true, Workers: 4},
 	{Lockstep: false, Workers: 1},
 	{Lockstep: false, Workers: 4},
-	{Lockstep: false, Workers: 1, NoBatch: true, NoDecodeCache: true},
+	{Lockstep: false, Workers: 1, DisableISSBatch: true, DisableISSDecodeCache: true},
 }
 
 // cacheTrafficSource is the scalar load/store sweep against static
@@ -56,22 +56,22 @@ func cacheTrafficSource(iters, base, stride, n, seed int) string {
 // verify checks golden outcomes on a finished system.
 type snapScenario struct {
 	name   string
-	cfg    func(m Mode) config.SystemConfig
-	build  func(m Mode) (*config.System, error)
+	cfg    func(m config.SystemConfig) config.SystemConfig
+	build  func(m config.SystemConfig) (*config.System, error)
 	done   func(sys *config.System) func() bool
 	verify func(sys *config.System) error
 }
 
 func gsmSnapScenario() snapScenario {
-	cfg := func(m Mode) config.SystemConfig {
-		c := m.sysConfig()
+	cfg := func(m config.SystemConfig) config.SystemConfig {
+		c := m
 		c.Masters, c.Memories, c.MemKind = 2, 2, config.MemWrapper
 		return c
 	}
 	return snapScenario{
 		name: "gsm-wrapper",
 		cfg:  cfg,
-		build: func(m Mode) (*config.System, error) {
+		build: func(m config.SystemConfig) (*config.System, error) {
 			sys, err := config.Build(cfg(m))
 			if err != nil {
 				return nil, err
@@ -104,8 +104,8 @@ func gsmSnapScenario() snapScenario {
 }
 
 func cacheSnapScenario() snapScenario {
-	cfg := func(m Mode) config.SystemConfig {
-		c := m.sysConfig()
+	cfg := func(m config.SystemConfig) config.SystemConfig {
+		c := m
 		c.Masters, c.Memories, c.MemKind = 2, 1, config.MemStatic
 		c.Cache, c.Coherent = true, true
 		return c
@@ -113,7 +113,7 @@ func cacheSnapScenario() snapScenario {
 	return snapScenario{
 		name: "cache-static",
 		cfg:  cfg,
-		build: func(m Mode) (*config.System, error) {
+		build: func(m config.SystemConfig) (*config.System, error) {
 			sys, err := config.Build(cfg(m))
 			if err != nil {
 				return nil, err
@@ -159,8 +159,8 @@ func cacheSnapScenario() snapScenario {
 // end and the engine strictly alternates read and write.
 func dmaSnapScenario(name string, inter config.InterconnectKind, pipelined bool) snapScenario {
 	const elems = 256
-	cfg := func(m Mode) config.SystemConfig {
-		c := m.sysConfig()
+	cfg := func(m config.SystemConfig) config.SystemConfig {
+		c := m
 		c.Masters, c.Memories, c.MemKind = 1, 2, config.MemWrapper
 		c.Interconnect = inter
 		if pipelined {
@@ -171,7 +171,7 @@ func dmaSnapScenario(name string, inter config.InterconnectKind, pipelined bool)
 	return snapScenario{
 		name: name,
 		cfg:  cfg,
-		build: func(m Mode) (*config.System, error) {
+		build: func(m config.SystemConfig) (*config.System, error) {
 			sys, err := config.Build(cfg(m))
 			if err != nil {
 				return nil, err
@@ -229,8 +229,8 @@ func dmaSnapScenario(name string, inter config.InterconnectKind, pipelined bool)
 // DRAM's row-buffer registers and refresh phase are all live — the
 // restore matrix proves every one of them round-trips bit-identically.
 func l2dramSnapScenario() snapScenario {
-	cfg := func(m Mode) config.SystemConfig {
-		c := m.sysConfig()
+	cfg := func(m config.SystemConfig) config.SystemConfig {
+		c := m
 		c.Masters, c.Memories, c.MemKind = 2, 1, config.MemDRAM
 		c.Cache, c.Coherent, c.L2 = true, true, true
 		c.CacheSets, c.CacheWays = 2, 1
@@ -243,7 +243,7 @@ func l2dramSnapScenario() snapScenario {
 	return snapScenario{
 		name: "l2-dram-ucp",
 		cfg:  cfg,
-		build: func(m Mode) (*config.System, error) {
+		build: func(m config.SystemConfig) (*config.System, error) {
 			sys, err := config.Build(cfg(m))
 			if err != nil {
 				return nil, err
@@ -284,7 +284,7 @@ func l2dramSnapScenario() snapScenario {
 // straightRun runs the scenario uninterrupted in mode m, checks its
 // golden outcomes, pins its observables against the committed reference
 // and returns them: what every checkpointed run must land on.
-func (sc snapScenario) straightRun(t *testing.T, m Mode) sysSnapshot {
+func (sc snapScenario) straightRun(t *testing.T, m config.SystemConfig) sysSnapshot {
 	t.Helper()
 	sys, err := sc.build(m)
 	if err != nil {
@@ -313,7 +313,7 @@ func (sc snapScenario) straightRun(t *testing.T, m Mode) sysSnapshot {
 // also exercises the in-place RestoreSnapshot path on an
 // identically-built system.
 func TestSchedDiffSnapshot(t *testing.T) {
-	refMode := Mode{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
 	for _, sc := range []snapScenario{
 		gsmSnapScenario(), cacheSnapScenario(), l2dramSnapScenario(),
 		dmaSnapScenario("dma-mlp", config.InterBus, true),
@@ -382,7 +382,7 @@ func TestSchedDiffSnapshot(t *testing.T) {
 // Each checkpoint resumes under one mode of the restore matrix (rotating)
 // and must land on the straight run's observables.
 func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
-	refMode := Mode{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
 	for _, sc := range []snapScenario{
 		dmaSnapScenario("dma-serial-bus", config.InterBus, false),
 		dmaSnapScenario("dma-serial-xbar", config.InterCrossbar, false),
@@ -425,7 +425,7 @@ func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
 // pointer so the same variables keep sampling after the swap.
 func TestSchedDiffSnapshotVCD(t *testing.T) {
 	sc := gsmSnapScenario()
-	refMode := Mode{Lockstep: false, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: false, Workers: 1}
 
 	probeVCD := func(buf *bytes.Buffer, cur **config.System) *sim.VCD {
 		vcd := sim.NewVCD(buf, "1ns")
@@ -491,7 +491,7 @@ func TestSchedDiffSnapshotVCD(t *testing.T) {
 // message — and never restore partial state silently.
 func TestSnapshotFailureModes(t *testing.T) {
 	sc := gsmSnapScenario()
-	refMode := Mode{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
 	sys, err := sc.build(refMode)
 	if err != nil {
 		t.Fatal(err)
@@ -539,7 +539,7 @@ func TestSnapshotFailureModes(t *testing.T) {
 		}
 	})
 	t.Run("scheduler-knobs-compatible", func(t *testing.T) {
-		other := sc.cfg(Mode{Lockstep: false, Workers: 4, NoBatch: true})
+		other := sc.cfg(config.SystemConfig{Lockstep: false, Workers: 4, DisableISSBatch: true})
 		if _, err := config.RestoreSystem(other, data); err != nil {
 			t.Fatalf("scheduler-only change rejected: %v", err)
 		}
@@ -549,7 +549,7 @@ func TestSnapshotFailureModes(t *testing.T) {
 			Seed: 7, Events: 50, Slots: 8, NumSM: 1,
 			MinDim: 4, MaxDim: 16, DType: bus.U32, Mix: trace.DefaultMix(),
 		})
-		cfg := refMode.sysConfig()
+		cfg := refMode
 		cfg.Masters, cfg.Memories, cfg.MemKind = 1, 1, config.MemWrapper
 		psys, err := config.Build(cfg)
 		if err != nil {

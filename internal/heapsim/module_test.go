@@ -18,7 +18,7 @@ type harness struct {
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	k := sim.New()
-	link := bus.NewLink(k, "t")
+	link := bus.NewPort(k, "t", bus.PortConfig{})
 	m, err := NewHeapMem(k, cfg, link)
 	if err != nil {
 		t.Fatalf("NewHeapMem: %v", err)
@@ -157,7 +157,7 @@ func TestHeapMemWordLatencyScalesCost(t *testing.T) {
 
 func TestHeapMemDefaults(t *testing.T) {
 	k := sim.New()
-	l := bus.NewLink(k, "l")
+	l := bus.NewPort(k, "l", bus.PortConfig{})
 	m, err := NewHeapMem(k, Config{ArenaSize: 1024}, l)
 	if err != nil {
 		t.Fatal(err)

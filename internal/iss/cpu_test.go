@@ -38,7 +38,7 @@ func runWithWrapper(t *testing.T, src string, cfg core.Config) (*CPU, *core.Wrap
 		t.Fatalf("assemble: %v", err)
 	}
 	k := sim.New()
-	link := bus.NewLink(k, "cpu-mem")
+	link := bus.NewPort(k, "cpu-mem", bus.PortConfig{})
 	w, err := core.NewWrapper(k, cfg, link)
 	if err != nil {
 		t.Fatal(err)

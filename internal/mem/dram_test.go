@@ -18,7 +18,7 @@ type dramHarness struct {
 func newDRAMHarness(t *testing.T, cfg DRAMConfig) *dramHarness {
 	t.Helper()
 	k := sim.New()
-	link := bus.NewLink(k, "t")
+	link := bus.NewPort(k, "t", bus.PortConfig{})
 	r, err := NewDRAMOn(k, cfg, link)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ type harness struct {
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	k := sim.New()
-	link := bus.NewLink(k, "t")
+	link := bus.NewPort(k, "t", bus.PortConfig{})
 	r := NewStaticRAM(k, cfg, link)
 	return &harness{t: t, k: k, link: link, r: r}
 }

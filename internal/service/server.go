@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -128,13 +129,24 @@ func newJobID() string {
 	return "j" + hex.EncodeToString(b[:])
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body. A maximal legal sweep
+// (maxLegs legs with every key set) is under 32 KiB, so 1 MiB refuses
+// nothing valid while keeping a hostile body from being decoded into
+// memory before maxLegs is ever checked.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		s.m.jobsRejected.Add(1)
-		writeErr(w, http.StatusBadRequest, "malformed sweep: %v", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "malformed sweep: %v", err)
 		return
 	}
 	if err := spec.Validate(); err != nil {

@@ -207,32 +207,40 @@ func TestSubmitPollLifecycle(t *testing.T) {
 
 func TestSubmitRejectsMalformed(t *testing.T) {
 	_, ts := newTestServer(t, &fakeRunner{})
-	for name, body := range map[string]string{
-		"not json":        "{{{",
-		"unknown field":   `{"legz": []}`,
-		"no legs":         `{"legs": []}`,
-		"bad workload":    `{"legs": [{"workload": "quake"}]}`,
-		"bad alloc":       `{"legs": [{"alloc": "yolo"}]}`,
-		"bad partition":   `{"legs": [{"partition": "diag"}]}`,
-		"l2 on gsm":       `{"legs": [{"workload": "gsm", "l2": true}]}`,
-		"dram on gsm":     `{"legs": [{"workload": "gsm", "dram": true}]}`,
-		"negative frames": `{"legs": [{"frames": -4}]}`,
-		"verify w/o warm": `{"legs": [{}], "verify_cold": true}`,
+	// An over-long body is refused unread past the cap — whatever it
+	// would have decoded to (this one is a syntactically fine sweep
+	// padded with whitespace).
+	oversized := `{"legs": [{}]` + strings.Repeat(" ", maxSubmitBytes) + `}`
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"not json":        {"{{{", http.StatusBadRequest},
+		"unknown field":   {`{"legz": []}`, http.StatusBadRequest},
+		"no legs":         {`{"legs": []}`, http.StatusBadRequest},
+		"bad workload":    {`{"legs": [{"workload": "quake"}]}`, http.StatusBadRequest},
+		"bad alloc":       {`{"legs": [{"alloc": "yolo"}]}`, http.StatusBadRequest},
+		"bad partition":   {`{"legs": [{"partition": "diag"}]}`, http.StatusBadRequest},
+		"l2 on gsm":       {`{"legs": [{"workload": "gsm", "l2": true}]}`, http.StatusBadRequest},
+		"dram on gsm":     {`{"legs": [{"workload": "gsm", "dram": true}]}`, http.StatusBadRequest},
+		"negative frames": {`{"legs": [{"frames": -4}]}`, http.StatusBadRequest},
+		"verify w/o warm": {`{"legs": [{}], "verify_cold": true}`, http.StatusBadRequest},
+		"oversized body":  {oversized, http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
+			if resp.StatusCode != tc.want {
 				b, _ := io.ReadAll(resp.Body)
-				t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, b)
+				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.want, b)
 			}
 		})
 	}
-	if got := metricValue(t, ts, "mpsimd_jobs_rejected_total"); got != 10 {
-		t.Errorf("rejected_total = %v, want 10", got)
+	if got := metricValue(t, ts, "mpsimd_jobs_rejected_total"); got != 11 {
+		t.Errorf("rejected_total = %v, want 11", got)
 	}
 }
 

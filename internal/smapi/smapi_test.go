@@ -18,11 +18,11 @@ func buildSystem(t *testing.T, tasks []Task, wcfg core.Config) (*sim.Kernel, []*
 	var mLinks []*bus.Port
 	var procs []*Proc
 	for i, task := range tasks {
-		l := bus.NewLink(k, "pe")
+		l := bus.NewPort(k, "pe", bus.PortConfig{})
 		mLinks = append(mLinks, l)
 		procs = append(procs, NewProc(k, "pe", i, l, task))
 	}
-	sl := bus.NewLink(k, "mem")
+	sl := bus.NewPort(k, "mem", bus.PortConfig{})
 	w, err := core.NewWrapper(k, wcfg, sl)
 	if err != nil {
 		panic(err)
@@ -335,7 +335,7 @@ func TestRuntimeAssemblyRoundTrip(t *testing.T) {
 		t.Fatalf("assemble: %v", err)
 	}
 	k := sim.New()
-	link := bus.NewLink(k, "cpu-mem")
+	link := bus.NewPort(k, "cpu-mem", bus.PortConfig{})
 	if _, err := core.NewWrapper(k, core.Config{Delays: core.DefaultDelays()}, link); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestRuntimeAssemblyBurst(t *testing.T) {
 		t.Fatalf("assemble: %v", err)
 	}
 	k := sim.New()
-	link := bus.NewLink(k, "cpu-mem")
+	link := bus.NewPort(k, "cpu-mem", bus.PortConfig{})
 	if _, err := core.NewWrapper(k, core.Config{Delays: core.DefaultDelays()}, link); err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,48 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/isa"
 	"repro/internal/smapi"
 )
+
+// ISSImages assembles the program image of every ISS of an n-ISS run of
+// the named workload — "gsm", "traffic" or "sweep" — and is the one
+// place the per-ISS parameters are decided, so the CLI, the experiments
+// and the service run the same software on equal arguments. ISS i
+// targets memory i mod memories; work is the per-ISS amount (GSM frames,
+// traffic or sweep iterations); seed offsets the data each ISS
+// generates.
+func ISSImages(name string, n, memories, work int, seed uint32) ([][]byte, error) {
+	if n < 0 || memories < 1 {
+		return nil, fmt.Errorf("workload: %d ISSs over %d memories", n, memories)
+	}
+	progs := make([][]byte, n)
+	for i := range progs {
+		var src string
+		switch name {
+		case "gsm":
+			src = GSMKernelSource(GSMKernelConfig{Frames: work, SM: i % memories, Seed: seed + uint32(i)})
+		case "traffic":
+			src = TrafficKernelSource(TrafficKernelConfig{Iterations: work, SM: i % memories})
+		case "sweep":
+			// Interleaved word ranges: ISS i owns words i, i+n, i+2n, … —
+			// neighbouring ISSs falsely share every cache line.
+			src = SweepKernelSource(SweepKernelConfig{
+				Iterations: work, SM: i % memories,
+				Base: 4 * i, Stride: 4 * n, Words: 64,
+				Seed: seed + uint32(16*(i+1)),
+			})
+		default:
+			return nil, fmt.Errorf("workload: unknown ISS workload %q (want gsm, traffic or sweep)", name)
+		}
+		p, err := isa.Assemble(src)
+		if err != nil {
+			return nil, fmt.Errorf("workload: assemble iss %d: %w", i, err)
+		}
+		progs[i] = p.Code
+	}
+	return progs, nil
+}
 
 // GSMKernelConfig parameterizes one ISS's program.
 type GSMKernelConfig struct {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bus"
@@ -120,5 +121,50 @@ func TestKernelDefaults(t *testing.T) {
 	}
 	if TrafficKernelSource(TrafficKernelConfig{}) == "" {
 		t.Error("empty source")
+	}
+}
+
+// TestISSImagesParameters pins the per-ISS parameters ISSImages decides
+// — memory i mod memories, GSM seed+i, sweep ranges interleaved word by
+// word — against hand-built sources, and its refusal of what it cannot
+// build.
+func TestISSImagesParameters(t *testing.T) {
+	assemble := func(src string) []byte {
+		p, err := isa.Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Code
+	}
+	gsm, err := ISSImages("gsm", 3, 2, 5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := ISSImages("sweep", 3, 2, 5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic, err := ISSImages("traffic", 3, 2, 5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if want := assemble(GSMKernelSource(GSMKernelConfig{Frames: 5, SM: i % 2, Seed: 7 + uint32(i)})); !bytes.Equal(gsm[i], want) {
+			t.Errorf("gsm image %d differs from its hand-built source", i)
+		}
+		if want := assemble(SweepKernelSource(SweepKernelConfig{
+			Iterations: 5, SM: i % 2, Base: 4 * i, Stride: 12, Words: 64, Seed: 7 + uint32(16*(i+1)),
+		})); !bytes.Equal(sweep[i], want) {
+			t.Errorf("sweep image %d differs from its hand-built source", i)
+		}
+		if want := assemble(TrafficKernelSource(TrafficKernelConfig{Iterations: 5, SM: i % 2})); !bytes.Equal(traffic[i], want) {
+			t.Errorf("traffic image %d differs from its hand-built source", i)
+		}
+	}
+	if _, err := ISSImages("trace", 1, 1, 1, 1); err == nil {
+		t.Error("unknown workload accepted")
+	}
+	if _, err := ISSImages("gsm", 1, 0, 1, 1); err == nil {
+		t.Error("zero memories accepted")
 	}
 }

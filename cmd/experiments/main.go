@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the
-// reproduction (see DESIGN.md §5 and EXPERIMENTS.md). Without flags it
+// reproduction (see EXPERIMENTS.md and README.md). Without flags it
 // runs the full suite; -run selects specific experiments and -quick
 // shrinks workloads for a fast smoke pass.
 //

@@ -21,11 +21,11 @@
 // counts, stats and waveforms — see internal/sim's package
 // documentation for the Sleeper capability and the differential tests
 // in internal/experiments for the equivalence proof. The EV experiment
-// and the BenchmarkEV pair quantify the win on idle-heavy
-// configurations (~2x simulation speed at ~91% skipped cycles).
+// quantifies the win on idle-heavy configurations (~2x simulation
+// speed at ~91% skipped cycles).
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-versus-measured
-// results. The benchmarks in bench_test.go regenerate every experiment;
-// cmd/experiments prints the same tables interactively.
+// See README.md for a tour and the system inventory, and EXPERIMENTS.md
+// for the experiment index and paper-versus-measured results.
+// cmd/experiments regenerates every experiment's table; `go run
+// ./benchmark` is the one source of speed numbers (BENCHMARK.json).
 package repro

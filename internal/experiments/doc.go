@@ -1,15 +1,15 @@
 // Package experiments implements the measurement harness behind every
 // table and figure of EXPERIMENTS.md. Each exported Ex function builds
 // fresh systems, runs seeded workloads, and returns formatted tables;
-// cmd/experiments prints them and the root benchmarks reuse the
-// runners.
+// cmd/experiments prints them and the repo benchmark (./benchmark)
+// reuses the runners.
 //
 // The paper's single quantitative result — a 20% simulation-speed
 // degradation going from one to four wrapper memories under a 4-ISS GSM
 // workload — is experiment E1. The remaining experiments measure the
 // paper's qualitative claims (low overhead, accuracy, large dynamic
-// data, pointer arithmetic, coherence) and the ablations DESIGN.md
-// commits to. See DESIGN.md §5 for the experiment index.
+// data, pointer arithmetic, coherence) and the ablations README.md
+// describes. See EXPERIMENTS.md for the experiment index.
 //
 // # One description, one run path
 //

@@ -792,7 +792,7 @@ func RunChurn(kind alloc.Kind, arenaBytes uint32, ops []workload.ChurnOp) (Churn
 
 // E9Arena returns the arena size E9 runs against; the comb workload is
 // sized to exhaust it and still spend most ops in steady churn.
-// Exported so BenchmarkAlloc replays the identical scenario.
+// Exported so the acceptance test replays the identical scenario.
 func E9Arena(o Options) uint32 { return uint32(o.pick(1<<18, 1<<14)) }
 
 // E9Workload is the adversarial churn E9 measures: the hole-comb
@@ -1271,8 +1271,8 @@ func E12(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// E10Streams and E10Elems size the E10 workload; exported so
-// BenchmarkMLP and the acceptance test replay the identical scenario.
+// E10Streams and E10Elems size the E10 workload; exported so the
+// acceptance test replays the identical scenario.
 func E10Streams() int { return 2 }
 
 // E10Elems returns the per-stream element count.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/trace"
+	"repro/internal/workload"
 
 	"repro/internal/bus"
 )
@@ -40,6 +41,81 @@ func TestE1ShapeHolds(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "degradation") {
 		t.Error("table malformed")
+	}
+}
+
+// TestE1CostIsPerModule is E1's host-independent gate, on its quick
+// legs. Adding wrapper memories must not change what is simulated, only
+// how many modules the kernel ticks per simulated cycle: under lockstep
+// that is every module every cycle, so E1's wall-clock degradation is
+// pure per-module host cost. Event-driven stepping ticks them only on
+// the few cycles it cannot skip.
+func TestE1CostIsPerModule(t *testing.T) {
+	run := func(nMem int, lockstep bool) (*config.System, uint64) {
+		progs, err := workload.ISSImages("gsm", 4, nMem, 4, 1) // E1's quick frames
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, _, err := simulation{
+			cfg:    config.SystemConfig{Masters: 4, Memories: nMem, MemKind: config.MemWrapper, Lockstep: lockstep},
+			progs:  progs,
+			attach: func(sys *config.System) error { sys.Kernel.EnableProfiling(); return nil },
+		}.run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ticks uint64
+		for _, c := range sys.Kernel.ProfileReport() {
+			ticks += c.Ticks
+		}
+		return sys, ticks
+	}
+	var cycles uint64
+	prevMods := 0
+	for _, nMem := range []int{1, 4} {
+		sys, ticks := run(nMem, true)
+		mods := len(sys.Kernel.Modules())
+		if cycles == 0 {
+			cycles = sys.Kernel.Cycle()
+		}
+		if got := sys.Kernel.Cycle(); got != cycles {
+			t.Errorf("lockstep, %d mem: %d cycles, 1 mem: %d", nMem, got, cycles)
+		}
+		if st := sys.Kernel.Sched(); st.Stepped != sys.Kernel.Cycle() {
+			t.Errorf("lockstep, %d mem: stepped %d of %d cycles", nMem, st.Stepped, sys.Kernel.Cycle())
+		}
+		if ticks != uint64(mods)*sys.Kernel.Cycle() {
+			t.Errorf("lockstep, %d mem: %d Tick calls, want %d modules × %d cycles", nMem, ticks, mods, sys.Kernel.Cycle())
+		}
+		if mods <= prevMods {
+			t.Errorf("%d mem: %d modules, not more than %d", nMem, mods, prevMods)
+		}
+		prevMods = mods
+
+		ev, _ := run(nMem, false)
+		if got := ev.Kernel.Cycle(); got != cycles {
+			t.Errorf("event-driven, %d mem: %d cycles, lockstep: %d", nMem, got, cycles)
+		}
+		// Recorded at the commit that introduced this test: 800 of 62597
+		// cycles (1.28%) stepped on both legs.
+		if st := ev.Kernel.Sched(); float64(st.Stepped) > 0.02*float64(cycles) {
+			t.Errorf("event-driven, %d mem: stepped %d of %d cycles, want <= 2%%", nMem, st.Stepped, cycles)
+		}
+	}
+}
+
+// BenchmarkPAR prices the sharded parallel tick engine on E1's
+// four-memory system. CI gates the workers=1 / workers=4 ns/op ratio on
+// a 4-vCPU runner; a single-core host shows no speedup.
+func BenchmarkPAR(b *testing.B) {
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RunGSMISS(nil, config.SystemConfig{Workers: w}, 4, 4, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

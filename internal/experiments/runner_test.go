@@ -315,3 +315,22 @@ func TestRunTraceCancelsMidRun(t *testing.T) {
 		t.Errorf("run polled its context %d times, want it to stop at poll %d", ctx.polls, at)
 	}
 }
+
+// FuzzLegSpecJSON feeds arbitrary bytes through the service's decode
+// path for one leg: JSON → Validate → Key. Each stage must either fail
+// with an error or, for a valid spec, yield a stable key.
+func FuzzLegSpecJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var l LegSpec
+		if json.Unmarshal(data, &l) != nil || l.Validate() != nil {
+			return
+		}
+		k, err := l.Key("")
+		if err != nil {
+			return
+		}
+		if k2, _ := l.Key(""); k == "" || k2 != k {
+			t.Fatalf("key %q then %q for %s", k, k2, data)
+		}
+	})
+}

@@ -350,3 +350,14 @@ func TestInterpolationSmoothsFrameTransition(t *testing.T) {
 		t.Error("zone interpolation has no effect across frames")
 	}
 }
+
+// BenchmarkEncode prices one native codec frame.
+func BenchmarkEncode(b *testing.B) {
+	pcm := Synth(FrameSamples*8, 42)
+	enc := NewEncoder()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := (i % 8) * FrameSamples
+		enc.Encode(pcm[f : f+FrameSamples])
+	}
+}

@@ -257,6 +257,13 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data, err := s.store.GetArtifact(j.ID, name)
+	if err != nil && name == "result.json" {
+		// runJob settles the job before it writes result.json; in that
+		// window serve the bytes it is about to write from the final view.
+		if v := j.View(); v.Finished != nil {
+			data, err = json.MarshalIndent(v, "", "  ")
+		}
+	}
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "no artifact %q for job %s", name, j.ID)
 		return

@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -268,6 +270,37 @@ func TestUnknownJob404s(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("DELETE unknown = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestResultArtifactBeforeWrite covers the window between runJob
+// settling a job and result.json landing in the store: a poller that
+// sees "done" and fetches the artifact at once must get the file's
+// exact bytes, not a 404.
+func TestResultArtifactBeforeWrite(t *testing.T) {
+	srv, ts := newTestServer(t, &fakeRunner{})
+	id, _ := postJob(t, ts, SweepSpec{Legs: []experiments.LegSpec{{Name: "a"}}})
+	pollJob(t, ts, id)
+	var want []byte
+	for deadline := time.Now().Add(10 * time.Second); want == nil; {
+		want, _ = srv.store.GetArtifact(id, "result.json")
+		if time.Now().After(deadline) {
+			t.Fatal("result.json never written")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Put the store back into the state it has just before runJob's write.
+	if err := os.Remove(filepath.Join(srv.store.root, "jobs", id, "result.json")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/artifacts/result.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("GET result.json before write = %d %q, want 200 %q", resp.StatusCode, got, want)
 	}
 }
 

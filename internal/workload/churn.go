@@ -1,9 +1,9 @@
 package workload
 
-// This file is the allocator-workload generator behind experiment E9
-// and BenchmarkAlloc: seeded alloc/free scripts with controllable size
-// mixes, lifetime distributions and adversarial interleavings, replayed
-// against any allocation policy (see internal/alloc). Ops reference
+// This file is the allocator-workload generator behind experiment E9:
+// seeded alloc/free scripts with controllable size mixes, lifetime
+// distributions and adversarial interleavings, replayed against any
+// allocation policy (see internal/alloc). Ops reference
 // abstract slots — the replayer maps slots to whatever addresses the
 // policy under test returns, so one script drives every policy.
 

@@ -26,7 +26,7 @@
 //
 // The churn generator (Churn, ChurnOp) produces seeded alloc/free
 // scripts with controllable size mixes, lifetimes and adversarial
-// interleavings for experiment E9 and BenchmarkAlloc. Ops reference
+// interleavings for experiment E9. Ops reference
 // abstract slots, so one script replays against every allocation policy
 // in internal/alloc regardless of the addresses each policy returns.
 //

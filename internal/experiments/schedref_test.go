@@ -15,8 +15,9 @@ import (
 // scheduler_test.go and snapshot_test.go compares kernel modes against
 // each other at one commit; testdata/schedref.json additionally records
 // each scenario's reference observables (cycles, every module's stats,
-// DMA outcomes, VCD hashes), so a refactor of an FSM that moves every
-// mode by the same cycle is caught too. A commit that intends to change
+// DMA outcomes, VCD hashes, mid-flight snapshot hashes), so a refactor
+// of an FSM that moves every mode by the same cycle, or of a state
+// encoding, is caught too. A commit that intends to change
 // a scenario re-records it with -update and names it, with the reason,
 // under "exceptions" in the file.
 
@@ -35,6 +36,9 @@ type schedRef struct {
 	Scenarios map[string]json.RawMessage `json:"scenarios"`
 	// VCD maps a traced scenario to the SHA-256 of its waveform dump.
 	VCD map[string]json.RawMessage `json:"vcd"`
+	// Snapshots maps a snapshot scenario to the length and SHA-256 of its
+	// mid-flight snapshot, pinning the state encoding byte for byte.
+	Snapshots map[string]json.RawMessage `json:"snapshots"`
 }
 
 var schedRefData schedRef
@@ -52,7 +56,7 @@ func TestMain(m *testing.M) {
 		fmt.Fprintf(os.Stderr, "%v (record it with: go test ./internal/experiments -update)\n", err)
 		os.Exit(2)
 	}
-	for _, sec := range []*map[string]json.RawMessage{&schedRefData.Exceptions, &schedRefData.Scenarios, &schedRefData.VCD} {
+	for _, sec := range []*map[string]json.RawMessage{&schedRefData.Exceptions, &schedRefData.Scenarios, &schedRefData.VCD, &schedRefData.Snapshots} {
 		if *sec == nil {
 			*sec = map[string]json.RawMessage{}
 		}
@@ -95,7 +99,8 @@ func writeSchedRef() error {
 	b.WriteString("{\n")
 	section("exceptions", schedRefData.Exceptions, false)
 	section("scenarios", schedRefData.Scenarios, false)
-	section("vcd", schedRefData.VCD, true)
+	section("vcd", schedRefData.VCD, false)
+	section("snapshots", schedRefData.Snapshots, true)
 	b.WriteString("}\n")
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		return err
@@ -134,5 +139,13 @@ func checkRef(t *testing.T, name string, snap sysSnapshot) {
 // checkRefVCD pins a waveform dump by hash.
 func checkRefVCD(t *testing.T, name string, dump []byte) {
 	t.Helper()
-	checkRefEntry(t, schedRefData.VCD, name, fmt.Sprintf("%d bytes sha256:%x", len(dump), sha256.Sum256(dump)))
+	checkRefEntry(t, schedRefData.VCD, name, digest(dump))
 }
+
+// checkRefSnapshot pins a snapshot file by hash.
+func checkRefSnapshot(t *testing.T, name string, data []byte) {
+	t.Helper()
+	checkRefEntry(t, schedRefData.Snapshots, name, digest(data))
+}
+
+func digest(b []byte) string { return fmt.Sprintf("%d bytes sha256:%x", len(b), sha256.Sum256(b)) }

@@ -334,6 +334,7 @@ func TestSchedDiffSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkRefSnapshot(t, sc.name, data)
 
 			// Restore matrix: every scheduler mode resumes the one snapshot.
 			for _, m := range snapDiffModes {

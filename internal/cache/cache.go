@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bus"
@@ -89,80 +88,18 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-type line struct {
-	state State
-	sm    int
-	base  uint32
-	data  []byte
-	used  uint64 // LRU stamp
-}
-
-type waiter struct {
-	tag bus.Tag
-	req bus.Request
-}
-
-// mshr is one outstanding line miss.
-type mshr struct {
-	sm       int
-	base     uint32
-	excl     bool
-	set, way int
-	// issued: the refill request was issued into the down port.
-	// granted: the interconnect granted its address phase (set by the
-	// Domain at OnGrant) — from then until install this MSHR defers
-	// conflicting peer grants. shared: a peer held a valid copy at grant
-	// time, so a clean install is S rather than E. killed: an inclusive
-	// L2 evicted the line after the grant; the arriving refill data is
-	// stale and must be discarded and refetched (see install).
-	issued, granted, shared, killed bool
-	tag                             bus.Tag
-	waiters                         []waiter
-}
-
-// wbEntry is one line writeback pending issue or in flight.
-type wbEntry struct {
-	sm   int
-	base uint32
-	data []byte
-}
-
-// bypass is a popped request awaiting downstream forwarding. The wait
-// range [lo, hi) in module sm (needWait) holds the forward back until no
-// writeback overlapping it is queued or in flight.
-type bypass struct {
-	upTag    bus.Tag
-	req      bus.Request
-	needWait bool
-	sm       int
-	lo, hi   uint32
-}
-
 // Cache is the L1 module. See the package documentation for the
-// protocol.
+// protocol. Its one channel's up port faces the master; down carries
+// refills and pass-through requests; wb is the dedicated writeback
+// channel. Writebacks must ride their own interconnect port: a writeback
+// queued behind a snoop-deferred refill in one FIFO would deadlock the
+// protocol (two caches each deferring the other's refill while holding
+// the resolving writeback captive behind their own).
 type Cache struct {
-	name string
-	cfg  Config
-	k    *sim.Kernel
+	engine
+	cfg Config
 
 	domain *Domain
-
-	// up faces the master; down carries refills and pass-through
-	// requests; wb is the dedicated writeback channel. Writebacks must
-	// ride their own interconnect port: a writeback queued behind a
-	// snoop-deferred refill in one FIFO would deadlock the protocol (two
-	// caches each deferring the other's refill while holding the
-	// resolving writeback captive behind their own).
-	up, down, wb *bus.Port
-
-	sets     [][]line
-	useClock uint64
-
-	mshrs      []*mshr
-	wbq        []*wbEntry           // writebacks pending issue, FIFO
-	wbInflight map[bus.Tag]*wbEntry // issued, not yet completed
-	fwd        map[bus.Tag]bus.Tag  // forwarded bypass: down tag → up tag
-	pending    *bypass              // popped bypass not yet forwarded
 
 	stats Stats
 }
@@ -170,7 +107,7 @@ type Cache struct {
 // New creates a cache between the given up (master-facing, slave side)
 // and interconnect-facing master ports: down carries refills and
 // pass-through requests, wb is the dedicated writeback channel (see the
-// Cache field docs for why it must be separate). The down port should
+// Cache docs for why it must be separate). The down port should
 // be deep enough for the MSHR count plus pass-through traffic and
 // deliver out of order (the cache routes completions by tag).
 func New(k *sim.Kernel, cfg Config, up, down, wb *bus.Port) (*Cache, error) {
@@ -192,124 +129,41 @@ func New(k *sim.Kernel, cfg Config, up, down, wb *bus.Port) (*Cache, error) {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 4
 	}
-	c := &Cache{
-		name:       cfg.Name,
-		cfg:        cfg,
-		k:          k,
-		up:         up,
-		down:       down,
-		wb:         wb,
-		sets:       make([][]line, cfg.Sets),
-		wbInflight: make(map[bus.Tag]*wbEntry),
-		fwd:        make(map[bus.Tag]bus.Tag),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-		for w := range c.sets[i] {
-			c.sets[i][w].data = make([]byte, cfg.LineBytes)
-		}
-	}
+	c := &Cache{cfg: cfg}
+	c.engine = newEngine(k, cfg.Name, cfg.Sets, cfg.Ways, cfg.LineBytes,
+		[]channel{newChannel(up, down, wb)},
+		counters{&c.stats.Refills, &c.stats.Writebacks, &c.stats.Bypassed, &c.stats.Errors})
+	c.mesi = true
 	k.Add(c)
 	return c, nil
 }
 
-// Name implements sim.Module.
-func (c *Cache) Name() string { return c.name }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// LineBytes returns the configured line size.
-func (c *Cache) LineBytes() uint32 { return c.cfg.LineBytes }
-
 func (c *Cache) cacheable(sm int) bool {
 	return sm >= 0 && (c.cfg.Cacheable == nil || c.cfg.Cacheable(sm))
-}
-
-func (c *Cache) lineBase(addr uint32) uint32 { return addr - addr%c.cfg.LineBytes }
-
-func (c *Cache) setIndex(sm int, base uint32) int {
-	return int((base/c.cfg.LineBytes + uint32(sm)) % uint32(c.cfg.Sets))
-}
-
-func (c *Cache) touch(ln *line) {
-	c.useClock++
-	ln.used = c.useClock
-}
-
-// lookup returns the way holding (sm, base), valid or not found.
-func (c *Cache) lookup(sm int, base uint32) (set int, way int, ok bool) {
-	set = c.setIndex(sm, base)
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
-		if ln.state != Invalid && ln.sm == sm && ln.base == base {
-			return set, w, true
-		}
-	}
-	return set, 0, false
-}
-
-// overlaps reports whether line (sm, base) intersects [lo, hi) in module
-// sm.
-func lineOverlaps(lineSM int, base, lineBytes uint32, sm int, lo, hi uint32) bool {
-	return lineSM == sm && base < hi && lo < base+lineBytes
 }
 
 // Tick implements sim.Module.
 func (c *Cache) Tick(cycle uint64) {
 	c.drainCompletions()
 	c.processHead()
-	c.issueDown()
+	c.issue(0)
 }
 
-// drainCompletions consumes every down-port completion deliverable this
-// cycle: writeback acknowledgements, forwarded-request responses and
-// line refills (install + waiter service).
+// drainCompletions consumes every completion deliverable this cycle:
+// writeback acknowledgements, forwarded-request responses and line
+// refills (install + waiter service).
 func (c *Cache) drainCompletions() {
-	for tag, resp := range c.wb.Completions() {
-		if _, ok := c.wbInflight[tag]; !ok {
+	for tag, resp := range c.chans[0].wb.Completions() {
+		if !c.ackWB(0, tag, resp) {
 			c.k.Fault(fmt.Errorf("%s: writeback completion for unknown tag %d", c.name, tag))
-			continue
-		}
-		delete(c.wbInflight, tag)
-		if resp.Err != bus.OK {
-			// A failed writeback silently loses committed data — a
-			// configuration error (non-flat cacheable memory), not a
-			// modelled condition the master could handle.
-			c.k.Fault(fmt.Errorf("%s: writeback failed: %v", c.name, resp.Err))
 		}
 	}
-	for tag, resp := range c.down.Completions() {
-		if upTag, ok := c.fwd[tag]; ok {
-			delete(c.fwd, tag)
-			if resp.Err != bus.OK {
-				c.stats.Errors++
-			}
-			c.up.Complete(upTag, resp)
-			continue
-		}
-		if m := c.mshrByTag(tag); m != nil {
+	for tag, resp := range c.chans[0].down.Completions() {
+		if m := c.complete(0, tag, resp); m != nil {
 			c.install(m, resp)
-			continue
-		}
-		c.k.Fault(fmt.Errorf("%s: completion for unknown tag %d", c.name, tag))
-	}
-}
-
-func (c *Cache) mshrByTag(tag bus.Tag) *mshr {
-	for _, m := range c.mshrs {
-		if m.issued && m.tag == tag {
-			return m
-		}
-	}
-	return nil
-}
-
-func (c *Cache) removeMSHR(m *mshr) {
-	for i, x := range c.mshrs {
-		if x == m {
-			c.mshrs = append(c.mshrs[:i], c.mshrs[i+1:]...)
-			return
 		}
 	}
 }
@@ -326,39 +180,26 @@ func (c *Cache) install(m *mshr, resp bus.Response) {
 		c.stats.KilledRefills++
 		return
 	}
-	if resp.Err != bus.OK {
-		for _, w := range m.waiters {
-			c.stats.Errors++
-			c.up.Complete(w.tag, bus.Response{Err: resp.Err})
-		}
-		c.removeMSHR(m)
+	ln := c.fill(m, resp)
+	if ln == nil {
 		return
 	}
-	ln := &c.sets[m.set][m.way]
-	ln.sm, ln.base = m.sm, m.base
-	for i, v := range resp.Burst {
-		binary.LittleEndian.PutUint32(ln.data[i*4:], v)
-	}
-	switch {
-	case m.excl:
-		// Peers were invalidated at the grant; the first waiter (the
-		// missing write) dirties the line to Modified below.
-		ln.state = Exclusive
-	case m.shared:
+	// An exclusive refill installs E (peers were invalidated at the
+	// grant; the missing write dirties the line to M below), a clean one
+	// S when a peer held the line at the grant and E otherwise.
+	ln.state = Exclusive
+	if m.shared && !m.excl {
 		ln.state = Shared
-	default:
-		ln.state = Exclusive
 	}
-	c.stats.Refills++
-	c.touch(ln)
+	up := c.chans[0].up
 	for _, w := range m.waiters {
 		off := w.req.VPtr - m.base
 		if w.req.Op == bus.OpWrite {
 			writeElem(ln.data[off:], w.req.DType, w.req.Data)
 			ln.state = Modified
-			c.up.Complete(w.tag, bus.Response{})
+			up.Complete(w.tag, bus.Response{})
 		} else {
-			c.up.Complete(w.tag, bus.Response{Data: readElem(ln.data[off:], w.req.DType)})
+			up.Complete(w.tag, bus.Response{Data: readElem(ln.data[off:], w.req.DType)})
 		}
 	}
 	c.removeMSHR(m)
@@ -374,8 +215,8 @@ func (c *Cache) cacheableScalar(req bus.Request) bool {
 	if !c.cacheable(req.SM) {
 		return false
 	}
-	off := req.VPtr % c.cfg.LineBytes
-	return off+req.DType.Size() <= c.cfg.LineBytes
+	off := req.VPtr % c.lineBytes
+	return off+req.DType.Size() <= c.lineBytes
 }
 
 // processHead examines the up-port queue head and pops at most one
@@ -385,10 +226,10 @@ func (c *Cache) cacheableScalar(req bus.Request) bool {
 // incompatible in-flight miss, a bypass overlapping an in-flight miss,
 // or an unforwarded bypass occupying the single bypass slot).
 func (c *Cache) processHead() {
-	if c.pending != nil {
+	if c.chans[0].pending != nil {
 		return
 	}
-	req, ok := c.up.Peek()
+	req, ok := c.chans[0].up.Peek()
 	if !ok {
 		return
 	}
@@ -396,7 +237,9 @@ func (c *Cache) processHead() {
 		c.processScalar(req)
 		return
 	}
-	c.processBypass(req)
+	if p := c.bypass(0, req.SM, c.cacheable(req.SM), req); p != nil && p.needWait {
+		c.flushRange(p.sm, p.lo, p.hi, req.Op != bus.OpRead && req.Op != bus.OpReadBurst)
+	}
 }
 
 func (c *Cache) processScalar(req bus.Request) {
@@ -409,29 +252,26 @@ func (c *Cache) processScalar(req bus.Request) {
 		if isWrite && !m.excl {
 			return
 		}
-		tx, _ := c.up.Pop()
+		c.join(0, m, req)
 		c.stats.Misses++
-		m.waiters = append(m.waiters, waiter{tag: tx.Tag, req: req})
 		return
 	}
 
 	if set, way, ok := c.lookup(req.SM, base); ok {
 		ln := &c.sets[set][way]
-		if !isWrite {
-			tx, _ := c.up.Pop()
+		if !isWrite || ln.state == Modified || ln.state == Exclusive {
+			up := c.chans[0].up
+			tx, _ := up.Pop()
 			c.stats.Hits++
 			c.touch(ln)
 			off := req.VPtr - base
-			c.up.Complete(tx.Tag, bus.Response{Data: readElem(ln.data[off:], req.DType)})
-			return
-		}
-		if ln.state == Modified || ln.state == Exclusive {
-			tx, _ := c.up.Pop()
-			c.stats.Hits++
-			c.touch(ln)
-			writeElem(ln.data[req.VPtr-base:], req.DType, req.Data)
+			if !isWrite {
+				up.Complete(tx.Tag, bus.Response{Data: readElem(ln.data[off:], req.DType)})
+				return
+			}
+			writeElem(ln.data[off:], req.DType, req.Data)
 			ln.state = Modified
-			c.up.Complete(tx.Tag, bus.Response{})
+			up.Complete(tx.Tag, bus.Response{})
 			return
 		}
 		// Write hit on Shared: an upgrade — refetch the line exclusively
@@ -443,40 +283,11 @@ func (c *Cache) processScalar(req bus.Request) {
 	}
 
 	set := c.setIndex(req.SM, base)
-	way, ok := c.victimWay(set)
+	way, ok := c.victimWay(set, ^uint64(0))
 	if !ok {
 		return // every way's line has an in-flight miss installing into it
 	}
 	c.allocMSHR(req, base, set, way)
-}
-
-// victimWay picks the way a refill will install into: an invalid way if
-// one exists, otherwise the least-recently-used way that is not already
-// the target of an in-flight MSHR.
-func (c *Cache) victimWay(set int) (int, bool) {
-	best, bestUsed, ok := 0, ^uint64(0), false
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
-		if c.wayReserved(set, w) {
-			continue
-		}
-		if ln.state == Invalid {
-			return w, true
-		}
-		if ln.used < bestUsed {
-			best, bestUsed, ok = w, ln.used, true
-		}
-	}
-	return best, ok
-}
-
-func (c *Cache) wayReserved(set, way int) bool {
-	for _, m := range c.mshrs {
-		if m.set == set && m.way == way {
-			return true
-		}
-	}
-	return false
 }
 
 // allocMSHR pops the head request into a fresh MSHR for (sm, base)
@@ -486,7 +297,6 @@ func (c *Cache) allocMSHR(req bus.Request, base uint32, set, way int) bool {
 	if len(c.mshrs) >= c.cfg.MSHRs {
 		return false
 	}
-	tx, _ := c.up.Pop()
 	ln := &c.sets[set][way]
 	if ln.state == Modified {
 		c.evict(ln)
@@ -494,32 +304,15 @@ func (c *Cache) allocMSHR(req bus.Request, base uint32, set, way int) bool {
 		ln.state = Invalid
 	}
 	c.stats.Misses++
-	c.mshrs = append(c.mshrs, &mshr{
-		sm: req.SM, base: base, excl: req.Op == bus.OpWrite,
-		set: set, way: way,
-		waiters: []waiter{{tag: tx.Tag, req: req}},
-	})
+	c.addMSHR(0, req.SM, base, set, way, req)
 	return true
-}
-
-func (c *Cache) findMSHR(sm int, base uint32) *mshr {
-	for _, m := range c.mshrs {
-		if m.sm == sm && m.base == base {
-			return m
-		}
-	}
-	return nil
 }
 
 // evict moves a Modified line onto the writeback queue and invalidates
 // the way. The queued range keeps deferring peer grants (via the Domain)
 // until the writeback has landed in memory.
 func (c *Cache) evict(ln *line) {
-	c.stats.Writebacks++
-	c.wbq = append(c.wbq, &wbEntry{
-		sm: ln.sm, base: ln.base,
-		data: append([]byte(nil), ln.data...),
-	})
+	c.queueWB(ln)
 	ln.state = Invalid
 }
 
@@ -540,181 +333,20 @@ func dataRange(req bus.Request) (sm int, lo, hi uint32, ok bool) {
 	}
 }
 
-// processBypass pops a non-cacheable request into the bypass slot after
-// making the cache's own copies safe: overlapping dirty lines are
-// written back (and FIFO issue order puts those writebacks ahead of the
-// forwarded request), and overlapping lines are invalidated when the
-// request writes. OpFree conservatively flushes and invalidates every
-// line of its module — the cache cannot know the freed extent, and the
-// address range may be reused by a later allocation.
-func (c *Cache) processBypass(req bus.Request) {
-	sm, lo, hi, data := dataRange(req)
-	if data && c.cacheable(sm) {
-		// An in-flight miss overlapping the range must install first;
-		// forwarding now could reorder the bypass around the refill.
-		for _, m := range c.mshrs {
-			if lineOverlaps(m.sm, m.base, c.cfg.LineBytes, sm, lo, hi) {
-				return
-			}
-		}
-	}
-	if req.Op == bus.OpFree && c.cacheable(req.SM) {
-		// A free's invalidation sweep cannot cover a refill that has not
-		// installed yet — it would re-create a valid line over freed
-		// memory. The freed extent is unknown, so wait out every miss in
-		// the module.
-		for _, m := range c.mshrs {
-			if m.sm == req.SM {
-				return
-			}
-		}
-	}
-	tx, ok := c.up.Pop()
-	if !ok {
-		return
-	}
-	p := &bypass{upTag: tx.Tag, req: req}
-	if data && c.cacheable(sm) {
-		write := req.Op == bus.OpWrite || req.Op == bus.OpWriteBurst
-		c.flushRange(sm, lo, hi, write)
-		p.needWait, p.sm, p.lo, p.hi = true, sm, lo, hi
-	}
-	if req.Op == bus.OpFree && c.cacheable(req.SM) {
-		c.flushRange(req.SM, 0, ^uint32(0), true)
-		p.needWait, p.sm, p.lo, p.hi = true, req.SM, 0, ^uint32(0)
-	}
-	c.stats.Bypassed++
-	c.pending = p
-}
-
-// visitOverlapping calls f for every valid line overlapping [lo, hi) in
-// module sm. Ranges within one line — the scalar, refill and
-// whole-line-writeback cases that dominate snoop traffic — resolve with
-// a single set lookup; only multi-line ranges (line-crossing bursts,
-// the unbounded OpFree flush) walk the full geometry.
-func (c *Cache) visitOverlapping(sm int, lo, hi uint32, f func(ln *line)) {
-	if lo < hi && (hi-1)/c.cfg.LineBytes == lo/c.cfg.LineBytes {
-		if set, way, ok := c.lookup(sm, c.lineBase(lo)); ok {
-			f(&c.sets[set][way])
-		}
-		return
-	}
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.state != Invalid && lineOverlaps(ln.sm, ln.base, c.cfg.LineBytes, sm, lo, hi) {
-				f(ln)
-			}
-		}
-	}
-}
-
 // flushRange writes back every dirty line overlapping [lo, hi) in module
 // sm (M→S) and, when invalidate is set, drops every overlapping line.
 func (c *Cache) flushRange(sm int, lo, hi uint32, invalidate bool) {
 	c.visitOverlapping(sm, lo, hi, func(ln *line) {
-		if ln.state == Modified {
+		switch {
+		case invalidate && ln.state == Modified:
 			c.evict(ln)
-			if !invalidate {
-				// evict invalidated; restore the clean copy.
-				ln.state = Shared
-			}
-			return
-		}
-		if invalidate {
+		case invalidate:
 			ln.state = Invalid
+		case ln.state == Modified:
+			c.clean(ln)
 		}
 	})
 }
-
-// wbOverlap reports whether a queued or in-flight writeback intersects
-// [lo, hi) in module sm. Refills and forwarded requests must not issue
-// while one does: writebacks travel on their own port, so only
-// completion — not FIFO position — orders them ahead of dependent
-// reads.
-func (c *Cache) wbOverlap(sm int, lo, hi uint32) bool {
-	for _, e := range c.wbq {
-		if lineOverlaps(e.sm, e.base, c.cfg.LineBytes, sm, lo, hi) {
-			return true
-		}
-	}
-	for _, e := range c.wbInflight {
-		if lineOverlaps(e.sm, e.base, c.cfg.LineBytes, sm, lo, hi) {
-			return true
-		}
-	}
-	return false
-}
-
-// issueDown issues at most one writeback (on the dedicated wb port) and
-// one request (on the down port) per cycle. Refills issue in MSHR
-// creation order, each held back while a writeback of its own line is
-// outstanding; the pending bypass goes last, held back the same way.
-func (c *Cache) issueDown() {
-	if len(c.wbq) > 0 && c.wb.CanIssue() {
-		e := c.wbq[0]
-		c.wbq = c.wbq[1:]
-		words := make([]uint32, c.cfg.LineBytes/4)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint32(e.data[i*4:])
-		}
-		tag := c.wb.Issue(bus.Request{
-			Op: bus.OpWriteBurst, SM: e.sm, VPtr: e.base,
-			Dim: uint32(len(words)), DType: bus.U32, Burst: words, WB: true,
-		})
-		c.wbInflight[tag] = e
-	}
-	if !c.down.CanIssue() {
-		return
-	}
-	for _, m := range c.mshrs {
-		if m.issued {
-			continue
-		}
-		if c.wbOverlap(m.sm, m.base, m.base+c.cfg.LineBytes) {
-			continue
-		}
-		m.tag = c.down.Issue(bus.Request{
-			Op: bus.OpReadBurst, SM: m.sm, VPtr: m.base,
-			Dim: c.cfg.LineBytes / 4, DType: bus.U32, Excl: m.excl,
-		})
-		m.issued = true
-		return
-	}
-	if c.pending != nil {
-		if c.pending.needWait && c.wbOverlap(c.pending.sm, c.pending.lo, c.pending.hi) {
-			return
-		}
-		tag := c.down.Issue(c.pending.req)
-		c.fwd[tag] = c.pending.upTag
-		c.pending = nil
-	}
-}
-
-// NextWake implements sim.Sleeper. Every condition the cache acts on is
-// either already visible (pending requests, deliverable completions,
-// queued work — wake now) or arrives via a port signal commit, which
-// wakes every sleeper.
-func (c *Cache) NextWake(now uint64) uint64 {
-	if c.down.HasCompletion() || c.wb.HasCompletion() || c.up.Pending() ||
-		len(c.wbq) > 0 || c.pending != nil || c.unissuedMSHR() {
-		return now
-	}
-	return sim.WakeNever
-}
-
-func (c *Cache) unissuedMSHR() bool {
-	for _, m := range c.mshrs {
-		if !m.issued {
-			return true
-		}
-	}
-	return false
-}
-
-// Skip implements sim.Sleeper. The cache keeps no per-cycle counters, so
-// skipped idle cycles need no accounting.
-func (c *Cache) Skip(n uint64) {}
 
 // ConcurrentTick implements sim.Concurrent: a standalone cache touches
 // only its own state plus the slave side of its up port and the master
@@ -727,58 +359,11 @@ func (c *Cache) ConcurrentTick() bool { return c.domain == nil }
 // per cycle.
 func (c *Cache) TickWeight() int { return 4 }
 
-// --- host-side inspection and drain ---
-
 // FlushAll queues a writeback for every Modified line (M→S), as the
 // snoop phase would. Call between kernel steps, then run until Synced to
 // guarantee memory holds every committed write — the experiment
 // harnesses verify final memory images this way.
-func (c *Cache) FlushAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if ln := &c.sets[s][w]; ln.state == Modified {
-				c.stats.SnoopFlushes++
-				c.evict(ln)
-				ln.state = Shared
-			}
-		}
-	}
-}
-
-// Synced reports whether no dirty state is outstanding: no Modified
-// line, no queued and no in-flight writeback.
-func (c *Cache) Synced() bool {
-	if len(c.wbq) > 0 || len(c.wbInflight) > 0 {
-		return false
-	}
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].state == Modified {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Idle reports whether the cache has no work at all: synced, no MSHR, no
-// bypass in flight and nothing queued on the up port.
-func (c *Cache) Idle() bool {
-	return c.Synced() && len(c.mshrs) == 0 && c.pending == nil &&
-		len(c.fwd) == 0 && !c.up.Pending()
-}
-
-// VisitLines calls f for every valid line (tests and invariant
-// checkers).
-func (c *Cache) VisitLines(f func(sm int, base uint32, st State)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if ln := &c.sets[s][w]; ln.state != Invalid {
-				f(ln.sm, ln.base, ln.state)
-			}
-		}
-	}
-}
+func (c *Cache) FlushAll() { c.stats.SnoopFlushes += c.flushAll() }
 
 // Element access within a line uses the shared bus.DataType codec, so
 // the cache returns bit-for-bit what the byte-backed memories it fronts

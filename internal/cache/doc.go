@@ -131,6 +131,20 @@
 // schedule counts accesses, not cycles, so every scheduler mode
 // repartitions at the same point.
 //
+// # Structure
+//
+// Both levels embed one engine (engine.go): the line store with its LRU
+// clock, victim choice under a way mask, the MSHRs, and per memory
+// channel the writeback queue, in-flight writebacks, forwarded bypasses
+// and the pending bypass slot, plus one snapshot codec for all of it.
+// The L1 runs one channel with a dedicated writeback port, chooses
+// victims among all ways and refills exclusively on write misses; the
+// L2 runs one channel per memory on its in-order links and chooses
+// within the requester's partition. MESI states, the snoop hooks, grant
+// and kill handling and the install state choice stay in the L1;
+// partitioning and UMONs, back-invalidation on eviction, burst serve and
+// write-allocated writebacks stay in the L2.
+//
 // # Scheduling
 //
 // The cache is a sim.Sleeper (it sleeps exactly when it has no visible

@@ -126,22 +126,14 @@ func (c *Cache) snoopConflict(sm int, lo, hi uint32) bool {
 		// Snoop hit dirty: write the line back (M→S); the peer's
 		// grant stays deferred until the writeback lands.
 		c.stats.SnoopFlushes++
-		c.evict(ln)
-		ln.state = Shared
+		c.clean(ln)
 		conflict = true
 	})
-	for _, e := range c.wbq {
-		if lineOverlaps(e.sm, e.base, c.cfg.LineBytes, sm, lo, hi) {
-			conflict = true
-		}
-	}
-	for _, e := range c.wbInflight {
-		if lineOverlaps(e.sm, e.base, c.cfg.LineBytes, sm, lo, hi) {
-			conflict = true
-		}
+	if c.wbOverlap(0, sm, lo, hi) {
+		conflict = true
 	}
 	for _, m := range c.mshrs {
-		if m.granted && lineOverlaps(m.sm, m.base, c.cfg.LineBytes, sm, lo, hi) {
+		if m.granted && c.overlaps(m.sm, m.base, sm, lo, hi) {
 			conflict = true
 		}
 	}
@@ -196,7 +188,7 @@ func (d *Domain) BackInvalidate(sm int, lo, hi uint32, victim []byte) bool {
 	dirty := false
 	for _, c := range d.caches {
 		c.visitOverlapping(sm, lo, hi, func(ln *line) {
-			if ln.state == Modified && ln.base >= lo && ln.base-lo+c.cfg.LineBytes <= uint32(len(victim)) {
+			if ln.state == Modified && ln.base >= lo && ln.base-lo+c.lineBytes <= uint32(len(victim)) {
 				copy(victim[ln.base-lo:], ln.data)
 				dirty = true
 			}
@@ -204,7 +196,7 @@ func (d *Domain) BackInvalidate(sm int, lo, hi uint32, victim []byte) bool {
 			c.stats.BackInvalidations++
 		})
 		for _, m := range c.mshrs {
-			if m.granted && !m.killed && lineOverlaps(m.sm, m.base, c.cfg.LineBytes, sm, lo, hi) {
+			if m.granted && !m.killed && c.overlaps(m.sm, m.base, sm, lo, hi) {
 				m.killed = true
 			}
 		}

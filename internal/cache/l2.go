@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bus"
@@ -72,29 +71,6 @@ func (s L2Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// l2mshr is one outstanding L2 line miss. Unlike the L1 there is no
-// exclusivity: the L2 is the coherence point's backing store, its lines
-// are just clean (Shared) or dirty (Modified), and every access type
-// coalesces onto an in-flight miss of its line.
-type l2mshr struct {
-	sm       int
-	base     uint32
-	set, way int
-	issued   bool
-	tag      bus.Tag
-	waiters  []waiter
-}
-
-// l2bypass is a popped request awaiting forwarding to memory sm (the up
-// index it arrived on). The wait range holds the forward back until no
-// writeback overlapping it is queued or in flight.
-type l2bypass struct {
-	upTag    bus.Tag
-	req      bus.Request
-	needWait bool
-	lo, hi   uint32
-}
-
 // L2 is a shared, inclusive, set-associative second-level cache
 // interposed between the interconnect and the memory modules: up port i
 // is the interconnect's slave port for memory i (so L1 misses, L1
@@ -102,28 +78,18 @@ type l2bypass struct {
 // i is a private FIFO link to memory i. Because each down link is
 // point-to-point and in-order, issue order alone orders writebacks
 // ahead of dependent refills — the L2 needs no separate writeback
-// channel and no snoop hook of its own. See the package documentation
-// for the inclusion protocol.
+// channel and no snoop hook of its own. Lines are clean (Shared) or
+// dirty (Modified) — there is no exclusivity — and every access type
+// coalesces onto an in-flight miss of its line. See the package
+// documentation for the inclusion protocol.
 type L2 struct {
-	name string
-	cfg  L2Config
-	k    *sim.Kernel
+	engine
+	cfg L2Config
 
 	// dom is the L1 coherence domain sitting above, used to back-
 	// invalidate L1 copies when an inclusion victim is evicted. Nil when
 	// the L2 runs standalone.
 	dom *Domain
-
-	ups, downs []*bus.Port
-
-	sets     [][]line
-	useClock uint64
-
-	mshrs      []*l2mshr
-	wbq        [][]*wbEntry           // per-memory unissued writebacks, FIFO
-	wbInflight []map[bus.Tag]*wbEntry // per-memory issued writebacks
-	fwd        []map[bus.Tag]bus.Tag  // per-memory forwarded bypass: down tag → up tag
-	pending    []*l2bypass            // per-up popped bypass not yet forwarded
 
 	part *partitioner
 
@@ -147,6 +113,9 @@ func NewL2(k *sim.Kernel, cfg L2Config, ups, downs []*bus.Port) (*L2, error) {
 	if cfg.Ways <= 0 {
 		cfg.Ways = 8
 	}
+	if cfg.Ways > 64 {
+		return nil, fmt.Errorf("%s: %d ways, at most 64 (way masks are 64 bits)", cfg.Name, cfg.Ways)
+	}
 	if cfg.LineBytes == 0 {
 		cfg.LineBytes = 64
 	}
@@ -160,29 +129,13 @@ func NewL2(k *sim.Kernel, cfg L2Config, ups, downs []*bus.Port) (*L2, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &L2{
-		name:       cfg.Name,
-		cfg:        cfg,
-		k:          k,
-		ups:        ups,
-		downs:      downs,
-		sets:       make([][]line, cfg.Sets),
-		wbq:        make([][]*wbEntry, len(downs)),
-		wbInflight: make([]map[bus.Tag]*wbEntry, len(downs)),
-		fwd:        make([]map[bus.Tag]bus.Tag, len(downs)),
-		pending:    make([]*l2bypass, len(ups)),
-		part:       part,
+	chans := make([]channel, len(ups))
+	for i := range chans {
+		chans[i] = newChannel(ups[i], downs[i], downs[i])
 	}
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Ways)
-		for w := range l.sets[i] {
-			l.sets[i][w].data = make([]byte, cfg.LineBytes)
-		}
-	}
-	for i := range downs {
-		l.wbInflight[i] = make(map[bus.Tag]*wbEntry)
-		l.fwd[i] = make(map[bus.Tag]bus.Tag)
-	}
+	l := &L2{cfg: cfg, part: part}
+	l.engine = newEngine(k, cfg.Name, cfg.Sets, cfg.Ways, cfg.LineBytes, chans,
+		counters{&l.stats.Refills, &l.stats.Writebacks, &l.stats.Bypassed, &l.stats.Errors})
 	k.Add(l)
 	return l, nil
 }
@@ -200,9 +153,6 @@ func (l *L2) AttachL1s(d *Domain) error {
 	return nil
 }
 
-// Name implements sim.Module.
-func (l *L2) Name() string { return l.name }
-
 // Stats returns a snapshot of the counters, folding in the
 // partitioner's repartition count.
 func (l *L2) Stats() L2Stats {
@@ -210,9 +160,6 @@ func (l *L2) Stats() L2Stats {
 	s.Repartitions = l.part.repartitions
 	return s
 }
-
-// LineBytes returns the configured line size.
-func (l *L2) LineBytes() uint32 { return l.cfg.LineBytes }
 
 // WayMasks returns the current per-core way masks (nil when
 // unpartitioned) — for headers and tests.
@@ -224,29 +171,7 @@ func (l *L2) WayMasks() []uint64 {
 }
 
 func (l *L2) cacheable(sm int) bool {
-	return sm >= 0 && sm < len(l.ups) && (l.cfg.Cacheable == nil || l.cfg.Cacheable(sm))
-}
-
-func (l *L2) lineBase(addr uint32) uint32 { return addr - addr%l.cfg.LineBytes }
-
-func (l *L2) setIndex(sm int, base uint32) int {
-	return int((base/l.cfg.LineBytes + uint32(sm)) % uint32(l.cfg.Sets))
-}
-
-func (l *L2) touch(ln *line) {
-	l.useClock++
-	ln.used = l.useClock
-}
-
-func (l *L2) lookup(sm int, base uint32) (set, way int, ok bool) {
-	set = l.setIndex(sm, base)
-	for w := range l.sets[set] {
-		ln := &l.sets[set][w]
-		if ln.state != Invalid && ln.sm == sm && ln.base == base {
-			return set, w, true
-		}
-	}
-	return set, 0, false
+	return sm >= 0 && sm < len(l.chans) && (l.cfg.Cacheable == nil || l.cfg.Cacheable(sm))
 }
 
 // coreOf maps an interconnect master-port index to its L1 core for
@@ -264,83 +189,31 @@ func (l *L2) coreOf(master int) int {
 // Tick implements sim.Module: drain memory completions, examine each up
 // port's head, issue toward each memory.
 func (l *L2) Tick(cycle uint64) {
-	l.drainCompletions()
-	for i := range l.ups {
+	for i := range l.chans {
+		for tag, resp := range l.chans[i].down.Completions() {
+			if m := l.complete(i, tag, resp); m != nil {
+				l.install(m, resp)
+			}
+		}
+	}
+	for i := range l.chans {
 		l.processHead(i)
 	}
-	for i := range l.downs {
-		l.issueDown(i)
-	}
-}
-
-func (l *L2) drainCompletions() {
-	for i, down := range l.downs {
-		for tag, resp := range down.Completions() {
-			if _, ok := l.wbInflight[i][tag]; ok {
-				delete(l.wbInflight[i], tag)
-				if resp.Err != bus.OK {
-					l.k.Fault(fmt.Errorf("%s: writeback to memory %d failed: %v", l.name, i, resp.Err))
-				}
-				continue
-			}
-			if upTag, ok := l.fwd[i][tag]; ok {
-				delete(l.fwd[i], tag)
-				if resp.Err != bus.OK {
-					l.stats.Errors++
-				}
-				l.ups[i].Complete(upTag, resp)
-				continue
-			}
-			if m := l.mshrByTag(i, tag); m != nil {
-				l.install(m, resp)
-				continue
-			}
-			l.k.Fault(fmt.Errorf("%s: completion from memory %d for unknown tag %d", l.name, i, tag))
-		}
-	}
-}
-
-func (l *L2) mshrByTag(sm int, tag bus.Tag) *l2mshr {
-	for _, m := range l.mshrs {
-		if m.sm == sm && m.issued && m.tag == tag {
-			return m
-		}
-	}
-	return nil
-}
-
-func (l *L2) removeMSHR(m *l2mshr) {
-	for i, x := range l.mshrs {
-		if x == m {
-			l.mshrs = append(l.mshrs[:i], l.mshrs[i+1:]...)
-			return
-		}
+	for i := range l.chans {
+		l.issue(i)
 	}
 }
 
 // install writes a completed refill into its target way and replays the
 // MSHR's waiters in arrival order.
-func (l *L2) install(m *l2mshr, resp bus.Response) {
-	if resp.Err != bus.OK {
+func (l *L2) install(m *mshr, resp bus.Response) {
+	if ln := l.fill(m, resp); ln != nil {
+		ln.state = Shared
 		for _, w := range m.waiters {
-			l.stats.Errors++
-			l.ups[m.sm].Complete(w.tag, bus.Response{Err: resp.Err})
+			l.serve(ln, w.tag, w.req, m.sm)
 		}
 		l.removeMSHR(m)
-		return
 	}
-	ln := &l.sets[m.set][m.way]
-	ln.sm, ln.base = m.sm, m.base
-	for i, v := range resp.Burst {
-		binary.LittleEndian.PutUint32(ln.data[i*4:], v)
-	}
-	ln.state = Shared
-	l.stats.Refills++
-	l.touch(ln)
-	for _, w := range m.waiters {
-		l.serve(ln, w.tag, w.req, m.sm)
-	}
-	l.removeMSHR(m)
 }
 
 // serve answers one cacheable request from a resident line, dirtying it
@@ -349,25 +222,26 @@ func (l *L2) install(m *l2mshr, resp bus.Response) {
 func (l *L2) serve(ln *line, tag bus.Tag, req bus.Request, up int) {
 	off := req.VPtr - ln.base
 	es := req.DType.Size()
+	port := l.chans[up].up
 	switch req.Op {
 	case bus.OpRead:
-		l.ups[up].Complete(tag, bus.Response{Data: readElem(ln.data[off:], req.DType)})
+		port.Complete(tag, bus.Response{Data: readElem(ln.data[off:], req.DType)})
 	case bus.OpWrite:
 		writeElem(ln.data[off:], req.DType, req.Data)
 		ln.state = Modified
-		l.ups[up].Complete(tag, bus.Response{})
+		port.Complete(tag, bus.Response{})
 	case bus.OpReadBurst:
 		out := make([]uint32, req.Dim)
 		for i := range out {
 			out[i] = readElem(ln.data[off+uint32(i)*es:], req.DType)
 		}
-		l.ups[up].Complete(tag, bus.Response{Burst: out})
+		port.Complete(tag, bus.Response{Burst: out})
 	case bus.OpWriteBurst:
 		for i, v := range req.Burst {
 			writeElem(ln.data[off+uint32(i)*es:], req.DType, v)
 		}
 		ln.state = Modified
-		l.ups[up].Complete(tag, bus.Response{})
+		port.Complete(tag, bus.Response{})
 	}
 }
 
@@ -386,12 +260,16 @@ func (l *L2) cacheableLine(up int, req bus.Request) bool {
 // processHead examines up port i's queue head and pops at most one
 // request. The head stays queued when the L2 cannot act on it yet
 // (MSHRs exhausted, no victim way inside the master's partition, or an
-// unforwarded bypass occupying the port's bypass slot).
+// unforwarded bypass occupying the port's bypass slot). What the L2
+// cannot cache (multi-line bursts, dynamic operations, non-cacheable
+// memories) bypasses exactly like at the L1; the L1 domain already
+// snooped it at the interconnect, so no back-invalidation is needed for
+// it — L1 copies were handled at the grant.
 func (l *L2) processHead(i int) {
-	if l.pending[i] != nil {
+	if l.chans[i].pending != nil {
 		return
 	}
-	req, ok := l.ups[i].Peek()
+	req, ok := l.chans[i].up.Peek()
 	if !ok {
 		return
 	}
@@ -399,28 +277,23 @@ func (l *L2) processHead(i int) {
 		l.processCacheable(i, req)
 		return
 	}
-	l.processBypass(i, req)
+	if p := l.bypass(i, i, l.cacheable(i), req); p != nil && p.needWait {
+		l.flushRange(i, p.lo, p.hi, req.Op != bus.OpRead && req.Op != bus.OpReadBurst)
+	}
 }
 
 func (l *L2) processCacheable(i int, req bus.Request) {
 	base := l.lineBase(req.VPtr)
 
 	if m := l.findMSHR(i, base); m != nil {
-		tx, _ := l.ups[i].Pop()
-		l.stats.Misses++
-		if req.WB {
-			l.stats.WBAllocates++
-		} else {
-			l.observe(req, i, base)
-		}
-		m.waiters = append(m.waiters, waiter{tag: tx.Tag, req: req})
+		l.join(i, m, req)
+		l.countMiss(req, i, base)
 		return
 	}
 
-	if _, way, ok := l.lookup(i, base); ok {
-		set := l.setIndex(i, base)
+	if set, way, ok := l.lookup(i, base); ok {
 		ln := &l.sets[set][way]
-		tx, _ := l.ups[i].Pop()
+		tx, _ := l.chans[i].up.Pop()
 		l.stats.Hits++
 		if !req.WB {
 			l.observe(req, i, base)
@@ -438,18 +311,20 @@ func (l *L2) processCacheable(i int, req bus.Request) {
 	if !ok {
 		return // no way in this master's partition is free of an installing miss
 	}
-	tx, _ := l.ups[i].Pop()
+	l.countMiss(req, i, base)
+	l.evict(&l.sets[set][way])
+	l.addMSHR(i, i, base, set, way, req)
+}
+
+// countMiss counts a popped miss: a writeback write-allocates, a demand
+// access feeds the partitioner.
+func (l *L2) countMiss(req bus.Request, sm int, base uint32) {
 	l.stats.Misses++
 	if req.WB {
 		l.stats.WBAllocates++
 	} else {
-		l.observe(req, i, base)
+		l.observe(req, sm, base)
 	}
-	l.evict(set, way)
-	l.mshrs = append(l.mshrs, &l2mshr{
-		sm: i, base: base, set: set, way: way,
-		waiters: []waiter{{tag: tx.Tag, req: req}},
-	})
 }
 
 // observe feeds a demand access (never a writeback) to the partitioner.
@@ -460,234 +335,43 @@ func (l *L2) observe(req bus.Request, sm int, base uint32) {
 	}
 }
 
-// victimWay picks the way a refill will install into, restricted to the
-// requester's partition mask: an invalid way in the mask if one exists,
-// otherwise the least-recently-used in-mask way that is not the target
-// of an in-flight MSHR. Lines resident outside the mask still hit —
-// repartitioning migrates them lazily as they are evicted.
-func (l *L2) victimWay(set int, mask uint64) (int, bool) {
-	best, bestUsed, ok := 0, ^uint64(0), false
-	for w := range l.sets[set] {
-		if mask&(1<<uint(w)) == 0 {
-			continue
-		}
-		if l.wayReserved(set, w) {
-			continue
-		}
-		ln := &l.sets[set][w]
-		if ln.state == Invalid {
-			return w, true
-		}
-		if ln.used < bestUsed {
-			best, bestUsed, ok = w, ln.used, true
-		}
-	}
-	return best, ok
-}
-
-func (l *L2) wayReserved(set, way int) bool {
-	for _, m := range l.mshrs {
-		if m.set == set && m.way == way {
-			return true
-		}
-	}
-	return false
-}
-
-// evict empties (set, way) for a refill, enforcing inclusion: L1 copies
-// of the victim line are invalidated synchronously (dirty ones merge
-// their data into the victim first — a zero-cycle forced writeback) and
+// evict empties a line for a refill, enforcing inclusion: L1 copies of
+// the victim line are invalidated synchronously (dirty ones merge their
+// data into the victim first — a zero-cycle forced writeback) and
 // granted-but-uninstalled L1 refills of the line are killed. The victim
 // goes to the writeback queue when it is dirty — either dirty in the
 // L2, or dirtied by a merged L1 line. Eviction never stalls on L1
 // state, so the L2's head-of-queue processing cannot deadlock.
-func (l *L2) evict(set, way int) {
-	ln := &l.sets[set][way]
+func (l *L2) evict(ln *line) {
 	if ln.state == Invalid {
 		return
 	}
 	dirty := ln.state == Modified
 	if l.dom != nil {
 		l.stats.BackInvalidations++
-		if l.dom.BackInvalidate(ln.sm, ln.base, ln.base+l.cfg.LineBytes, ln.data) {
+		if l.dom.BackInvalidate(ln.sm, ln.base, ln.base+l.lineBytes, ln.data) {
 			l.stats.DirtyMerges++
 			dirty = true
 		}
 	}
 	if dirty {
-		l.stats.Writebacks++
-		l.wbq[ln.sm] = append(l.wbq[ln.sm], &wbEntry{
-			sm: ln.sm, base: ln.base,
-			data: append([]byte(nil), ln.data...),
-		})
+		l.queueWB(ln)
 	}
 	ln.state = Invalid
-}
-
-func (l *L2) findMSHR(sm int, base uint32) *l2mshr {
-	for _, m := range l.mshrs {
-		if m.sm == sm && m.base == base {
-			return m
-		}
-	}
-	return nil
-}
-
-// processBypass pops a request the L2 cannot cache (multi-line bursts,
-// dynamic operations, non-cacheable memories) into up port i's bypass
-// slot after making the L2's own copies safe, exactly like the L1:
-// overlapping dirty lines are written back, and overlapping lines are
-// invalidated when the request writes. The L1 domain already snooped
-// this request at the interconnect, so no back-invalidation is needed
-// here — L1 copies were handled at the grant.
-func (l *L2) processBypass(i int, req bus.Request) {
-	sm, lo, hi, data := dataRange(req)
-	cacheable := l.cacheable(i)
-	if data && cacheable {
-		for _, m := range l.mshrs {
-			if lineOverlaps(m.sm, m.base, l.cfg.LineBytes, sm, lo, hi) {
-				return // the overlapping refill must install first
-			}
-		}
-	}
-	if req.Op == bus.OpFree && cacheable {
-		for _, m := range l.mshrs {
-			if m.sm == i {
-				return
-			}
-		}
-	}
-	tx, ok := l.ups[i].Pop()
-	if !ok {
-		return
-	}
-	p := &l2bypass{upTag: tx.Tag, req: req}
-	if data && cacheable {
-		write := req.Op == bus.OpWrite || req.Op == bus.OpWriteBurst
-		l.flushRange(i, lo, hi, write)
-		p.needWait, p.lo, p.hi = true, lo, hi
-	}
-	if req.Op == bus.OpFree && cacheable {
-		l.flushRange(i, 0, ^uint32(0), true)
-		p.needWait, p.lo, p.hi = true, 0, ^uint32(0)
-	}
-	l.stats.Bypassed++
-	l.pending[i] = p
 }
 
 // flushRange writes back every dirty L2 line overlapping [lo, hi) in
 // memory sm and, when invalidate is set, drops every overlapping line
 // (back-invalidating L1 copies to keep inclusion).
 func (l *L2) flushRange(sm int, lo, hi uint32, invalidate bool) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			ln := &l.sets[s][w]
-			if ln.state == Invalid || !lineOverlaps(ln.sm, ln.base, l.cfg.LineBytes, sm, lo, hi) {
-				continue
-			}
-			if invalidate {
-				l.evict(s, w)
-				continue
-			}
-			if ln.state == Modified {
-				l.stats.Writebacks++
-				l.wbq[ln.sm] = append(l.wbq[ln.sm], &wbEntry{
-					sm: ln.sm, base: ln.base,
-					data: append([]byte(nil), ln.data...),
-				})
-				ln.state = Shared
-			}
+	l.visitOverlapping(sm, lo, hi, func(ln *line) {
+		if invalidate {
+			l.evict(ln)
+		} else if ln.state == Modified {
+			l.clean(ln)
 		}
-	}
+	})
 }
-
-// wbOverlap reports whether a queued or in-flight writeback to memory
-// sm intersects [lo, hi). Refills and forwards are held back while one
-// does; for queued entries this preserves write-before-read on the
-// in-order down link, for in-flight ones it is conservative (FIFO
-// position already orders them) but costs at most their memory latency.
-func (l *L2) wbOverlap(sm int, lo, hi uint32) bool {
-	for _, e := range l.wbq[sm] {
-		if lineOverlaps(e.sm, e.base, l.cfg.LineBytes, sm, lo, hi) {
-			return true
-		}
-	}
-	for _, e := range l.wbInflight[sm] {
-		if lineOverlaps(e.sm, e.base, l.cfg.LineBytes, sm, lo, hi) {
-			return true
-		}
-	}
-	return false
-}
-
-// issueDown issues toward memory i: at most one writeback plus one
-// refill-or-bypass per cycle, credits permitting. Refills issue in MSHR
-// creation order.
-func (l *L2) issueDown(i int) {
-	down := l.downs[i]
-	if len(l.wbq[i]) > 0 && down.CanIssue() {
-		e := l.wbq[i][0]
-		l.wbq[i] = l.wbq[i][1:]
-		words := make([]uint32, l.cfg.LineBytes/4)
-		for j := range words {
-			words[j] = binary.LittleEndian.Uint32(e.data[j*4:])
-		}
-		tag := down.Issue(bus.Request{
-			Op: bus.OpWriteBurst, SM: e.sm, VPtr: e.base,
-			Dim: uint32(len(words)), DType: bus.U32, Burst: words, WB: true,
-		})
-		l.wbInflight[i][tag] = e
-	}
-	if !down.CanIssue() {
-		return
-	}
-	for _, m := range l.mshrs {
-		if m.sm != i || m.issued {
-			continue
-		}
-		if l.wbOverlap(i, m.base, m.base+l.cfg.LineBytes) {
-			continue
-		}
-		m.tag = down.Issue(bus.Request{
-			Op: bus.OpReadBurst, SM: m.sm, VPtr: m.base,
-			Dim: l.cfg.LineBytes / 4, DType: bus.U32,
-		})
-		m.issued = true
-		return
-	}
-	if p := l.pending[i]; p != nil {
-		if p.needWait && l.wbOverlap(i, p.lo, p.hi) {
-			return
-		}
-		tag := down.Issue(p.req)
-		l.fwd[i][tag] = p.upTag
-		l.pending[i] = nil
-	}
-}
-
-// NextWake implements sim.Sleeper: every condition the L2 acts on is
-// either already visible or arrives via a port signal commit.
-func (l *L2) NextWake(now uint64) uint64 {
-	for i := range l.downs {
-		if l.downs[i].HasCompletion() || len(l.wbq[i]) > 0 {
-			return now
-		}
-	}
-	for i := range l.ups {
-		if l.ups[i].Pending() || l.pending[i] != nil {
-			return now
-		}
-	}
-	for _, m := range l.mshrs {
-		if !m.issued {
-			return now
-		}
-	}
-	return sim.WakeNever
-}
-
-// Skip implements sim.Sleeper: no per-cycle counters.
-func (l *L2) Skip(n uint64) {}
 
 // ConcurrentTick implements sim.Concurrent: a standalone L2 touches
 // only its own state and its ports. Attached to an L1 domain its Tick
@@ -698,80 +382,16 @@ func (l *L2) ConcurrentTick() bool { return l.dom == nil }
 // TickWeight implements sim.Weighted: multi-port headwork each cycle.
 func (l *L2) TickWeight() int { return 6 }
 
-// --- host-side inspection and drain ---
-
 // FlushAll queues a writeback for every dirty line (M→S). Lines stay
 // valid, so inclusion is untouched. Drain L1s first (their dirty data
 // must land in the L2), then FlushAll here and run until Synced.
-func (l *L2) FlushAll() {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			ln := &l.sets[s][w]
-			if ln.state != Modified {
-				continue
-			}
-			l.stats.Writebacks++
-			l.wbq[ln.sm] = append(l.wbq[ln.sm], &wbEntry{
-				sm: ln.sm, base: ln.base,
-				data: append([]byte(nil), ln.data...),
-			})
-			ln.state = Shared
-		}
-	}
-}
-
-// Synced reports whether no dirty state is outstanding.
-func (l *L2) Synced() bool {
-	for i := range l.downs {
-		if len(l.wbq[i]) > 0 || len(l.wbInflight[i]) > 0 {
-			return false
-		}
-	}
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if l.sets[s][w].state == Modified {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Idle reports whether the L2 has no work at all.
-func (l *L2) Idle() bool {
-	if !l.Synced() || len(l.mshrs) != 0 {
-		return false
-	}
-	for i := range l.ups {
-		if l.pending[i] != nil || l.ups[i].Pending() {
-			return false
-		}
-	}
-	for i := range l.downs {
-		if len(l.fwd[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (l *L2) FlushAll() { l.flushAll() }
 
 // Covers reports whether a valid L2 line contains (sm, addr) — the
 // inclusion invariant's building block.
 func (l *L2) Covers(sm int, addr uint32) bool {
 	_, _, ok := l.lookup(sm, l.lineBase(addr))
 	return ok
-}
-
-// VisitLines calls f for every valid line (tests and invariant
-// checkers).
-func (l *L2) VisitLines(f func(sm int, base uint32, st State)) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if ln := &l.sets[s][w]; ln.state != Invalid {
-				f(ln.sm, ln.base, ln.state)
-			}
-		}
-	}
 }
 
 // CheckInclusion verifies the inclusion invariant between kernel steps:

@@ -77,14 +77,13 @@ func equalSplit(masters, ways int) []uint64 {
 
 // contiguousMasks converts a per-master way allocation (summing to the
 // way count) into contiguous masks in master order.
-func contiguousMasks(alloc []int, ways int) []uint64 {
+func contiguousMasks(alloc []int) []uint64 {
 	masks := make([]uint64, len(alloc))
 	lo := 0
 	for i, n := range alloc {
 		masks[i] = ((uint64(1) << uint(n)) - 1) << uint(lo)
 		lo += n
 	}
-	_ = ways
 	return masks
 }
 
@@ -301,7 +300,7 @@ func (p *partitioner) repartition() {
 		hits[i] = u.hits
 	}
 	alloc := ucpAllocate(hits, p.ways)
-	p.masks = contiguousMasks(alloc, p.ways)
+	p.masks = contiguousMasks(alloc)
 	for _, u := range p.umons {
 		u.age()
 	}

@@ -68,14 +68,12 @@ func encodeU64s(enc *snapshot.Encoder, v []uint64) {
 	}
 }
 
+// decodeU64s grows the slice as it reads, so a corrupt length cannot
+// allocate more than the payload holds.
 func decodeU64s(dec *snapshot.Decoder) []uint64 {
-	n := int(dec.U32())
-	if dec.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = dec.U64()
+	var out []uint64
+	for n := dec.U32(); n > 0 && dec.Err() == nil; n-- {
+		out = append(out, dec.U64())
 	}
 	if dec.Err() != nil {
 		return nil

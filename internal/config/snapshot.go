@@ -152,47 +152,72 @@ func (s *System) RestoreSnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.restoreFrom(f)
-}
-
-func (s *System) restoreFrom(f *snapshot.File) error {
-	dec, err := f.Section(metaSection)
+	m, err := readMeta(f, s.Cfg.Masters)
 	if err != nil {
 		return err
 	}
-	hash := dec.String()
-	_ = dec.U64() // cycle, informational (authoritative copy in "kernel")
-	nm, ns, nc := dec.Int(), dec.Int(), dec.Int()
-	ncpu, ndma := dec.Int(), dec.Int()
-	type dmaMeta struct {
-		name string
-		port int
+	return s.restoreFrom(f, m)
+}
+
+// meta is the decoded meta section: the state hash, the port counts
+// and the masters to re-attach.
+type meta struct {
+	hash       string
+	nm, ns, nc int
+	ncpu       int
+	dmas       []dmaMeta
+}
+
+type dmaMeta struct {
+	name string
+	port int
+}
+
+// readMeta decodes the meta section. The CPU and DMA counts size
+// allocations, so a count that is negative or exceeds the masters
+// configured is refused before anything is allocated from it.
+func readMeta(f *snapshot.File, masters int) (meta, error) {
+	dec, err := f.Section(metaSection)
+	if err != nil {
+		return meta{}, err
 	}
-	dmas := make([]dmaMeta, 0, ndma)
+	var m meta
+	m.hash = dec.String()
+	_ = dec.U64() // cycle, informational (authoritative copy in "kernel")
+	m.nm, m.ns, m.nc = dec.Int(), dec.Int(), dec.Int()
+	m.ncpu = dec.Int()
+	ndma := dec.Int()
+	if dec.Err() == nil && (m.ncpu < 0 || m.ncpu > masters || ndma < 0 || ndma > masters) {
+		dec.Fail(fmt.Errorf("%d CPUs and %d DMA engines for %d masters", m.ncpu, ndma, masters))
+	}
 	for i := 0; i < ndma && dec.Err() == nil; i++ {
 		name := dec.String()
-		dmas = append(dmas, dmaMeta{name: name, port: dec.Int()})
+		m.dmas = append(m.dmas, dmaMeta{name: name, port: dec.Int()})
 	}
 	if err := dec.Finish(); err != nil {
-		return snapshot.SectionErr(metaSection, err)
+		return meta{}, snapshot.SectionErr(metaSection, err)
 	}
-	if want := s.Cfg.StateHash(); hash != want {
-		return fmt.Errorf("config: snapshot belongs to a different configuration (state hash %s, this system %s)", hash, want)
+	return m, nil
+}
+
+func (s *System) restoreFrom(f *snapshot.File, m meta) error {
+	if want := s.Cfg.StateHash(); m.hash != want {
+		return fmt.Errorf("config: snapshot belongs to a different configuration (state hash %s, this system %s)", m.hash, want)
 	}
-	if nm != len(s.MasterPorts) || ns != len(s.SlavePorts) || nc != len(s.CachePorts) {
+	if m.nm != len(s.MasterPorts) || m.ns != len(s.SlavePorts) || m.nc != len(s.CachePorts) {
 		return fmt.Errorf("config: snapshot topology mismatch: %d/%d/%d ports vs system %d/%d/%d",
-			nm, ns, nc, len(s.MasterPorts), len(s.SlavePorts), len(s.CachePorts))
+			m.nm, m.ns, m.nc, len(s.MasterPorts), len(s.SlavePorts), len(s.CachePorts))
 	}
-	if ncpu != len(s.CPUs) {
-		return fmt.Errorf("config: snapshot has %d CPUs, system has %d", ncpu, len(s.CPUs))
+	if m.ncpu != len(s.CPUs) {
+		return fmt.Errorf("config: snapshot has %d CPUs, system has %d", m.ncpu, len(s.CPUs))
 	}
-	if ndma != len(s.DMAs) {
-		return fmt.Errorf("config: snapshot has %d DMA engines, system has %d", ndma, len(s.DMAs))
+	if len(m.dmas) != len(s.DMAs) {
+		return fmt.Errorf("config: snapshot has %d DMA engines, system has %d", len(m.dmas), len(s.DMAs))
 	}
-	for i, m := range dmas {
-		if m.name != s.DMAs[i].Name() || m.port != s.dmaPorts[i] {
+	for i, d := range m.dmas {
+		if d.name != s.DMAs[i].Name() || d.port != s.dmaPorts[i] {
 			return fmt.Errorf("config: DMA %d mismatch: snapshot has %s@m%d, system has %s@m%d",
-				i, m.name, m.port, s.DMAs[i].Name(), s.dmaPorts[i])
+				i, d.name, d.port, s.DMAs[i].Name(), s.dmaPorts[i])
 		}
 	}
 	if err := s.restoreSection(f, "kernel", s.Kernel); err != nil {
@@ -226,43 +251,27 @@ func RestoreSystem(cfg SystemConfig, data []byte) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec, err := f.Section(metaSection)
+	m, err := readMeta(f, cfg.Masters)
 	if err != nil {
 		return nil, err
-	}
-	_ = dec.String() // state hash, verified by restoreFrom
-	_ = dec.U64()
-	_, _, _ = dec.Int(), dec.Int(), dec.Int()
-	ncpu, ndma := dec.Int(), dec.Int()
-	type dmaMeta struct {
-		name string
-		port int
-	}
-	var dmas []dmaMeta
-	for i := 0; i < ndma && dec.Err() == nil; i++ {
-		name := dec.String()
-		dmas = append(dmas, dmaMeta{name: name, port: dec.Int()})
-	}
-	if err := dec.Finish(); err != nil {
-		return nil, snapshot.SectionErr(metaSection, err)
 	}
 	sys, err := Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if ncpu > 0 {
+	if m.ncpu > 0 {
 		// Programs live inside each CPU's restored memory image; the
 		// rebuild only needs the right number of CPUs on the right ports.
-		if err := sys.AddCPUs(make([][]byte, ncpu)...); err != nil {
+		if err := sys.AddCPUs(make([][]byte, m.ncpu)...); err != nil {
 			return nil, err
 		}
 	}
-	for _, m := range dmas {
-		if _, err := sys.AddDMA(m.port, m.name); err != nil {
+	for _, d := range m.dmas {
+		if _, err := sys.AddDMA(d.port, d.name); err != nil {
 			return nil, err
 		}
 	}
-	if err := sys.restoreFrom(f); err != nil {
+	if err := sys.restoreFrom(f, m); err != nil {
 		return nil, err
 	}
 	return sys, nil

@@ -92,6 +92,9 @@ func (c *CPU) RestoreState(dec *snapshot.Decoder) error {
 	if len(img) != len(c.mem) {
 		return fmt.Errorf("cpu %s: memory size mismatch: snapshot has %d bytes, system built with %d", c.name, len(img), len(c.mem))
 	}
+	if dcLen < 0 || dcLen > len(c.mem)/4 {
+		return fmt.Errorf("cpu %s: decode cache of %d slots exceeds the %d-byte memory", c.name, dcLen, len(c.mem))
+	}
 	c.console.Reset()
 	c.console.Write(console)
 	copy(c.mem, img)

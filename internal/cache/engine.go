@@ -13,7 +13,7 @@ import (
 // bypass engine around it. The levels differ here only in data — the way
 // mask a victim is chosen under, the number of memory channels, and
 // whether MSHRs carry the L1's coherence flags — so the per-access path
-// has no interface and no function value.
+// has no interface and no stored function value.
 
 type line struct {
 	state State

@@ -162,10 +162,9 @@ func (s *System) RestoreSnapshot(data []byte) error {
 // meta is the decoded meta section: the state hash, the port counts
 // and the masters to re-attach.
 type meta struct {
-	hash       string
-	nm, ns, nc int
-	ncpu       int
-	dmas       []dmaMeta
+	hash             string
+	nm, ns, nc, ncpu int
+	dmas             []dmaMeta
 }
 
 type dmaMeta struct {
@@ -184,8 +183,7 @@ func readMeta(f *snapshot.File, masters int) (meta, error) {
 	var m meta
 	m.hash = dec.String()
 	_ = dec.U64() // cycle, informational (authoritative copy in "kernel")
-	m.nm, m.ns, m.nc = dec.Int(), dec.Int(), dec.Int()
-	m.ncpu = dec.Int()
+	m.nm, m.ns, m.nc, m.ncpu = dec.Int(), dec.Int(), dec.Int(), dec.Int()
 	ndma := dec.Int()
 	if dec.Err() == nil && (m.ncpu < 0 || m.ncpu > masters || ndma < 0 || ndma > masters) {
 		dec.Fail(fmt.Errorf("%d CPUs and %d DMA engines for %d masters", m.ncpu, ndma, masters))

@@ -238,7 +238,7 @@ func (c *Cache) processHead() {
 		return
 	}
 	if p := c.bypass(0, req.SM, c.cacheable(req.SM), req); p != nil && p.needWait {
-		c.flushRange(p.sm, p.lo, p.hi, req.Op != bus.OpRead && req.Op != bus.OpReadBurst)
+		c.flushRange(p.sm, p.lo, p.hi, p.drops())
 	}
 }
 

@@ -144,6 +144,10 @@ type bypass struct {
 	lo, hi   uint32
 }
 
+// drops reports whether the flush ahead of the forward drops the
+// overlapping lines, not just cleans them: the request writes or frees.
+func (p *bypass) drops() bool { return p.req.Op != bus.OpRead && p.req.Op != bus.OpReadBurst }
+
 // channel is one master-facing port and the memory path behind it. The
 // L1 has one, whose writebacks ride a dedicated wb port; the L2 has one
 // per memory, whose writebacks share the in-order down link (wb ==
@@ -395,6 +399,9 @@ func (e *engine) complete(i int, tag bus.Tag, resp bus.Response) *mshr {
 func (e *engine) bypass(i, sm int, cacheable bool, req bus.Request) *bypass {
 	_, lo, hi, data := dataRange(req)
 	free := req.Op == bus.OpFree
+	if free {
+		lo, hi = 0, ^uint32(0)
+	}
 	if cacheable {
 		for _, m := range e.mshrs {
 			if data && e.overlaps(m.sm, m.base, sm, lo, hi) || free && m.sm == sm {
@@ -408,9 +415,6 @@ func (e *engine) bypass(i, sm int, cacheable bool, req bus.Request) *bypass {
 		return nil
 	}
 	p := &bypass{upTag: tx.Tag, req: req}
-	if cacheable && free {
-		lo, hi = 0, ^uint32(0)
-	}
 	if cacheable && (data || free) {
 		p.needWait, p.sm, p.lo, p.hi = true, sm, lo, hi
 	}

@@ -278,7 +278,7 @@ func (l *L2) processHead(i int) {
 		return
 	}
 	if p := l.bypass(i, i, l.cacheable(i), req); p != nil && p.needWait {
-		l.flushRange(i, p.lo, p.hi, req.Op != bus.OpRead && req.Op != bus.OpReadBurst)
+		l.flushRange(i, p.lo, p.hi, p.drops())
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -62,14 +63,16 @@ type snapScenario struct {
 	verify func(sys *config.System) error
 }
 
-func gsmSnapScenario() snapScenario {
+// gsmSnapScenario runs the GSM kernel on two ISSes over two memories of
+// the given kind; its name is "gsm-" plus the kind.
+func gsmSnapScenario(kind config.MemKind) snapScenario {
 	cfg := func(m config.SystemConfig) config.SystemConfig {
 		c := m
-		c.Masters, c.Memories, c.MemKind = 2, 2, config.MemWrapper
+		c.Masters, c.Memories, c.MemKind = 2, 2, kind
 		return c
 	}
 	return snapScenario{
-		name: "gsm-wrapper",
+		name: "gsm-" + kind.String(),
 		cfg:  cfg,
 		build: func(m config.SystemConfig) (*config.System, error) {
 			sys, err := config.Build(cfg(m))
@@ -152,19 +155,20 @@ func cacheSnapScenario() snapScenario {
 	}
 }
 
-// dmaSnapScenario is a DMA copy between two wrappers. With pipelined set
-// it runs at depth 4 over a split bus with out-of-order delivery (reads
-// and writes both in flight at the checkpoint); without, at depth 1 over
-// the occupied interconnect — every transaction holds its channel end to
-// end and the engine strictly alternates read and write.
-func dmaSnapScenario(name string, inter config.InterconnectKind, pipelined bool) snapScenario {
+// dmaSnapScenario is a DMA copy between two wrappers. At depth 4 it runs
+// over the split interconnect, reads and writes both in flight at the
+// checkpoint; in-order delivery (ooo false) then parks early responses in
+// the port's reorder map. At depth 1 it runs over the occupied
+// interconnect — every transaction holds its channel end to end and the
+// engine strictly alternates read and write.
+func dmaSnapScenario(name string, inter config.InterconnectKind, depth int, ooo bool) snapScenario {
 	const elems = 256
 	cfg := func(m config.SystemConfig) config.SystemConfig {
 		c := m
 		c.Masters, c.Memories, c.MemKind = 1, 2, config.MemWrapper
 		c.Interconnect = inter
-		if pipelined {
-			c.OutstandingDepth, c.SplitBus, c.OutOfOrder = 4, true, true
+		if depth > 1 {
+			c.OutstandingDepth, c.SplitBus, c.OutOfOrder = depth, true, ooo
 		}
 		return c
 	}
@@ -281,6 +285,25 @@ func l2dramSnapScenario() snapScenario {
 	}
 }
 
+// midFlightScenarios are checkpointed once, half-way, and resumed under
+// the whole restore matrix.
+func midFlightScenarios() []snapScenario {
+	return []snapScenario{
+		gsmSnapScenario(config.MemWrapper), gsmSnapScenario(config.MemHeapSim),
+		cacheSnapScenario(), l2dramSnapScenario(),
+		dmaSnapScenario("dma-mlp", config.InterBus, 4, true),
+		dmaSnapScenario("dma-mlp-inorder", config.InterBus, 4, false),
+	}
+}
+
+// everyCycleScenarios are checkpointed at every cycle of their run.
+func everyCycleScenarios() []snapScenario {
+	return []snapScenario{
+		dmaSnapScenario("dma-serial-bus", config.InterBus, 1, false),
+		dmaSnapScenario("dma-serial-xbar", config.InterCrossbar, 1, false),
+	}
+}
+
 // straightRun runs the scenario uninterrupted in mode m, checks its
 // golden outcomes, pins its observables against the committed reference
 // and returns them: what every checkpointed run must land on.
@@ -314,10 +337,7 @@ func (sc snapScenario) straightRun(t *testing.T, m config.SystemConfig) sysSnaps
 // identically-built system.
 func TestSchedDiffSnapshot(t *testing.T) {
 	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
-	for _, sc := range []snapScenario{
-		gsmSnapScenario(), cacheSnapScenario(), l2dramSnapScenario(),
-		dmaSnapScenario("dma-mlp", config.InterBus, true),
-	} {
+	for _, sc := range midFlightScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			ref := sc.straightRun(t, refMode)
 
@@ -375,6 +395,46 @@ func TestSchedDiffSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip catches a field that only one direction of a
+// module's state walk handles: for every pinned scenario, the mid-flight
+// snapshot restored under the saving config and snapshotted again must
+// give the identical bytes. The checkpoint cycle is half the scenario's
+// recorded length, as in TestSchedDiffSnapshot.
+func TestSnapshotRoundTrip(t *testing.T) {
+	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
+	for _, sc := range append(midFlightScenarios(), everyCycleScenarios()...) {
+		t.Run(sc.name, func(t *testing.T) {
+			var ref sysSnapshot
+			if err := json.Unmarshal(schedRefData.Scenarios["snapshot/"+sc.name], &ref); err != nil || ref.Cycles < 4 {
+				t.Fatalf("no recorded run length for %s (err %v)", sc.name, err)
+			}
+			sys, err := sc.build(refMode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Kernel.Run(ref.Cycles / 2); err != nil {
+				t.Fatal(err)
+			}
+			data, err := sys.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRefSnapshot(t, sc.name, data)
+			warm, err := config.RestoreSystem(sc.cfg(refMode), data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := warm.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, again) {
+				t.Fatalf("restore + snapshot changed the bytes: %s, then %s", digest(data), digest(again))
+			}
+		})
+	}
+}
+
 // TestSchedDiffSnapshotEveryCycle checkpoints the depth-1 DMA copy over
 // the occupied bus and crossbar at every single cycle of the run, so the
 // snapshot is taken in every phase of a held transaction — request words
@@ -384,10 +444,7 @@ func TestSchedDiffSnapshot(t *testing.T) {
 // and must land on the straight run's observables.
 func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
 	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
-	for _, sc := range []snapScenario{
-		dmaSnapScenario("dma-serial-bus", config.InterBus, false),
-		dmaSnapScenario("dma-serial-xbar", config.InterCrossbar, false),
-	} {
+	for _, sc := range everyCycleScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			ref := sc.straightRun(t, refMode)
 			saveSys, err := sc.build(refMode)
@@ -401,6 +458,9 @@ func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
 				data, err := saveSys.Snapshot()
 				if err != nil {
 					t.Fatalf("cycle %d: %v", k, err)
+				}
+				if k == ref.Cycles/2 {
+					checkRefSnapshot(t, sc.name, data)
 				}
 				m := snapDiffModes[int(k)%len(snapDiffModes)]
 				warm, err := config.RestoreSystem(sc.cfg(m), data)
@@ -425,7 +485,7 @@ func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
 // straight run's trace. The probes read through a mutable system
 // pointer so the same variables keep sampling after the swap.
 func TestSchedDiffSnapshotVCD(t *testing.T) {
-	sc := gsmSnapScenario()
+	sc := gsmSnapScenario(config.MemWrapper)
 	refMode := config.SystemConfig{Lockstep: false, Workers: 1}
 
 	probeVCD := func(buf *bytes.Buffer, cur **config.System) *sim.VCD {
@@ -491,7 +551,7 @@ func TestSchedDiffSnapshotVCD(t *testing.T) {
 // incompatible snapshots error with a named section or a version
 // message — and never restore partial state silently.
 func TestSnapshotFailureModes(t *testing.T) {
-	sc := gsmSnapScenario()
+	sc := gsmSnapScenario(config.MemWrapper)
 	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
 	sys, err := sc.build(refMode)
 	if err != nil {

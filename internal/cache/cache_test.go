@@ -2,12 +2,14 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bus"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/smapi"
+	"repro/internal/snapshot"
 )
 
 const ramBytes = 4096
@@ -343,4 +345,68 @@ func TestFalseSharingImage(t *testing.T) {
 			t.Errorf("split=%v: false sharing produced no invalidations", split)
 		}
 	}
+}
+
+// issuedMSHR steps k until e has an MSHR whose refill is issued.
+func issuedMSHR(t *testing.T, k *sim.Kernel, e *engine) *mshr {
+	t.Helper()
+	for range 1000 {
+		for _, m := range e.mshrs {
+			if m.issued {
+				return m
+			}
+		}
+		if err := k.Run(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("no MSHR issued within 1000 cycles")
+	return nil
+}
+
+// loadSection saves from into a snapshot section and loads it into to.
+func loadSection(t *testing.T, from, to snapshot.Stateful) error {
+	t.Helper()
+	w := snapshot.NewWriter()
+	w.Save("s", from)
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapshot.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Load("s", to)
+}
+
+// TestRestoreRejectsBadMSHRIndex: an MSHR's set, way and module index
+// the line store and the channels when its refill lands, so a
+// checksum-valid section carrying one out of range must fail to load
+// rather than restore cleanly and panic on resume.
+func TestRestoreRejectsBadMSHRIndex(t *testing.T) {
+	read := func(ctx *smapi.Ctx) {
+		_, code := ctx.Mem(0).ReadAs(64, bus.U32)
+		must(code)
+	}
+	t.Run("l1-way", func(t *testing.T) {
+		r := buildRig(t, Config{}, false, false, read)
+		fresh := buildRig(t, Config{}, false, false, read)
+		if err := loadSection(t, r.caches[0], fresh.caches[0]); err != nil {
+			t.Fatalf("unmodified cache: %v", err)
+		}
+		issuedMSHR(t, r.k, &r.caches[0].engine).way = r.caches[0].cfg.Ways
+		if err := loadSection(t, r.caches[0], fresh.caches[0]); err == nil || !strings.Contains(err.Error(), "MSHR targets") {
+			t.Fatalf("MSHR way out of range: err = %v", err)
+		}
+	})
+	t.Run("l2-set", func(t *testing.T) {
+		l2cfg := L2Config{Sets: 4, Ways: 2}
+		r := buildL2Rig(t, Config{}, l2cfg, ramBytes, false, read)
+		fresh := buildL2Rig(t, Config{}, l2cfg, ramBytes, false, read)
+		issuedMSHR(t, r.k, &r.l2.engine).set = -1
+		if err := loadSection(t, r.l2, fresh.l2); err == nil || !strings.Contains(err.Error(), "MSHR targets") {
+			t.Fatalf("MSHR set out of range: err = %v", err)
+		}
+	})
 }

@@ -2,182 +2,126 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bus"
 	"repro/internal/snapshot"
 )
 
-func sortedTags[V any](m map[bus.Tag]V) []bus.Tag {
-	tags := make([]bus.Tag, 0, len(m))
-	for t := range m {
-		tags = append(tags, t)
+// walkWB walks one writeback entry, allocating it when loading.
+func walkWB(cd *snapshot.Codec, p **wbEntry) {
+	if *p == nil {
+		*p = new(wbEntry)
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	return tags
+	w := *p
+	cd.Int(&w.sm)
+	cd.U32(&w.base)
+	cd.Bytes(&w.data)
 }
 
-func encodeWB(enc *snapshot.Encoder, e *wbEntry) {
-	enc.Int(e.sm)
-	enc.U32(e.base)
-	enc.Bytes32(e.data)
+// checkModule fails the load unless module sm has a channel.
+func (e *engine) checkModule(cd *snapshot.Codec, sm int) {
+	if sm < 0 || e.chanOf(sm) >= len(e.chans) {
+		cd.Fail(fmt.Errorf("%s: module %d out of range of %d channels", e.name, sm, len(e.chans)))
+	}
 }
 
-func decodeWB(dec *snapshot.Decoder) *wbEntry {
-	return &wbEntry{sm: dec.Int(), base: dec.U32(), data: dec.Bytes32()}
-}
-
-// saveEngine writes the state both levels share, in the order of their
-// format-v2 sections: the LRU clock, every line (state, address, LRU
-// stamp, data), the MSHRs with their waiter queues, each channel's
-// writeback queue, in-flight writebacks and forwards, then each
-// channel's pending bypass. The L1 layout (mesi) adds a presence flag
-// and the coherence flags to every MSHR and the module to the bypass.
-func (e *engine) saveEngine(enc *snapshot.Encoder) {
-	enc.U64(e.useClock)
+// walkEngine walks the state both levels share, in the order of their
+// format-v2 sections: the LRU clock, every line (state, module, address,
+// LRU stamp, data), the nmshr MSHRs with their waiter queues, each
+// channel's writeback queue, in-flight writebacks and forwards, then
+// each channel's pending bypass. The L1 layout (mesi) adds a presence
+// flag and the coherence flags to every MSHR and the module to the
+// bypass. Every index a later tick dereferences — an MSHR's set, way
+// and module, a line's module — is checked against the built geometry.
+func (e *engine) walkEngine(cd *snapshot.Codec, nmshr int) {
+	cd.U64(&e.useClock)
 	for si := range e.sets {
 		for wi := range e.sets[si] {
 			ln := &e.sets[si][wi]
-			enc.U8(uint8(ln.state))
-			enc.Int(ln.sm)
-			enc.U32(ln.base)
-			enc.U64(ln.used)
-			enc.Bytes32(ln.data)
+			snapshot.Byte(cd, &ln.state)
+			cd.Int(&ln.sm)
+			cd.U32(&ln.base)
+			cd.U64(&ln.used)
+			cd.Image(ln.data)
+			e.checkModule(cd, ln.sm)
 		}
 	}
-	for _, m := range e.mshrs {
-		if e.mesi {
-			enc.Bool(true)
-		}
-		enc.Int(m.sm)
-		enc.U32(m.base)
-		if e.mesi {
-			enc.Bool(m.excl)
-		}
-		enc.Int(m.set)
-		enc.Int(m.way)
-		enc.Bool(m.issued)
-		if e.mesi {
-			enc.Bool(m.granted)
-			enc.Bool(m.shared)
-			enc.Bool(m.killed)
-		}
-		enc.U64(uint64(m.tag))
-		enc.U32(uint32(len(m.waiters)))
-		for _, w := range m.waiters {
-			enc.U64(uint64(w.tag))
-			bus.EncodeRequest(enc, w.req)
-		}
+	// The snapshot holds the live MSHRs; the freshly built level has
+	// none, so loading rebuilds the slice.
+	if cd.Loading() {
+		e.mshrs = e.mshrs[:0]
 	}
-	for i := range e.chans {
-		ch := &e.chans[i]
-		enc.U32(uint32(len(ch.wbq)))
-		for _, w := range ch.wbq {
-			encodeWB(enc, w)
+	for i := 0; i < nmshr && cd.Err() == nil; i++ {
+		present := true
+		if e.mesi {
+			cd.Bool(&present)
 		}
-		wbTags := sortedTags(ch.wbInflight)
-		enc.U32(uint32(len(wbTags)))
-		for _, t := range wbTags {
-			enc.U64(uint64(t))
-			encodeWB(enc, ch.wbInflight[t])
-		}
-		fwdTags := sortedTags(ch.fwd)
-		enc.U32(uint32(len(fwdTags)))
-		for _, t := range fwdTags {
-			enc.U64(uint64(t))
-			enc.U64(uint64(ch.fwd[t]))
-		}
-	}
-	for i := range e.chans {
-		p := e.chans[i].pending
-		enc.Bool(p != nil)
-		if p == nil {
+		if !present {
 			continue
 		}
-		enc.U64(uint64(p.upTag))
-		bus.EncodeRequest(enc, p.req)
-		enc.Bool(p.needWait)
+		var m *mshr
+		if cd.Loading() {
+			m = new(mshr)
+			e.mshrs = append(e.mshrs, m)
+		} else {
+			m = e.mshrs[i]
+		}
+		cd.Int(&m.sm)
+		cd.U32(&m.base)
 		if e.mesi {
-			enc.Int(p.sm)
+			cd.Bool(&m.excl)
 		}
-		enc.U32(p.lo)
-		enc.U32(p.hi)
-	}
-}
-
-// restoreEngine reads what saveEngine wrote, given the MSHR count from
-// the level's geometry header (already checked against its capacity).
-func (e *engine) restoreEngine(dec *snapshot.Decoder, nmshr int) error {
-	e.useClock = dec.U64()
-	for si := range e.sets {
-		for wi := range e.sets[si] {
-			ln := &e.sets[si][wi]
-			ln.state = State(dec.U8())
-			ln.sm = dec.Int()
-			ln.base = dec.U32()
-			ln.used = dec.U64()
-			data := dec.Bytes32()
-			if dec.Err() != nil {
-				return dec.Err()
-			}
-			if len(data) != len(ln.data) {
-				return fmt.Errorf("%s: line size mismatch: snapshot has %d bytes, system has %d", e.name, len(data), len(ln.data))
-			}
-			copy(ln.data, data)
-		}
-	}
-	// The snapshot holds the live MSHRs; the freshly built cache has
-	// none, so rebuild the slice.
-	e.mshrs = e.mshrs[:0]
-	for i := 0; i < nmshr; i++ {
-		if e.mesi && !dec.Bool() {
-			continue
-		}
-		m := &mshr{sm: dec.Int(), base: dec.U32()}
+		cd.Int(&m.set)
+		cd.Int(&m.way)
+		cd.Bool(&m.issued)
 		if e.mesi {
-			m.excl = dec.Bool()
+			cd.Bool(&m.granted)
+			cd.Bool(&m.shared)
+			cd.Bool(&m.killed)
 		}
-		m.set, m.way, m.issued = dec.Int(), dec.Int(), dec.Bool()
-		if e.mesi {
-			m.granted, m.shared, m.killed = dec.Bool(), dec.Bool(), dec.Bool()
+		snapshot.Word(cd, &m.tag)
+		snapshot.Slice(cd, &m.waiters, func(w *waiter) {
+			snapshot.Word(cd, &w.tag)
+			w.req.Walk(cd)
+		})
+		if m.set < 0 || m.set >= len(e.sets) || m.way < 0 || m.way >= len(e.sets[m.set]) {
+			cd.Fail(fmt.Errorf("%s: MSHR targets set %d way %d of a %dx%d array", e.name, m.set, m.way, len(e.sets), len(e.sets[0])))
 		}
-		m.tag = bus.Tag(dec.U64())
-		for n := dec.U32(); n > 0 && dec.Err() == nil; n-- {
-			tag := bus.Tag(dec.U64())
-			m.waiters = append(m.waiters, waiter{tag: tag, req: bus.DecodeRequest(dec)})
-		}
-		e.mshrs = append(e.mshrs, m)
+		e.checkModule(cd, m.sm)
 	}
 	for i := range e.chans {
 		ch := &e.chans[i]
-		ch.wbq = nil
-		for n := dec.U32(); n > 0 && dec.Err() == nil; n-- {
-			ch.wbq = append(ch.wbq, decodeWB(dec))
-		}
-		ch.wbInflight = make(map[bus.Tag]*wbEntry)
-		for n := dec.U32(); n > 0 && dec.Err() == nil; n-- {
-			tag := bus.Tag(dec.U64())
-			ch.wbInflight[tag] = decodeWB(dec)
-		}
-		ch.fwd = make(map[bus.Tag]bus.Tag)
-		for n := dec.U32(); n > 0 && dec.Err() == nil; n-- {
-			down := bus.Tag(dec.U64())
-			ch.fwd[down] = bus.Tag(dec.U64())
-		}
+		snapshot.Slice(cd, &ch.wbq, func(w **wbEntry) { walkWB(cd, w) })
+		snapshot.Map(cd, &ch.wbInflight, func(_ bus.Tag, w *wbEntry) *wbEntry {
+			walkWB(cd, &w)
+			return w
+		})
+		snapshot.Map(cd, &ch.fwd, func(_ bus.Tag, up bus.Tag) bus.Tag {
+			snapshot.Word(cd, &up)
+			return up
+		})
 	}
 	for i := range e.chans {
 		ch := &e.chans[i]
-		ch.pending = nil
-		if dec.Bool() {
-			p := &bypass{upTag: bus.Tag(dec.U64()), req: bus.DecodeRequest(dec), needWait: dec.Bool(), sm: i}
+		has := ch.pending != nil
+		cd.Bool(&has)
+		if cd.Loading() {
+			ch.pending = nil
+			if has {
+				ch.pending = &bypass{sm: i}
+			}
+		}
+		if p := ch.pending; p != nil {
+			snapshot.Word(cd, &p.upTag)
+			p.req.Walk(cd)
+			cd.Bool(&p.needWait)
 			if e.mesi {
-				p.sm = dec.Int()
+				cd.Int(&p.sm)
 			}
-			p.lo, p.hi = dec.U32(), dec.U32()
-			ch.pending = p
+			cd.U32(&p.lo)
+			cd.U32(&p.hi)
 		}
 	}
-	return dec.Err()
 }
 
 // fields lists the counters in snapshot order.
@@ -194,162 +138,94 @@ func (s *L2Stats) fields() []*uint64 {
 		&s.BackInvalidations, &s.DirtyMerges, &s.Bypassed, &s.Errors}
 }
 
-// SaveState implements snapshot.Saver: the geometry, the shared engine
-// state (see saveEngine), the stats — and the embedded state of the
-// private writeback port, which only the cache holds a reference to
-// (config.System tracks the up and down ports, the wb channel is
-// internal wiring).
+// WalkState walks the geometry (sets, ways and MSHR count, which must
+// fit the rebuilt cache), the shared engine state (see walkEngine), the
+// stats — and the embedded state of the private writeback port, which
+// only the cache holds a reference to (config.System tracks the up and
+// down ports, the wb channel is internal wiring).
 //
 // The Domain is deliberately absent: it holds pure topology (which
 // cache owns which MSHR address), all dynamic coherence state lives in
 // the caches themselves.
-func (c *Cache) SaveState(enc *snapshot.Encoder) {
-	enc.Int(c.cfg.Sets)
-	enc.Int(c.cfg.Ways)
-	enc.Int(len(c.mshrs))
-	c.saveEngine(enc)
-	for _, v := range c.stats.fields() {
-		enc.U64(*v)
+func (c *Cache) WalkState(cd *snapshot.Codec) error {
+	sets, ways, nmshr := c.cfg.Sets, c.cfg.Ways, len(c.mshrs)
+	cd.Int(&sets)
+	cd.Int(&ways)
+	cd.Int(&nmshr)
+	if sets != c.cfg.Sets || ways != c.cfg.Ways || nmshr > c.cfg.MSHRs {
+		return cd.Fail(fmt.Errorf("cache %s geometry mismatch: snapshot has sets=%d ways=%d mshrs=%d, system has sets=%d ways=%d mshr capacity %d",
+			c.name, sets, ways, nmshr, c.cfg.Sets, c.cfg.Ways, c.cfg.MSHRs))
 	}
-	c.chans[0].wb.SaveState(enc)
+	c.walkEngine(cd, nmshr)
+	for _, v := range c.stats.fields() {
+		cd.U64(v)
+	}
+	return c.chans[0].wb.WalkState(cd)
 }
 
-// RestoreState implements snapshot.Restorer. Geometry (sets, ways,
-// MSHR count, line size) must match the rebuilt cache exactly.
-func (c *Cache) RestoreState(dec *snapshot.Decoder) error {
-	nsets, nways, nmshr := dec.Int(), dec.Int(), dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if nsets != c.cfg.Sets || nways != c.cfg.Ways || nmshr > c.cfg.MSHRs {
-		return fmt.Errorf("cache %s geometry mismatch: snapshot has sets=%d ways=%d mshrs=%d, system has sets=%d ways=%d mshr capacity %d",
-			c.name, nsets, nways, nmshr, c.cfg.Sets, c.cfg.Ways, c.cfg.MSHRs)
-	}
-	if err := c.restoreEngine(dec, nmshr); err != nil {
-		return err
-	}
-	for _, v := range c.stats.fields() {
-		*v = dec.U64()
-	}
-	if err := c.chans[0].wb.RestoreState(dec); err != nil {
-		return fmt.Errorf("cache %s writeback port: %w", c.name, err)
-	}
-	return dec.Finish()
-}
-
-// SaveState implements snapshot.Saver: the geometry, the shared engine
-// state (see saveEngine), the partitioner (masks, schedule and UMON
-// shadow state — repartition points are deterministic, so they must
-// survive a restore), the stats — and the embedded state of the private
-// down links, which only the L2 holds references to (the up ports are
+// WalkState walks the geometry (sets, ways, port count and MSHR count,
+// which must fit the rebuilt L2), the shared engine state (see
+// walkEngine), the partitioner (masks, schedule and UMON shadow state —
+// repartition points are deterministic, so they must survive a
+// restore), the stats — and the embedded state of the private down
+// links, which only the L2 holds references to (the up ports are
 // interconnect slave ports that config.System tracks itself).
-func (l *L2) SaveState(enc *snapshot.Encoder) {
-	enc.Int(l.cfg.Sets)
-	enc.Int(l.cfg.Ways)
-	enc.Int(len(l.chans))
-	enc.Int(len(l.mshrs))
-	l.saveEngine(enc)
-	l.part.saveState(enc)
+func (l *L2) WalkState(cd *snapshot.Codec) error {
+	sets, ways, nups, nmshr := l.cfg.Sets, l.cfg.Ways, len(l.chans), len(l.mshrs)
+	cd.Int(&sets)
+	cd.Int(&ways)
+	cd.Int(&nups)
+	cd.Int(&nmshr)
+	if sets != l.cfg.Sets || ways != l.cfg.Ways || nups != len(l.chans) || nmshr > l.cfg.MSHRs {
+		return cd.Fail(fmt.Errorf("%s geometry mismatch: snapshot has sets=%d ways=%d ports=%d mshrs=%d, system has sets=%d ways=%d ports=%d mshr capacity %d",
+			l.name, sets, ways, nups, nmshr, l.cfg.Sets, l.cfg.Ways, len(l.chans), l.cfg.MSHRs))
+	}
+	l.walkEngine(cd, nmshr)
+	l.part.walk(cd)
 	for _, v := range l.stats.fields() {
-		enc.U64(*v)
+		cd.U64(v)
 	}
 	for i := range l.chans {
-		l.chans[i].down.SaveState(enc)
+		l.chans[i].down.WalkState(cd)
 	}
+	return cd.Err()
 }
 
-// RestoreState implements snapshot.Restorer. Geometry (sets, ways, port
-// count, MSHR capacity) must match the rebuilt L2 exactly.
-func (l *L2) RestoreState(dec *snapshot.Decoder) error {
-	nsets, nways, nups, nmshr := dec.Int(), dec.Int(), dec.Int(), dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if nsets != l.cfg.Sets || nways != l.cfg.Ways || nups != len(l.chans) || nmshr > l.cfg.MSHRs {
-		return fmt.Errorf("%s geometry mismatch: snapshot has sets=%d ways=%d ports=%d mshrs=%d, system has sets=%d ways=%d ports=%d mshr capacity %d",
-			l.name, nsets, nways, nups, nmshr, l.cfg.Sets, l.cfg.Ways, len(l.chans), l.cfg.MSHRs)
-	}
-	if err := l.restoreEngine(dec, nmshr); err != nil {
-		return err
-	}
-	if err := l.part.restoreState(dec); err != nil {
-		return fmt.Errorf("%s partitioner: %w", l.name, err)
-	}
-	for _, v := range l.stats.fields() {
-		*v = dec.U64()
-	}
-	for i := range l.chans {
-		if err := l.chans[i].down.RestoreState(dec); err != nil {
-			return fmt.Errorf("%s down port %d: %w", l.name, i, err)
-		}
-	}
-	return dec.Finish()
-}
-
-// saveState appends the partitioner's dynamic state: masks, the
-// repartition schedule position, and each UMON's shadow directory.
-func (p *partitioner) saveState(enc *snapshot.Encoder) {
-	enc.U8(uint8(p.kind))
-	enc.U32(uint32(len(p.masks)))
-	for _, m := range p.masks {
-		enc.U64(m)
-	}
-	enc.U64(p.count)
-	enc.U64(p.repartitions)
-	enc.Int(len(p.umons))
-	for _, u := range p.umons {
-		enc.U64(u.clock)
-		for _, h := range u.hits {
-			enc.U64(h)
-		}
-		for s := range u.tags {
-			for w := range u.tags[s] {
-				e := &u.tags[s][w]
-				enc.Bool(e.valid)
-				enc.Int(e.sm)
-				enc.U32(e.base)
-				enc.U64(e.used)
-			}
-		}
-	}
-}
-
-func (p *partitioner) restoreState(dec *snapshot.Decoder) error {
-	kind := PartitionKind(dec.U8())
-	nmasks := int(dec.U32())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if kind != p.kind || nmasks != len(p.masks) {
-		return fmt.Errorf("policy mismatch: snapshot has kind=%d masks=%d, system has kind=%d masks=%d",
-			kind, nmasks, p.kind, len(p.masks))
+// walk walks the partitioner's dynamic state: masks, the repartition
+// schedule position, and each UMON's shadow directory.
+func (p *partitioner) walk(cd *snapshot.Codec) {
+	kind, nmasks := p.kind, uint32(len(p.masks))
+	snapshot.Byte(cd, &kind)
+	cd.U32(&nmasks)
+	if kind != p.kind || int(nmasks) != len(p.masks) {
+		cd.Fail(fmt.Errorf("partition policy mismatch: snapshot has kind=%d masks=%d, system has kind=%d masks=%d",
+			kind, nmasks, p.kind, len(p.masks)))
+		return
 	}
 	for i := range p.masks {
-		p.masks[i] = dec.U64()
+		cd.U64(&p.masks[i])
 	}
-	p.count = dec.U64()
-	p.repartitions = dec.U64()
-	numon := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
+	cd.U64(&p.count)
+	cd.U64(&p.repartitions)
+	numon := len(p.umons)
+	cd.Int(&numon)
 	if numon != len(p.umons) {
-		return fmt.Errorf("UMON count mismatch: snapshot has %d, system has %d", numon, len(p.umons))
+		cd.Fail(fmt.Errorf("UMON count mismatch: snapshot has %d, system has %d", numon, len(p.umons)))
+		return
 	}
 	for _, u := range p.umons {
-		u.clock = dec.U64()
+		cd.U64(&u.clock)
 		for i := range u.hits {
-			u.hits[i] = dec.U64()
+			cd.U64(&u.hits[i])
 		}
 		for s := range u.tags {
 			for w := range u.tags[s] {
 				e := &u.tags[s][w]
-				e.valid = dec.Bool()
-				e.sm = dec.Int()
-				e.base = dec.U32()
-				e.used = dec.U64()
+				cd.Bool(&e.valid)
+				cd.Int(&e.sm)
+				cd.U32(&e.base)
+				cd.U64(&e.used)
 			}
 		}
 	}
-	return dec.Err()
 }

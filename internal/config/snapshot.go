@@ -14,8 +14,8 @@ import (
 
 // This file is the snapshot orchestrator: it enumerates the system's
 // ports and modules in deterministic build order and delegates each
-// one's state to its snapshot.Saver/Restorer capability. Modules that
-// do not implement the capability (native smapi.Procs, whose state
+// one's state to its snapshot.Stateful walk. Modules that do not
+// implement it (native smapi.Procs, whose state
 // lives in a goroutine) make Snapshot fail loudly — a snapshot is
 // complete or it is nothing.
 
@@ -88,6 +88,57 @@ func (s *System) snapshotPorts() []*bus.Port {
 
 const metaSection = "meta"
 
+// meta is the meta section: the state hash, the port counts and the
+// masters to re-attach. masters, the configured count, bounds the CPU
+// and DMA counts; it does not travel.
+type meta struct {
+	masters          int
+	hash             string
+	cycle            uint64
+	nm, ns, nc, ncpu int
+	dmas             []dmaMeta
+}
+
+type dmaMeta struct {
+	name string
+	port int
+}
+
+// meta describes this system for the meta section.
+func (s *System) meta() *meta {
+	m := &meta{masters: s.Cfg.Masters, hash: s.Cfg.StateHash(), cycle: s.Kernel.Cycle(),
+		nm: len(s.MasterPorts), ns: len(s.SlavePorts), nc: len(s.CachePorts), ncpu: len(s.CPUs)}
+	for i, eng := range s.DMAs {
+		m.dmas = append(m.dmas, dmaMeta{name: eng.Name(), port: s.dmaPorts[i]})
+	}
+	return m
+}
+
+// WalkState walks the meta section. The CPU and DMA counts size
+// allocations, so a count that is negative or exceeds the masters
+// configured is refused before anything is allocated from it.
+func (m *meta) WalkState(c *snapshot.Codec) error {
+	c.String(&m.hash)
+	c.U64(&m.cycle) // informational: the authoritative copy is in "kernel"
+	c.Int(&m.nm)
+	c.Int(&m.ns)
+	c.Int(&m.nc)
+	c.Int(&m.ncpu)
+	ndma := len(m.dmas)
+	c.Int(&ndma)
+	if m.ncpu < 0 || m.ncpu > m.masters || ndma < 0 || ndma > m.masters {
+		return c.Fail(fmt.Errorf("%d CPUs and %d DMA engines for %d masters", m.ncpu, ndma, m.masters))
+	}
+	if c.Loading() {
+		m.dmas = make([]dmaMeta, ndma)
+	}
+	for i := range m.dmas {
+		c.String(&m.dmas[i].name)
+		c.Int(&m.dmas[i].port)
+	}
+	return c.Err()
+}
+
 // Snapshot serializes the complete simulator state into the versioned
 // format of internal/snapshot. It fails — rather than write a partial
 // file — when any module does not support snapshotting or the kernel
@@ -100,45 +151,32 @@ func (s *System) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("config: cannot snapshot: module %s is a native smapi proc whose task state lives in a goroutine, which does not serialize; rebuild the system with ISS masters (AddCPUs) instead of native procs, or checkpoint before AddProcs — see docs/SNAPSHOT.md \"What deliberately does not travel\"", s.Procs[0].Name())
 	}
 	w := snapshot.NewWriter()
-	w.AddSection(metaSection, func(e *snapshot.Encoder) {
-		e.String(s.Cfg.StateHash())
-		e.U64(s.Kernel.Cycle())
-		e.Int(len(s.MasterPorts))
-		e.Int(len(s.SlavePorts))
-		e.Int(len(s.CachePorts))
-		e.Int(len(s.CPUs))
-		e.Int(len(s.DMAs))
-		for i, eng := range s.DMAs {
-			e.String(eng.Name())
-			e.Int(s.dmaPorts[i])
-		}
-	})
-	w.AddSection("kernel", s.Kernel.SaveState)
+	w.Save(metaSection, s.meta())
+	w.Save("kernel", s.Kernel)
 	for _, p := range s.snapshotPorts() {
-		w.AddSection("port."+p.Name(), p.SaveState)
+		w.Save("port."+p.Name(), p)
 	}
 	for _, m := range s.Kernel.Modules() {
-		sv, ok := m.(snapshot.Saver)
+		st, ok := m.(snapshot.Stateful)
 		if !ok {
 			return nil, fmt.Errorf("config: module %s does not support snapshotting", m.Name())
 		}
-		w.AddSection("mod."+m.Name(), sv.SaveState)
+		w.Save("mod."+m.Name(), st)
 	}
 	return w.Finish()
 }
 
-func (s *System) restoreSection(f *snapshot.File, name string, r snapshot.Restorer) error {
-	dec, err := f.Section(name)
+// readSnapshot parses data and loads its meta section.
+func readSnapshot(data []byte, masters int) (*snapshot.File, *meta, error) {
+	f, err := snapshot.Read(data)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if err := r.RestoreState(dec); err != nil {
-		return snapshot.SectionErr(name, err)
+	m := &meta{masters: masters}
+	if err := f.Load(metaSection, m); err != nil {
+		return nil, nil, err
 	}
-	if err := dec.Finish(); err != nil {
-		return snapshot.SectionErr(name, err)
-	}
-	return nil
+	return f, m, nil
 }
 
 // RestoreSnapshot overwrites the state of this system — built from a
@@ -148,57 +186,14 @@ func (s *System) restoreSection(f *snapshot.File, name string, r snapshot.Restor
 // system must be considered corrupt and discarded (restore does not
 // roll back).
 func (s *System) RestoreSnapshot(data []byte) error {
-	f, err := snapshot.Read(data)
-	if err != nil {
-		return err
-	}
-	m, err := readMeta(f, s.Cfg.Masters)
+	f, m, err := readSnapshot(data, s.Cfg.Masters)
 	if err != nil {
 		return err
 	}
 	return s.restoreFrom(f, m)
 }
 
-// meta is the decoded meta section: the state hash, the port counts
-// and the masters to re-attach.
-type meta struct {
-	hash             string
-	nm, ns, nc, ncpu int
-	dmas             []dmaMeta
-}
-
-type dmaMeta struct {
-	name string
-	port int
-}
-
-// readMeta decodes the meta section. The CPU and DMA counts size
-// allocations, so a count that is negative or exceeds the masters
-// configured is refused before anything is allocated from it.
-func readMeta(f *snapshot.File, masters int) (meta, error) {
-	dec, err := f.Section(metaSection)
-	if err != nil {
-		return meta{}, err
-	}
-	var m meta
-	m.hash = dec.String()
-	_ = dec.U64() // cycle, informational (authoritative copy in "kernel")
-	m.nm, m.ns, m.nc, m.ncpu = dec.Int(), dec.Int(), dec.Int(), dec.Int()
-	ndma := dec.Int()
-	if dec.Err() == nil && (m.ncpu < 0 || m.ncpu > masters || ndma < 0 || ndma > masters) {
-		dec.Fail(fmt.Errorf("%d CPUs and %d DMA engines for %d masters", m.ncpu, ndma, masters))
-	}
-	for i := 0; i < ndma && dec.Err() == nil; i++ {
-		name := dec.String()
-		m.dmas = append(m.dmas, dmaMeta{name: name, port: dec.Int()})
-	}
-	if err := dec.Finish(); err != nil {
-		return meta{}, snapshot.SectionErr(metaSection, err)
-	}
-	return m, nil
-}
-
-func (s *System) restoreFrom(f *snapshot.File, m meta) error {
+func (s *System) restoreFrom(f *snapshot.File, m *meta) error {
 	if want := s.Cfg.StateHash(); m.hash != want {
 		return fmt.Errorf("config: snapshot belongs to a different configuration (state hash %s, this system %s)", m.hash, want)
 	}
@@ -218,20 +213,20 @@ func (s *System) restoreFrom(f *snapshot.File, m meta) error {
 				i, d.name, d.port, s.DMAs[i].Name(), s.dmaPorts[i])
 		}
 	}
-	if err := s.restoreSection(f, "kernel", s.Kernel); err != nil {
+	if err := f.Load("kernel", s.Kernel); err != nil {
 		return err
 	}
 	for _, p := range s.snapshotPorts() {
-		if err := s.restoreSection(f, "port."+p.Name(), p); err != nil {
+		if err := f.Load("port."+p.Name(), p); err != nil {
 			return err
 		}
 	}
-	for _, m := range s.Kernel.Modules() {
-		r, ok := m.(snapshot.Restorer)
+	for _, mod := range s.Kernel.Modules() {
+		st, ok := mod.(snapshot.Stateful)
 		if !ok {
-			return fmt.Errorf("config: module %s does not support snapshot restore", m.Name())
+			return fmt.Errorf("config: module %s does not support snapshot restore", mod.Name())
 		}
-		if err := s.restoreSection(f, "mod."+m.Name(), r); err != nil {
+		if err := f.Load("mod."+mod.Name(), st); err != nil {
 			return err
 		}
 	}
@@ -245,11 +240,7 @@ func (s *System) restoreFrom(f *snapshot.File, m meta) error {
 // origin only in scheduler knobs (see StateHash); that is what lets a
 // warm-boot sweep fan one snapshot across the scheduler matrix.
 func RestoreSystem(cfg SystemConfig, data []byte) (*System, error) {
-	f, err := snapshot.Read(data)
-	if err != nil {
-		return nil, err
-	}
-	m, err := readMeta(f, cfg.Masters)
+	f, m, err := readSnapshot(data, cfg.Masters)
 	if err != nil {
 		return nil, err
 	}

@@ -3,158 +3,86 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/snapshot"
 )
 
-// SaveState implements snapshot.Saver for the pointer table: every
-// live entry with its host backing bytes, the virtual-space cursor,
-// and — when a placement policy manages the virtual space — the
-// placer's bookkeeping arena. The HostAllocator itself is host-side
-// machinery and is not serialized; restore re-allocates each entry's
-// backing store through it.
-func (t *PointerTable) SaveState(enc *snapshot.Encoder) {
-	enc.U32(t.TotalSize)
-	enc.Bool(t.Linear)
-	enc.U32(t.used)
-	enc.U64(t.Probes)
-	enc.Int(t.HighWater)
-	enc.U32(uint32(len(t.entries)))
-	for i := range t.entries {
-		e := &t.entries[i]
-		enc.U32(e.VPtr)
-		enc.U8(uint8(e.DType))
-		enc.U32(e.Dim)
-		enc.Bool(e.Reserved)
-		enc.Int(e.Owner)
-		enc.Bytes32(e.Host)
-	}
-	enc.Bool(t.placer != nil)
-	if t.placer != nil {
-		enc.U64(t.placerMem.Accesses)
-		enc.Bytes32(t.placerMem.Buf)
-	}
-}
-
-// RestoreState implements snapshot.Restorer. Entry backing stores are
-// re-allocated through the table's HostAllocator and overwritten with
-// the snapshot bytes; the placer arena (which holds the placement
-// policy's free-list metadata) is overwritten in place, never
-// re-formatted.
-func (t *PointerTable) RestoreState(dec *snapshot.Decoder) error {
-	total := dec.U32()
-	linear := dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
+// WalkState walks the pointer table: every live entry with its host
+// backing bytes, the virtual-space cursor, and — when a placement
+// policy manages the virtual space — the placer's bookkeeping arena.
+// The HostAllocator itself is host-side machinery and does not travel:
+// loading re-allocates each entry's backing store through it and
+// overwrites the placer arena in place, never re-formatting it.
+func (t *PointerTable) WalkState(c *snapshot.Codec) error {
+	total, linear := t.TotalSize, t.Linear
+	c.U32(&total)
+	c.Bool(&linear)
 	if total != t.TotalSize || linear != t.Linear {
-		return fmt.Errorf("pointer table config mismatch: snapshot has size=%d linear=%v, system has size=%d linear=%v",
-			total, linear, t.TotalSize, t.Linear)
+		return c.Fail(fmt.Errorf("pointer table config mismatch: snapshot has size=%d linear=%v, system has size=%d linear=%v",
+			total, linear, t.TotalSize, t.Linear))
 	}
-	t.used = dec.U32()
-	t.Probes = dec.U64()
-	t.HighWater = dec.Int()
-	// Release the freshly built table's entries (none on a clean build,
-	// but RestoreState must also work on a used table).
-	for i := range t.entries {
-		t.host.Free(t.entries[i].Host)
+	c.U32(&t.used)
+	c.U64(&t.Probes)
+	c.Int(&t.HighWater)
+	if c.Loading() {
+		// Release the table's entries: none on a clean build, but a used
+		// table must restore too.
+		for i := range t.entries {
+			t.host.Free(t.entries[i].Host)
+		}
 	}
-	n := int(dec.U32())
-	t.entries = nil
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		var e Entry
-		e.VPtr = dec.U32()
-		e.DType = bus.DataType(dec.U8())
-		e.Dim = dec.U32()
-		e.Reserved = dec.Bool()
-		e.Owner = dec.Int()
-		img := dec.Bytes32()
-		if dec.Err() != nil {
-			break
+	snapshot.Slice(c, &t.entries, func(e *Entry) {
+		c.U32(&e.VPtr)
+		snapshot.Byte(c, &e.DType)
+		c.U32(&e.Dim)
+		c.Bool(&e.Reserved)
+		c.Int(&e.Owner)
+		img := e.Host
+		c.Bytes(&img)
+		if !c.Loading() || c.Err() != nil {
+			return
 		}
 		buf, err := t.host.Alloc(uint32(len(img)))
 		if err != nil {
-			return dec.Fail(fmt.Errorf("host alloc of %d bytes for entry %d: %w", len(img), i, err))
+			c.Fail(fmt.Errorf("host alloc of %d bytes for entry at %#x: %w", len(img), e.VPtr, err))
+			return
 		}
 		copy(buf, img)
 		e.Host = buf
-		t.entries = append(t.entries, e)
-	}
-	hasPlacer := dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
+	})
+	hasPlacer := t.placer != nil
+	c.Bool(&hasPlacer)
 	if hasPlacer != (t.placer != nil) {
-		return fmt.Errorf("placer mismatch: snapshot placer=%v, system placer=%v", hasPlacer, t.placer != nil)
+		return c.Fail(fmt.Errorf("placer mismatch: snapshot placer=%v, system placer=%v", hasPlacer, t.placer != nil))
 	}
 	if hasPlacer {
-		t.placerMem.Accesses = dec.U64()
-		img := dec.Bytes32()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if len(img) != len(t.placerMem.Buf) {
-			return fmt.Errorf("placer arena mismatch: snapshot has %d bytes, system built with %d", len(img), len(t.placerMem.Buf))
-		}
-		copy(t.placerMem.Buf, img)
+		c.U64(&t.placerMem.Accesses)
+		c.Image(t.placerMem.Buf)
 	}
-	return dec.Finish()
+	return c.Err()
 }
 
-// SaveState implements snapshot.Saver for the wrapper memory: the FSM,
-// the sampled input registers, the stats, and the pointer table with
-// all host-backed payloads.
-func (w *Wrapper) SaveState(enc *snapshot.Encoder) {
-	enc.U8(uint8(w.state))
-	enc.U32(w.wait)
-	bus.EncodeRequest(enc, w.cur)
-	enc.U64(uint64(w.curTag))
-	enc.Bool(w.in.pending)
-	enc.U8(uint8(w.in.op))
-	enc.Int(w.in.sm)
-	enc.U32(w.in.vptr)
-	enc.U32(w.in.data)
-	enc.U32(w.in.dim)
-	enc.U8(uint8(w.in.dtype))
-	enc.Int(w.in.master)
-	for _, v := range w.stats.Ops {
-		enc.U64(v)
-	}
-	for _, v := range w.stats.Errors {
-		enc.U64(v)
-	}
-	enc.U64(w.stats.BusyCycles)
-	enc.U64(w.stats.BurstElems)
-	enc.U64(w.stats.HostAllocs)
-	enc.U64(w.stats.HostFrees)
-	enc.U64(w.stats.HostBytes)
-	w.table.SaveState(enc)
-}
-
-// RestoreState implements snapshot.Restorer.
-func (w *Wrapper) RestoreState(dec *snapshot.Decoder) error {
-	w.state = wrapperState(dec.U8())
-	w.wait = dec.U32()
-	w.cur = bus.DecodeRequest(dec)
-	w.curTag = bus.Tag(dec.U64())
-	w.in.pending = dec.Bool()
-	w.in.op = bus.Op(dec.U8())
-	w.in.sm = dec.Int()
-	w.in.vptr = dec.U32()
-	w.in.data = dec.U32()
-	w.in.dim = dec.U32()
-	w.in.dtype = bus.DataType(dec.U8())
-	w.in.master = dec.Int()
-	for i := range w.stats.Ops {
-		w.stats.Ops[i] = dec.U64()
-	}
-	for i := range w.stats.Errors {
-		w.stats.Errors[i] = dec.U64()
-	}
-	w.stats.BusyCycles = dec.U64()
-	w.stats.BurstElems = dec.U64()
-	w.stats.HostAllocs = dec.U64()
-	w.stats.HostFrees = dec.U64()
-	w.stats.HostBytes = dec.U64()
-	return w.table.RestoreState(dec)
+// WalkState walks the wrapper memory: the FSM, the sampled input
+// registers, the stats, and the pointer table with all host-backed
+// payloads.
+func (w *Wrapper) WalkState(c *snapshot.Codec) error {
+	snapshot.Byte(c, &w.state)
+	c.U32(&w.wait)
+	w.cur.Walk(c)
+	snapshot.Word(c, &w.curTag)
+	c.Bool(&w.in.pending)
+	snapshot.Byte(c, &w.in.op)
+	c.Int(&w.in.sm)
+	c.U32(&w.in.vptr)
+	c.U32(&w.in.data)
+	c.U32(&w.in.dim)
+	snapshot.Byte(c, &w.in.dtype)
+	c.Int(&w.in.master)
+	c.U64Array(w.stats.Ops[:])
+	c.U64Array(w.stats.Errors[:])
+	c.U64(&w.stats.BusyCycles)
+	c.U64(&w.stats.BurstElems)
+	c.U64(&w.stats.HostAllocs)
+	c.U64(&w.stats.HostFrees)
+	c.U64(&w.stats.HostBytes)
+	return w.table.WalkState(c)
 }

@@ -1,86 +1,39 @@
 package heapsim
 
 import (
-	"fmt"
-
-	"repro/internal/bus"
 	"repro/internal/snapshot"
 )
 
-// SaveState implements snapshot.Saver: the module FSM, the sampled
-// input registers, the stats, the heap's operation counters, and the
-// raw arena image. The arena bytes carry the allocator's entire
-// metadata (all four policies keep their free lists, headers, and
-// bitmaps inside the simulated arena — the Go-side policy structs are
-// stateless), so saving the image saves the allocator.
-func (h *HeapMem) SaveState(enc *snapshot.Encoder) {
-	enc.U8(uint8(h.state))
-	enc.U32(h.wait)
-	bus.EncodeResponse(enc, h.resp)
-	enc.U8(uint8(h.curOp))
-	enc.U64(uint64(h.curTag))
-	enc.Bool(h.in.pending)
-	enc.U8(uint8(h.in.op))
-	enc.U32(h.in.vptr)
-	enc.U32(h.in.data)
-	enc.U32(h.in.dim)
-	enc.U8(uint8(h.in.dtype))
-	for _, v := range h.stats.Ops {
-		enc.U64(v)
-	}
-	for _, v := range h.stats.Errors {
-		enc.U64(v)
-	}
-	enc.U64(h.stats.BusyCycles)
-	enc.U64(h.stats.MgrAccesses)
-	enc.U64(h.stats.MgrCycles)
-	enc.U64(h.stats.BurstElems)
-	enc.U64(h.stats.AllocFailures)
-	enc.U64(h.heap.Accesses)
-	enc.U64(h.heap.Allocs)
-	enc.U64(h.heap.Frees)
-	enc.U64(h.heap.Failed)
-	enc.Bytes32(h.heap.arena)
-}
-
-// RestoreState implements snapshot.Restorer. Build has already
-// formatted a fresh arena; the snapshot image overwrites it wholesale,
-// which carries the allocator metadata along — the arena is never
-// re-formatted on restore.
-func (h *HeapMem) RestoreState(dec *snapshot.Decoder) error {
-	h.state = hmState(dec.U8())
-	h.wait = dec.U32()
-	h.resp = bus.DecodeResponse(dec)
-	h.curOp = bus.Op(dec.U8())
-	h.curTag = bus.Tag(dec.U64())
-	h.in.pending = dec.Bool()
-	h.in.op = bus.Op(dec.U8())
-	h.in.vptr = dec.U32()
-	h.in.data = dec.U32()
-	h.in.dim = dec.U32()
-	h.in.dtype = bus.DataType(dec.U8())
-	for i := range h.stats.Ops {
-		h.stats.Ops[i] = dec.U64()
-	}
-	for i := range h.stats.Errors {
-		h.stats.Errors[i] = dec.U64()
-	}
-	h.stats.BusyCycles = dec.U64()
-	h.stats.MgrAccesses = dec.U64()
-	h.stats.MgrCycles = dec.U64()
-	h.stats.BurstElems = dec.U64()
-	h.stats.AllocFailures = dec.U64()
-	h.heap.Accesses = dec.U64()
-	h.heap.Allocs = dec.U64()
-	h.heap.Frees = dec.U64()
-	h.heap.Failed = dec.U64()
-	img := dec.Bytes32()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if len(img) != len(h.heap.arena) {
-		return fmt.Errorf("heap arena mismatch: snapshot has %d bytes, system built with %d", len(img), len(h.heap.arena))
-	}
-	copy(h.heap.arena, img)
-	return dec.Finish()
+// WalkState walks the heap memory: the module FSM, the sampled input
+// registers, the stats, the heap's operation counters, and the raw
+// arena image. The arena bytes carry the allocator's entire metadata
+// (all four policies keep their free lists, headers, and bitmaps inside
+// the simulated arena — the Go-side policy structs are stateless), so
+// walking the image walks the allocator. Build has already formatted a
+// fresh arena; loading overwrites it wholesale and never re-formats it.
+func (h *HeapMem) WalkState(c *snapshot.Codec) error {
+	snapshot.Byte(c, &h.state)
+	c.U32(&h.wait)
+	h.resp.Walk(c)
+	snapshot.Byte(c, &h.curOp)
+	snapshot.Word(c, &h.curTag)
+	c.Bool(&h.in.pending)
+	snapshot.Byte(c, &h.in.op)
+	c.U32(&h.in.vptr)
+	c.U32(&h.in.data)
+	c.U32(&h.in.dim)
+	snapshot.Byte(c, &h.in.dtype)
+	c.U64Array(h.stats.Ops[:])
+	c.U64Array(h.stats.Errors[:])
+	c.U64(&h.stats.BusyCycles)
+	c.U64(&h.stats.MgrAccesses)
+	c.U64(&h.stats.MgrCycles)
+	c.U64(&h.stats.BurstElems)
+	c.U64(&h.stats.AllocFailures)
+	c.U64(&h.heap.Accesses)
+	c.U64(&h.heap.Allocs)
+	c.U64(&h.heap.Frees)
+	c.U64(&h.heap.Failed)
+	c.Image(h.heap.arena)
+	return c.Err()
 }

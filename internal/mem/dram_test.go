@@ -239,14 +239,22 @@ func TestDRAMSnapshotRoundTrip(t *testing.T) {
 	}
 	h.do(bus.Request{Op: bus.OpWrite, VPtr: 100, Data: 0xFACE, DType: bus.U32})
 	h.read(0) // opens bank 0 row 0
-	enc := &snapshot.Encoder{}
-	h.r.SaveState(enc)
+	w := snapshot.NewWriter()
+	w.Save("dram", h.r)
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapshot.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	h2 := newDRAMHarness(t, cfg)
 	if err := h2.k.Run(h.k.Cycle()); err != nil { // align cycle counts (refresh epochs)
 		t.Fatal(err)
 	}
-	if err := h2.r.RestoreState(snapshot.NewDecoder(enc.Bytes())); err != nil {
+	if err := f.Load("dram", h2.r); err != nil {
 		t.Fatal(err)
 	}
 	if got := h2.r.Peek(100); got != 0xCE {

@@ -3,138 +3,62 @@ package mem
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/snapshot"
 )
 
-// SaveState implements snapshot.Saver: the FSM, the sampled input
-// registers, the stats, and the full memory image. Config (size,
-// delays, port wiring) is rebuilt from SystemConfig.
-func (m *StaticRAM) SaveState(enc *snapshot.Encoder) {
-	enc.U8(uint8(m.state))
-	enc.U32(m.wait)
-	bus.EncodeRequest(enc, m.cur)
-	enc.U64(uint64(m.curTag))
-	enc.Bool(m.in.pending)
-	enc.U8(uint8(m.in.op))
-	enc.U32(m.in.vptr)
-	enc.U32(m.in.data)
-	enc.U32(m.in.dim)
-	enc.U8(uint8(m.in.dtype))
-	for _, v := range m.stats.Ops {
-		enc.U64(v)
-	}
-	for _, v := range m.stats.Errors {
-		enc.U64(v)
-	}
-	enc.U64(m.stats.BusyCycles)
-	enc.U64(m.stats.BurstElems)
-	enc.Bytes32(m.data)
+func (s *Stats) walk(c *snapshot.Codec) {
+	c.U64Array(s.Ops[:])
+	c.U64Array(s.Errors[:])
+	c.U64(&s.BusyCycles)
+	c.U64(&s.BurstElems)
 }
 
-// RestoreState implements snapshot.Restorer. The memory image in the
-// snapshot must match the built size exactly.
-func (m *StaticRAM) RestoreState(dec *snapshot.Decoder) error {
-	m.state = ramState(dec.U8())
-	m.wait = dec.U32()
-	m.cur = bus.DecodeRequest(dec)
-	m.curTag = bus.Tag(dec.U64())
-	m.in.pending = dec.Bool()
-	m.in.op = bus.Op(dec.U8())
-	m.in.vptr = dec.U32()
-	m.in.data = dec.U32()
-	m.in.dim = dec.U32()
-	m.in.dtype = bus.DataType(dec.U8())
-	for i := range m.stats.Ops {
-		m.stats.Ops[i] = dec.U64()
-	}
-	for i := range m.stats.Errors {
-		m.stats.Errors[i] = dec.U64()
-	}
-	m.stats.BusyCycles = dec.U64()
-	m.stats.BurstElems = dec.U64()
-	img := dec.Bytes32()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if len(img) != len(m.data) {
-		return fmt.Errorf("static RAM image mismatch: snapshot has %d bytes, system built with %d", len(img), len(m.data))
-	}
-	copy(m.data, img)
-	return dec.Finish()
+// WalkState walks the static RAM: the FSM, the sampled input registers,
+// the stats, and the full memory image, whose size must match the
+// built one. Config (size, delays, port wiring) is rebuilt from
+// SystemConfig.
+func (m *StaticRAM) WalkState(c *snapshot.Codec) error {
+	snapshot.Byte(c, &m.state)
+	c.U32(&m.wait)
+	m.cur.Walk(c)
+	snapshot.Word(c, &m.curTag)
+	c.Bool(&m.in.pending)
+	snapshot.Byte(c, &m.in.op)
+	c.U32(&m.in.vptr)
+	c.U32(&m.in.data)
+	c.U32(&m.in.dim)
+	snapshot.Byte(c, &m.in.dtype)
+	m.stats.walk(c)
+	c.Image(m.data)
+	return c.Err()
 }
 
-// SaveState implements snapshot.Saver: the FSM, every bank's row-buffer
-// register, the stats, and the full memory image. Config (geometry,
-// timing, refresh schedule, port wiring) is rebuilt from SystemConfig.
-func (r *DRAM) SaveState(enc *snapshot.Encoder) {
-	enc.U8(uint8(r.state))
-	enc.U32(r.wait)
-	bus.EncodeRequest(enc, r.cur)
-	enc.U64(uint64(r.curTag))
-	enc.Int(len(r.banks))
-	for i := range r.banks {
-		b := &r.banks[i]
-		enc.Bool(b.open)
-		enc.U32(b.row)
-		enc.U64(b.epoch)
-	}
-	for _, v := range r.stats.Ops {
-		enc.U64(v)
-	}
-	for _, v := range r.stats.Errors {
-		enc.U64(v)
-	}
-	enc.U64(r.stats.BusyCycles)
-	enc.U64(r.stats.BurstElems)
-	enc.U64(r.stats.RowHits)
-	enc.U64(r.stats.RowMisses)
-	enc.U64(r.stats.RowConflicts)
-	enc.U64(r.stats.RefreshStalls)
-	enc.U64(r.stats.RefreshStallCycles)
-	enc.Bytes32(r.data)
-}
-
-// RestoreState implements snapshot.Restorer. Bank count and memory
-// image size in the snapshot must match the built geometry exactly.
-func (r *DRAM) RestoreState(dec *snapshot.Decoder) error {
-	r.state = ramState(dec.U8())
-	r.wait = dec.U32()
-	r.cur = bus.DecodeRequest(dec)
-	r.curTag = bus.Tag(dec.U64())
-	nbanks := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
+// WalkState walks the DRAM: the FSM, every bank's row-buffer register,
+// the stats, and the full memory image. Bank count and image size must
+// match the built geometry. Config (geometry, timing, refresh schedule,
+// port wiring) is rebuilt from SystemConfig.
+func (r *DRAM) WalkState(c *snapshot.Codec) error {
+	snapshot.Byte(c, &r.state)
+	c.U32(&r.wait)
+	r.cur.Walk(c)
+	snapshot.Word(c, &r.curTag)
+	nbanks := len(r.banks)
+	c.Int(&nbanks)
 	if nbanks != len(r.banks) {
-		return fmt.Errorf("dram %s: snapshot has %d banks, system built with %d", r.cfg.Name, nbanks, len(r.banks))
+		return c.Fail(fmt.Errorf("dram %s: snapshot has %d banks, system built with %d", r.cfg.Name, nbanks, len(r.banks)))
 	}
 	for i := range r.banks {
 		b := &r.banks[i]
-		b.open = dec.Bool()
-		b.row = dec.U32()
-		b.epoch = dec.U64()
+		c.Bool(&b.open)
+		c.U32(&b.row)
+		c.U64(&b.epoch)
 	}
-	for i := range r.stats.Ops {
-		r.stats.Ops[i] = dec.U64()
-	}
-	for i := range r.stats.Errors {
-		r.stats.Errors[i] = dec.U64()
-	}
-	r.stats.BusyCycles = dec.U64()
-	r.stats.BurstElems = dec.U64()
-	r.stats.RowHits = dec.U64()
-	r.stats.RowMisses = dec.U64()
-	r.stats.RowConflicts = dec.U64()
-	r.stats.RefreshStalls = dec.U64()
-	r.stats.RefreshStallCycles = dec.U64()
-	img := dec.Bytes32()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if len(img) != len(r.data) {
-		return fmt.Errorf("dram %s image mismatch: snapshot has %d bytes, system built with %d", r.cfg.Name, len(img), len(r.data))
-	}
-	copy(r.data, img)
-	return dec.Finish()
+	r.stats.walk(c)
+	c.U64(&r.stats.RowHits)
+	c.U64(&r.stats.RowMisses)
+	c.U64(&r.stats.RowConflicts)
+	c.U64(&r.stats.RefreshStalls)
+	c.U64(&r.stats.RefreshStallCycles)
+	c.Image(r.data)
+	return c.Err()
 }

@@ -26,34 +26,25 @@ func (s *Signal[T]) Restore(v T) {
 // represent.
 func (k *Kernel) Quiescent() bool { return len(k.dirty) == 0 }
 
-// SaveState serializes the kernel's scheduling state: the clock and
-// the flags the event-driven scheduler consults when deciding whether
-// an idle skip is legal (started, anyChange), plus the cumulative
-// scheduler counters so SchedStats survive a restore. Worker/shard
-// configuration is rebuilt from config, and the parallel engine's
-// scratch buffers plus the awake-probe hint are behavior-neutral
-// caches, so none of them are serialized.
-func (k *Kernel) SaveState(enc *snapshot.Encoder) {
-	enc.U64(k.cycle)
-	enc.Bool(k.anyChange)
-	enc.Bool(k.started)
-	enc.U64(k.stepped)
-	enc.U64(k.skipped)
-	enc.U64(k.skipSpans)
-}
-
-// RestoreState rebuilds the kernel's scheduling state from a section
-// written by SaveState.
-func (k *Kernel) RestoreState(dec *snapshot.Decoder) error {
+// WalkState walks the kernel's scheduling state: the clock and the
+// flags the event-driven scheduler consults when deciding whether an
+// idle skip is legal (started, anyChange), plus the cumulative scheduler
+// counters so SchedStats survive a restore. Worker/shard configuration
+// is rebuilt from config, and the parallel engine's scratch buffers plus
+// the awake-probe hint are behavior-neutral caches, so none of them
+// travel.
+func (k *Kernel) WalkState(c *snapshot.Codec) error {
 	if !k.Quiescent() {
 		return fmt.Errorf("kernel has %d uncommitted signals", len(k.dirty))
 	}
-	k.cycle = dec.U64()
-	k.anyChange = dec.Bool()
-	k.started = dec.Bool()
-	k.stepped = dec.U64()
-	k.skipped = dec.U64()
-	k.skipSpans = dec.U64()
-	k.awakeHint = 0
-	return dec.Finish()
+	c.U64(&k.cycle)
+	c.Bool(&k.anyChange)
+	c.Bool(&k.started)
+	c.U64(&k.stepped)
+	c.U64(&k.skipped)
+	c.U64(&k.skipSpans)
+	if c.Loading() {
+		k.awakeHint = 0
+	}
+	return c.Err()
 }

@@ -1,18 +1,17 @@
 // Package snapshot defines the versioned, self-describing binary
-// format that checkpoints carry full simulator state in, and the
-// capability interfaces stateful modules implement to participate.
+// format that checkpoints carry full simulator state in, and the one
+// state walk stateful modules implement to participate.
 //
-// A snapshot is a sequence of named sections. Each section is written
-// by exactly one module (the kernel, one port, one memory, one CPU…)
-// through an Encoder and read back through a Decoder; the container
-// frames every section with its name, byte length, and a CRC-32
-// checksum, so corruption, truncation, and version skew all fail
-// loudly with an error naming the offending section — a snapshot never
-// half-loads. The format grows with the codebase: modules implement
-// the Saver/Restorer capability pair (mirroring how sim.Sleeper and
-// sim.Concurrent rolled out) and config.System enumerates them in
-// deterministic build order, so there is no central God-encoder to
-// keep in sync.
+// A snapshot is a sequence of named sections. Each section holds the
+// state of exactly one module (the kernel, one port, one memory, one
+// CPU…); the container frames every section with its name, byte length,
+// and a CRC-32 checksum, so corruption, truncation, and version skew all
+// fail loudly with an error naming the offending section — a snapshot
+// never half-loads. A module implements Stateful: one WalkState method
+// that visits its fields through a Codec, which appends them when saving
+// and overwrites them when loading, so a module spells its layout once.
+// config.System enumerates the modules in deterministic build order, so
+// there is no central God-encoder to keep in sync.
 //
 // See docs/SNAPSHOT.md for the byte-level layout, the versioning
 // rules, and the map of which module owns which section.
@@ -23,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 )
 
@@ -33,19 +33,14 @@ const (
 	Version = uint32(2)
 )
 
-// Saver is implemented by modules that can serialize their dynamic
-// state. SaveState appends the module's state to enc; the container
-// framing (name, length, checksum) is handled by the Writer.
-type Saver interface {
-	SaveState(enc *Encoder)
-}
-
-// Restorer is implemented by modules that can rebuild their dynamic
-// state from a section written by their SaveState. RestoreState must
-// validate structural invariants (geometry, capacities) against the
-// freshly built module and fail rather than load inconsistent state.
-type Restorer interface {
-	RestoreState(dec *Decoder) error
+// Stateful is implemented by modules whose dynamic state travels in a
+// snapshot. WalkState visits that state once, in section order, through
+// c. Checks against the freshly built module (geometry, capacities,
+// index ranges) compare a walked value with the built one, so they hold
+// trivially when saving and fail the load otherwise: a module never
+// loads inconsistent state.
+type Stateful interface {
+	WalkState(c *Codec) error
 }
 
 // Encoder serializes primitive values into a growing byte buffer.
@@ -250,10 +245,12 @@ func (w *Writer) Add(name string, payload []byte) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
 }
 
-// AddSection runs save into a fresh Encoder and adds its payload.
-func (w *Writer) AddSection(name string, save func(*Encoder)) {
+// Save walks s into a fresh section named name.
+func (w *Writer) Save(name string, s Stateful) {
 	var enc Encoder
-	save(&enc)
+	if err := s.WalkState(&Codec{enc: &enc}); err != nil && w.err == nil {
+		w.err = SectionErr(name, err)
+	}
 	w.Add(name, enc.Bytes())
 }
 
@@ -335,6 +332,22 @@ func (f *File) Section(name string) (*Decoder, error) {
 	return NewDecoder(p), nil
 }
 
+// Load walks the named section into s, which must consume the whole
+// payload. Errors name the section.
+func (f *File) Load(name string, s Stateful) error {
+	dec, err := f.Section(name)
+	if err != nil {
+		return err
+	}
+	if err = s.WalkState(&Codec{dec: dec}); err == nil {
+		err = dec.Finish()
+	}
+	if err != nil {
+		return SectionErr(name, err)
+	}
+	return nil
+}
+
 // Has reports whether the named section exists.
 func (f *File) Has(name string) bool {
 	_, ok := f.sections[name]
@@ -352,4 +365,198 @@ func (f *File) Names() []string {
 // reads "snapshot: section "x": ...".
 func SectionErr(name string, err error) error {
 	return fmt.Errorf("snapshot: section %q: %w", name, err)
+}
+
+// Codec walks state in one direction. WalkState passes each field by
+// pointer: saving appends its value to the section, loading overwrites
+// it with the next value read. Load errors are sticky, as on the
+// Decoder: after the first one every field reads as zero, so a walk runs
+// straight-line and checks Err only where a read value sizes or indexes
+// something.
+type Codec struct {
+	enc *Encoder
+	dec *Decoder
+}
+
+// Loading reports whether the walk overwrites state from a section. The
+// few steps that only happen on load (re-allocating host memory,
+// re-committing signals) branch on it.
+func (c *Codec) Loading() bool { return c.dec != nil }
+
+// Err returns the sticky load error; saving never fails.
+func (c *Codec) Err() error {
+	if c.dec == nil {
+		return nil
+	}
+	return c.dec.Err()
+}
+
+// Fail records err as the load error unless one is already sticky, and
+// returns the sticky error.
+func (c *Codec) Fail(err error) error {
+	if c.dec == nil {
+		return err
+	}
+	return c.dec.Fail(err)
+}
+
+// U8 walks one byte.
+func (c *Codec) U8(p *uint8) {
+	if c.dec != nil {
+		*p = c.dec.U8()
+		return
+	}
+	c.enc.U8(*p)
+}
+
+// Bool walks a bool as one byte.
+func (c *Codec) Bool(p *bool) {
+	if c.dec != nil {
+		*p = c.dec.Bool()
+		return
+	}
+	c.enc.Bool(*p)
+}
+
+// U32 walks a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if c.dec != nil {
+		*p = c.dec.U32()
+		return
+	}
+	c.enc.U32(*p)
+}
+
+// U64 walks a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if c.dec != nil {
+		*p = c.dec.U64()
+		return
+	}
+	c.enc.U64(*p)
+}
+
+// Int walks a non-negative int as a uint64.
+func (c *Codec) Int(p *int) {
+	if c.dec != nil {
+		*p = c.dec.Int()
+		return
+	}
+	c.enc.Int(*p)
+}
+
+// String walks a length-prefixed string.
+func (c *Codec) String(p *string) {
+	if c.dec != nil {
+		*p = c.dec.String()
+		return
+	}
+	c.enc.String(*p)
+}
+
+// Bytes walks a length-prefixed byte slice; loading allocates a copy.
+func (c *Codec) Bytes(p *[]byte) {
+	if c.dec != nil {
+		*p = c.dec.Bytes32()
+		return
+	}
+	c.enc.Bytes32(*p)
+}
+
+// U64Array walks each element of a fixed-length array in place, with no
+// count prefix: the length is the built module's.
+func (c *Codec) U64Array(v []uint64) {
+	for i := range v {
+		c.U64(&v[i])
+	}
+}
+
+// U32s walks a length-prefixed []uint32.
+func (c *Codec) U32s(p *[]uint32) {
+	if c.dec != nil {
+		*p = c.dec.U32s()
+		return
+	}
+	c.enc.U32s(*p)
+}
+
+// Image walks a fixed-size image in place, length-prefixed like Bytes.
+// Loading requires the length to equal len(buf), the size the module was
+// built with, and decodes straight into buf.
+func (c *Codec) Image(buf []byte) {
+	n := uint32(len(buf))
+	c.U32(&n)
+	if c.dec == nil {
+		c.enc.buf = append(c.enc.buf, buf...)
+		return
+	}
+	if int(n) != len(buf) {
+		c.Fail(fmt.Errorf("image size mismatch: snapshot has %d bytes, system built with %d", n, len(buf)))
+	}
+	copy(buf, c.dec.take(len(buf)))
+}
+
+// Byte walks a one-byte named type such as a state or an op code.
+func Byte[T ~uint8](c *Codec, p *T) {
+	v := uint8(*p)
+	c.U8(&v)
+	if c.Loading() {
+		*p = T(v)
+	}
+}
+
+// Word walks a 64-bit named type such as a transaction tag.
+func Word[T ~uint64](c *Codec, p *T) {
+	v := uint64(*p)
+	c.U64(&v)
+	if c.Loading() {
+		*p = T(v)
+	}
+}
+
+// Slice walks a count-prefixed slice, elem walking one element in
+// place. Loading starts from an empty slice and appends as it reads, so
+// a corrupt count runs out of payload before it can over-allocate.
+func Slice[T any](c *Codec, s *[]T, elem func(*T)) {
+	n := uint32(len(*s))
+	c.U32(&n)
+	if c.Loading() {
+		*s = nil
+	}
+	for i := 0; i < int(n) && c.Err() == nil; i++ {
+		if c.Loading() {
+			var zero T
+			*s = append(*s, zero)
+		}
+		elem(&(*s)[i])
+	}
+}
+
+// Map walks a count-prefixed map keyed by a 64-bit tag: each key, then
+// its value as val walks it. Saving visits the keys in ascending order,
+// so equal state gives equal bytes. Loading starts from an empty map and
+// inserts as it reads; val receives the zero value and returns the one
+// it loaded.
+func Map[K ~uint64, V any](c *Codec, m *map[K]V, val func(k K, v V) V) {
+	n := uint32(len(*m))
+	c.U32(&n)
+	if c.Loading() {
+		*m = make(map[K]V)
+		for ; n > 0 && c.Err() == nil; n-- {
+			var k K
+			var zero V
+			Word(c, &k)
+			(*m)[k] = val(k, zero)
+		}
+		return
+	}
+	keys := make([]K, 0, n)
+	for k := range *m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		Word(c, &k)
+		val(k, (*m)[k])
+	}
 }

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloc"
+	"repro/internal/bus"
 	"repro/internal/cache"
+	"repro/internal/dma"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
@@ -116,28 +119,87 @@ func TestRestoreRejectsBadMasterCounts(t *testing.T) {
 	}
 }
 
+// midFlightDMA snapshots a DMA copy between two wrapper memories under
+// segregated placement over a split depth-4 crossbar, mid-copy, so the
+// wrapper sections carry live entries and the placer arena, the
+// crossbar section busy lanes and the DMA section in-flight chunks.
+func midFlightDMA(tb testing.TB) (SystemConfig, []byte) {
+	tb.Helper()
+	const elems = 256
+	cfg := SystemConfig{
+		Masters: 1, Memories: 2, MemKind: MemWrapper, AllocPolicy: alloc.Segregated,
+		Interconnect: InterCrossbar, OutstandingDepth: 4, SplitBus: true, OutOfOrder: true,
+	}
+	sys, err := Build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, code := sys.Wrappers[0].Table().Alloc(elems, bus.U32)
+	dst, code2 := sys.Wrappers[1].Table().Alloc(elems, bus.U32)
+	if code != bus.OK || code2 != bus.OK {
+		tb.Fatalf("alloc: %v %v", code, code2)
+	}
+	eng, err := sys.AddDMA(0, "dma0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng.Enqueue(dma.Descriptor{SrcSM: 0, DstSM: 1, SrcVPtr: src, DstVPtr: dst, Elems: elems, DType: bus.U32, Chunk: 32})
+	if err := sys.Kernel.Run(200); err != nil {
+		tb.Fatal(err)
+	}
+	if eng.Idle() {
+		tb.Fatal("DMA copy finished before the checkpoint")
+	}
+	data, err := sys.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg, data
+}
+
 // FuzzSnapshotRead feeds hostile section payloads to RestoreSystem.
 // Random bytes almost never pass the per-section CRC, so the fuzzer
-// works one layer down: the first byte picks one section of a real
-// mid-flight L1 + L2 + DRAM snapshot, the rest replaces its payload,
-// and the file is re-framed with valid checksums. Restore must return
-// an error or a system — never panic, hang or over-allocate.
+// works one layer down: the first byte picks one section of one of two
+// real mid-flight snapshots — an L1 + L2 + DRAM system of ISSes, and a
+// DMA copy over a split crossbar between wrapper memories with
+// segregated placement — the rest replaces its payload, and the file is
+// re-framed with valid checksums. Restore must return an error or a
+// system — never panic, hang or over-allocate.
 func FuzzSnapshotRead(f *testing.F) {
-	cfg, data := midFlightL2(f)
-	names, payloads := sections(f, data)
-	if !bytes.Equal(reframe(names, payloads), data) {
-		f.Fatal("re-framing the unmodified sections changed the snapshot")
+	type section struct {
+		base, index int
 	}
-	for i, p := range payloads {
-		f.Add(append([]byte{byte(i)}, p...))
+	var (
+		cfgs     []SystemConfig
+		names    [][]string
+		payloads [][][]byte
+		pick     []section
+	)
+	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA} {
+		cfg, data := build(f)
+		n, p := sections(f, data)
+		if !bytes.Equal(reframe(n, p), data) {
+			f.Fatal("re-framing the unmodified sections changed the snapshot")
+		}
+		cfgs, names, payloads = append(cfgs, cfg), append(names, n), append(payloads, p)
+		for i := range n {
+			pick = append(pick, section{b, i})
+		}
+	}
+	if len(pick) > 256 {
+		f.Fatalf("%d sections do not fit the selector byte", len(pick))
+	}
+	for i, s := range pick {
+		f.Add(append([]byte{byte(i)}, payloads[s.base][s.index]...))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
 		}
-		p := append([][]byte(nil), payloads...)
-		p[int(b[0])%len(names)] = b[1:]
-		if sys, err := RestoreSystem(cfg, reframe(names, p)); err == nil && sys == nil {
+		s := pick[int(b[0])%len(pick)]
+		p := append([][]byte(nil), payloads[s.base]...)
+		p[s.index] = b[1:]
+		if sys, err := RestoreSystem(cfgs[s.base], reframe(names[s.base], p)); err == nil && sys == nil {
 			t.Fatal("RestoreSystem returned neither a system nor an error")
 		}
 	})

@@ -105,8 +105,7 @@ type Decoder struct {
 	err error
 }
 
-// NewDecoder wraps a raw payload. Sections obtained through
-// File.Section come pre-wrapped and checksum-verified.
+// NewDecoder wraps a raw payload.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Err returns the sticky decode error, if any.
@@ -213,7 +212,8 @@ func (d *Decoder) Finish() error {
 
 // Writer assembles a snapshot from named sections.
 type Writer struct {
-	buf   []byte
+	enc   Encoder // the snapshot so far: Save walks sections straight into it
+	codec Codec   // a saving codec over enc
 	names map[string]bool
 	err   error
 }
@@ -221,37 +221,56 @@ type Writer struct {
 // NewWriter starts a snapshot with the magic and version header.
 func NewWriter() *Writer {
 	w := &Writer{names: make(map[string]bool)}
-	w.buf = append(w.buf, Magic...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, Version)
+	w.codec.enc = &w.enc
+	w.enc.buf = append(w.enc.buf, Magic...)
+	w.enc.U32(Version)
 	return w
 }
 
-// Add frames payload as section name: name, length, payload, CRC-32
-// (IEEE) of the payload. Duplicate names are an error (reported by
-// Finish) — each module owns exactly one section.
-func (w *Writer) Add(name string, payload []byte) {
+// begin frames the start of section name — the name, then a payload
+// length that end patches — and returns the offset the payload starts
+// at, or -1 for a duplicate name: each module owns exactly one section,
+// and Finish reports the error.
+func (w *Writer) begin(name string) int {
 	if w.names[name] {
 		if w.err == nil {
 			w.err = fmt.Errorf("snapshot: duplicate section %q", name)
 		}
-		return
+		return -1
 	}
 	w.names[name] = true
-	nb := []byte(name)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(nb)))
-	w.buf = append(w.buf, nb...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
-	w.buf = append(w.buf, payload...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
+	w.enc.String(name)
+	w.enc.U32(0)
+	return len(w.enc.buf)
 }
 
-// Save walks s into a fresh section named name.
-func (w *Writer) Save(name string, s Stateful) {
-	var enc Encoder
-	if err := s.WalkState(&Codec{enc: &enc}); err != nil && w.err == nil {
-		w.err = SectionErr(name, err)
+// end patches the length of the payload that starts at start and
+// appends its CRC-32 (IEEE).
+func (w *Writer) end(start int) {
+	payload := w.enc.buf[start:]
+	binary.LittleEndian.PutUint32(w.enc.buf[start-4:], uint32(len(payload)))
+	w.enc.U32(crc32.ChecksumIEEE(payload))
+}
+
+// Add frames payload as section name: name, length, payload, CRC-32
+// (IEEE) of the payload.
+func (w *Writer) Add(name string, payload []byte) {
+	if start := w.begin(name); start >= 0 {
+		w.enc.buf = append(w.enc.buf, payload...)
+		w.end(start)
 	}
-	w.Add(name, enc.Bytes())
+}
+
+// Save walks s straight into a new section named name.
+func (w *Writer) Save(name string, s Stateful) {
+	start := w.begin(name)
+	if start < 0 {
+		return
+	}
+	if err := s.WalkState(&w.codec); err != nil && w.err == nil {
+		w.err = sectionErr(name, err)
+	}
+	w.end(start)
 }
 
 // Finish returns the assembled snapshot bytes.
@@ -259,13 +278,15 @@ func (w *Writer) Finish() ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	return w.buf, nil
+	return w.enc.buf, nil
 }
 
 // File is a parsed snapshot: checksum-verified named sections.
 type File struct {
 	sections map[string][]byte
 	order    []string
+	dec      Decoder // the section being loaded
+	codec    Codec   // a loading codec over dec
 }
 
 // ErrVersion distinguishes version skew from corruption so callers can
@@ -287,6 +308,7 @@ func Read(data []byte) (*File, error) {
 		return nil, fmt.Errorf("%w: file has v%d, this build reads v%d", ErrVersion, ver, Version)
 	}
 	f := &File{sections: make(map[string][]byte)}
+	f.codec.dec = &f.dec
 	for off < len(data) {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("snapshot: truncated section header at offset %d", off)
@@ -322,28 +344,21 @@ func Read(data []byte) (*File, error) {
 	return f, nil
 }
 
-// Section returns a Decoder over the named section's payload, or an
-// error if the snapshot has no such section.
-func (f *File) Section(name string) (*Decoder, error) {
+// Load walks the named section into s, which must consume the whole
+// payload. Errors name the section. Loads from one File share its codec,
+// so they must not run concurrently.
+func (f *File) Load(name string, s Stateful) error {
 	p, ok := f.sections[name]
 	if !ok {
-		return nil, fmt.Errorf("snapshot: missing section %q (have %v)", name, f.Names())
+		return fmt.Errorf("snapshot: missing section %q (have %v)", name, f.Names())
 	}
-	return NewDecoder(p), nil
-}
-
-// Load walks the named section into s, which must consume the whole
-// payload. Errors name the section.
-func (f *File) Load(name string, s Stateful) error {
-	dec, err := f.Section(name)
-	if err != nil {
-		return err
-	}
-	if err = s.WalkState(&Codec{dec: dec}); err == nil {
-		err = dec.Finish()
+	f.dec = Decoder{buf: p}
+	err := s.WalkState(&f.codec)
+	if err == nil {
+		err = f.dec.Finish()
 	}
 	if err != nil {
-		return SectionErr(name, err)
+		return sectionErr(name, err)
 	}
 	return nil
 }
@@ -361,9 +376,9 @@ func (f *File) Names() []string {
 	return names
 }
 
-// SectionErr wraps err with the section name so every restore failure
+// sectionErr wraps err with the section name so every restore failure
 // reads "snapshot: section "x": ...".
-func SectionErr(name string, err error) error {
+func sectionErr(name string, err error) error {
 	return fmt.Errorf("snapshot: section %q: %w", name, err)
 }
 

@@ -191,8 +191,8 @@ func TestMissingSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Section("nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
-		t.Fatalf("Section(nope) err = %v", err)
+	if err := f.Load("nope", samplePrims()); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("Load(nope) err = %v", err)
 	}
 }
 

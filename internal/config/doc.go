@@ -48,9 +48,10 @@
 // versioned sectioned format of internal/snapshot: a meta section
 // (state hash, topology, attached masters), the kernel clock, every
 // port's in-flight transactions, and one section per kernel module.
-// Modules satisfy snapshot.Saver/Restorer; a module that does not
-// (native smapi procs hold goroutine state) makes Snapshot fail loudly
-// rather than write a partial file.
+// Modules implement snapshot.Stateful, one WalkState method that both
+// saves and loads their section; a module that does not (native smapi
+// procs hold goroutine state) makes Snapshot fail loudly rather than
+// write a partial file.
 //
 // System.RestoreSnapshot overwrites an identically-built system's
 // state in place; RestoreSystem rebuilds a runnable System from config

@@ -15,9 +15,8 @@ import (
 // This file is the snapshot orchestrator: it enumerates the system's
 // ports and modules in deterministic build order and delegates each
 // one's state to its snapshot.Stateful walk. Modules that do not
-// implement it (native smapi.Procs, whose state
-// lives in a goroutine) make Snapshot fail loudly — a snapshot is
-// complete or it is nothing.
+// implement it (native smapi.Procs, whose state lives in a goroutine)
+// make Snapshot fail loudly — a snapshot is complete or it is nothing.
 
 // Hash digests the full configuration, scheduler knobs included. Use
 // it to key result caches: two runs with equal hashes and equal

@@ -37,8 +37,8 @@
 // the fully drained state, which is the natural completion predicate
 // for sim.Kernel.RunUntil.
 //
-// The engine is a snapshot.Saver/Restorer: its queue, in-flight chunk
-// state and statistics serialize into a system snapshot, so a
+// The engine is snapshot.Stateful: its WalkState carries the queue,
+// in-flight chunk state and statistics into a system snapshot, so a
 // checkpoint taken mid-copy resumes bit-identically (see
 // internal/snapshot and docs/SNAPSHOT.md). Engines attached through
 // config.System.AddDMA are re-created automatically on restore; engines

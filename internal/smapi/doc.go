@@ -8,8 +8,10 @@
 //   - Native tasks. Proc runs a Go function as a coroutine synchronized
 //     with the simulation kernel (the SystemC SC_THREAD idiom): the task
 //     blocks in *simulated* time on every shared-memory call while the
-//     kernel keeps cycling the hardware. Mem exposes Malloc / Free /
-//     Read / Write / ReadArray / WriteArray / Reserve / Release /
+//     kernel keeps cycling the hardware. The coroutine comes from
+//     iter.Pull, so a resume is a direct switch into the task and back,
+//     with no channel hand-off and no allocation. Mem exposes Malloc /
+//     Free / Read / Write / ReadArray / WriteArray / Reserve / Release /
 //     Acquire with in-band error codes, one bus transaction each. This
 //     models software whose computation is executed natively (the way a
 //     compiled-code ISS executes it) while every memory interaction is

@@ -2,6 +2,7 @@ package smapi
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/bus"
 	"repro/internal/sim"
@@ -31,13 +32,17 @@ type Proc struct {
 	port *bus.Port
 	task Task
 
-	state   procState
-	started bool
-	wakeAt  uint64
-	resp    bus.Response
+	state  procState
+	wakeAt uint64
+	resp   bus.Response
 
-	step chan uint64
-	done chan struct{}
+	// next resumes the task coroutine until it suspends or returns;
+	// suspend is the coroutine side of the same switch. Both come from
+	// iter.Pull on the first running Tick. Its stop function is dropped
+	// on purpose: stopping a suspended task would make suspend return
+	// and let the task run on outside simulated time.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
 
 	cycle uint64
 
@@ -48,8 +53,7 @@ type Proc struct {
 	SleepCycles  uint64
 	RetiredTasks uint64
 
-	panicErr error
-	k        *sim.Kernel
+	k *sim.Kernel
 }
 
 // NewProc creates a processing element named name with master port port,
@@ -61,8 +65,6 @@ func NewProc(k *sim.Kernel, name string, id int, port *bus.Port, task Task) *Pro
 		id:   id,
 		port: port,
 		task: task,
-		step: make(chan uint64),
-		done: make(chan struct{}),
 		k:    k,
 	}
 	k.Add(p)
@@ -75,9 +77,9 @@ func (p *Proc) Name() string { return p.name }
 // Done reports whether the task function has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
 
-// Tick implements sim.Module. The coroutine handoff is fully synchronous
-// (unbuffered channels, one resume per cycle at most), so execution stays
-// deterministic.
+// Tick implements sim.Module. The task is a coroutine the Tick switches
+// into directly (iter.Pull, one resume per cycle at most) and that
+// switches back when it suspends, so execution stays deterministic.
 func (p *Proc) Tick(cycle uint64) {
 	switch p.state {
 	case procDone:
@@ -99,9 +101,8 @@ func (p *Proc) Tick(cycle uint64) {
 		p.state = procRunning
 		p.wake(cycle)
 	case procRunning:
-		if !p.started {
-			p.started = true
-			go p.run()
+		if p.next == nil {
+			p.next, _ = iter.Pull(p.run)
 		}
 		p.wake(cycle)
 	}
@@ -134,11 +135,13 @@ func (p *Proc) NextWake(now uint64) uint64 {
 // and everything else serial — is co-scheduled on one shard in
 // registration order. Parallel mode stays bit-identical; Proc-heavy
 // systems simply don't speed up (the ISS configs are the ones that do).
+// Serial ticking also means only one goroutine at a time resumes the
+// coroutine, which is all iter.Pull asks of its caller.
 func (p *Proc) ConcurrentTick() bool { return false }
 
-// TickWeight implements sim.Weighted: an active Proc tick is two
-// synchronous channel handoffs plus native task code — comparable to an
-// ISS instruction, often costlier.
+// TickWeight implements sim.Weighted: an active Proc tick is a coroutine
+// switch into the task and back plus native task code — comparable to
+// an ISS instruction, often costlier.
 func (p *Proc) TickWeight() int { return 8 }
 
 // Skip implements sim.Sleeper: skipped cycles spent blocked on the
@@ -152,39 +155,32 @@ func (p *Proc) Skip(n uint64) {
 	}
 }
 
-// run is the coroutine body.
-func (p *Proc) run() {
+// run is the coroutine body. A task panic becomes a kernel fault naming
+// the PE; either way the task retires.
+func (p *Proc) run(suspend func(struct{}) bool) {
+	p.suspend = suspend
 	defer func() {
 		if r := recover(); r != nil {
-			p.panicErr = fmt.Errorf("%s: task panic: %v", p.name, r)
+			p.k.Fault(fmt.Errorf("%s: task panic: %v", p.name, r))
 		}
 		p.state = procDone
 		p.RetiredTasks++
-		p.done <- struct{}{}
 	}()
-	cycle := <-p.step
-	ctx := &Ctx{p: p}
-	p.cycle = cycle
-	p.task(ctx)
+	p.task(&Ctx{p: p})
 }
 
-// wake resumes the coroutine for the current cycle and blocks until it
+// wake resumes the coroutine for the current cycle and returns when it
 // suspends again (or finishes).
 func (p *Proc) wake(cycle uint64) {
 	p.ActiveWakes++
-	p.step <- cycle
-	<-p.done
-	if p.panicErr != nil {
-		p.k.Fault(p.panicErr)
-		p.panicErr = nil
-	}
+	p.cycle = cycle
+	p.next()
 }
 
 // yield suspends the coroutine; the next wake delivers the then-current
-// cycle. Called only from the task goroutine.
+// cycle. Called only from the task coroutine.
 func (p *Proc) yield() {
-	p.done <- struct{}{}
-	p.cycle = <-p.step
+	p.suspend(struct{}{})
 }
 
 // transact issues req on the PE's port and blocks (in simulated time)

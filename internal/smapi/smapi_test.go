@@ -1,6 +1,7 @@
 package smapi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func buildSystem(t *testing.T, tasks []Task, wcfg core.Config) (*sim.Kernel, []*
 	for i, task := range tasks {
 		l := bus.NewPort(k, "pe", bus.PortConfig{})
 		mLinks = append(mLinks, l)
-		procs = append(procs, NewProc(k, "pe", i, l, task))
+		procs = append(procs, NewProc(k, fmt.Sprintf("pe%d", i), i, l, task))
 	}
 	sl := bus.NewPort(k, "mem", bus.PortConfig{})
 	w, err := core.NewWrapper(k, wcfg, sl)
@@ -260,6 +261,90 @@ func TestProcPanicBecomesFault(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "task exploded") {
 		t.Errorf("err = %v, want task panic fault", err)
 	}
+}
+
+func TestProcPanicAfterResumesBecomesFault(t *testing.T) {
+	// The task panics after a memory op and a Sleep, i.e. on a later
+	// resume than the first, while another Proc is still mid-task. Under
+	// SetWorkers(4) the Procs resume from the parallel engine's serial
+	// shard.
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			steady := func(ctx *Ctx) {
+				for i := 0; i < 1000; i++ {
+					ctx.Sleep(1)
+				}
+			}
+			late := func(ctx *Ctx) {
+				if _, code := ctx.Mem(0).Malloc(4, bus.U32); code != bus.OK {
+					panic(code)
+				}
+				ctx.Sleep(5)
+				panic("late boom")
+			}
+			k, procs, _ := buildSystem(t, []Task{steady, late}, core.Config{Delays: core.DefaultDelays()})
+			k.SetWorkers(workers)
+			err := k.Run(10000)
+			if err == nil || !strings.Contains(err.Error(), "pe1: task panic: late boom") {
+				t.Fatalf("err = %v, want pe1's task panic fault", err)
+			}
+			p := procs[1]
+			if !p.Done() || p.RetiredTasks != 1 {
+				t.Errorf("panicking Proc: Done = %v, RetiredTasks = %d; want true, 1", p.Done(), p.RetiredTasks)
+			}
+			if p.OpsIssued != 1 || p.SleepCycles == 0 {
+				t.Errorf("panicking Proc: OpsIssued = %d, SleepCycles = %d; want 1, > 0", p.OpsIssued, p.SleepCycles)
+			}
+			if procs[0].Done() {
+				t.Error("the other Proc retired before the fault")
+			}
+		})
+	}
+}
+
+// spinningProc builds a kernel holding one PE whose task yields every
+// cycle, so every stepped cycle is one resume.
+func spinningProc() (*sim.Kernel, *Proc) {
+	k := sim.New()
+	p := NewProc(k, "pe0", 0, bus.NewPort(k, "pe0", bus.PortConfig{}), func(ctx *Ctx) {
+		for {
+			ctx.Sleep(0)
+		}
+	})
+	return k, p
+}
+
+func TestProcResumeDoesNotAllocate(t *testing.T) {
+	k, p := spinningProc()
+	if err := k.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	wakes := p.ActiveWakes
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := k.Run(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("k.Run(1) with a started task: %v allocs, want 0", allocs)
+	}
+	if p.ActiveWakes-wakes < 100 {
+		t.Errorf("only %d resumes in 101 cycles", p.ActiveWakes-wakes)
+	}
+}
+
+func BenchmarkProcResume(b *testing.B) {
+	k, p := spinningProc()
+	if err := k.Run(1); err != nil {
+		b.Fatal(err)
+	}
+	wakes := p.ActiveWakes
+	b.ResetTimer()
+	if err := k.Run(uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(p.ActiveWakes-wakes), "ns/resume")
 }
 
 func TestProcStats(t *testing.T) {

@@ -9,8 +9,8 @@
 //     with the simulation kernel (the SystemC SC_THREAD idiom): the task
 //     blocks in *simulated* time on every shared-memory call while the
 //     kernel keeps cycling the hardware. The coroutine comes from
-//     iter.Pull, so a resume is a direct switch into the task and back,
-//     with no channel hand-off and no allocation. Mem exposes Malloc /
+//     iter.Pull, so a resume is a direct switch into the task and back
+//     that allocates nothing. Mem exposes Malloc /
 //     Free / Read / Write / ReadArray / WriteArray / Reserve / Release /
 //     Acquire with in-band error codes, one bus transaction each. This
 //     models software whose computation is executed natively (the way a

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -285,12 +286,60 @@ func l2dramSnapScenario() snapScenario {
 	}
 }
 
+// dramSnapScenario runs the falsely-shared sweep of two ISSes uncached
+// straight onto a 4-bank open-page DRAM whose refresh window recurs
+// every 256 cycles, so accesses keep landing in a refresh stall and the
+// DRAM's bank registers and stall accounting are live mid-flight.
+func dramSnapScenario() snapScenario {
+	cfg := func(m config.SystemConfig) config.SystemConfig {
+		c := m
+		c.Masters, c.Memories, c.MemKind = 2, 1, config.MemDRAM
+		c.DRAMBanks = 4
+		c.DRAMRefreshPeriod, c.DRAMRefreshCycles = 256, 16
+		return c
+	}
+	return snapScenario{
+		name: "dram-refresh",
+		cfg:  cfg,
+		build: func(m config.SystemConfig) (*config.System, error) {
+			sys, err := config.Build(cfg(m))
+			if err != nil {
+				return nil, err
+			}
+			var progs [][]byte
+			for i := 0; i < 2; i++ {
+				p, err := isa.Assemble(cacheTrafficSource(6, 4*i, 8, 24, 16*(i+1)))
+				if err != nil {
+					return nil, err
+				}
+				progs = append(progs, p.Code)
+			}
+			if err := sys.AddCPUs(progs...); err != nil {
+				return nil, err
+			}
+			return sys, nil
+		},
+		done: func(sys *config.System) func() bool { return sys.CPUsHalted },
+		verify: func(sys *config.System) error {
+			for i, cpu := range sys.CPUs {
+				if cpu.ExitCode() != 0 {
+					return fmt.Errorf("iss %d exited %#x", i, cpu.ExitCode())
+				}
+			}
+			if d := sys.DRAMs[0].Stats(); d.RefreshStalls == 0 {
+				return fmt.Errorf("no DRAM access hit a refresh window: %+v", d)
+			}
+			return nil
+		},
+	}
+}
+
 // midFlightScenarios are checkpointed once, half-way, and resumed under
 // the whole restore matrix.
 func midFlightScenarios() []snapScenario {
 	return []snapScenario{
 		gsmSnapScenario(config.MemWrapper), gsmSnapScenario(config.MemHeapSim),
-		cacheSnapScenario(), l2dramSnapScenario(),
+		cacheSnapScenario(), l2dramSnapScenario(), dramSnapScenario(),
 		dmaSnapScenario("dma-mlp", config.InterBus, 4, true),
 		dmaSnapScenario("dma-mlp-inorder", config.InterBus, 4, false),
 	}
@@ -639,5 +688,93 @@ func TestWarmBootSweep(t *testing.T) {
 	}
 	if out := tab.String(); !strings.Contains(out, "event-driven/w4") {
 		t.Fatalf("WB table misses a variant:\n%s", out)
+	}
+}
+
+// sectionPayload returns the payload of the named section of a
+// snapshot, following the file framing: magic, version, then per
+// section a length-prefixed name, a length-prefixed payload and a CRC.
+func sectionPayload(t *testing.T, data []byte, name string) []byte {
+	t.Helper()
+	for off := len(snaplib.Magic) + 4; off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		sec := string(data[off+4 : off+4+n])
+		off += 4 + n
+		p := int(binary.LittleEndian.Uint32(data[off:]))
+		if sec == name {
+			return data[off+4 : off+4+p]
+		}
+		off += 4 + p + 4
+	}
+	t.Fatalf("snapshot has no section %q", name)
+	return nil
+}
+
+// TestSnapshotServingStatePins pins the snapshot of every memory model
+// caught mid-service. The N/2 checkpoints of TestSchedDiffSnapshot may
+// find a memory idle; here each pin is taken at the first cycle of a
+// pinned scenario whose section shows the memory in the named serving
+// state (the section's first byte: 1 Decode — HeapMem's busy state —
+// and 2 Exec). The DRAM pin is an Exec entered with a refresh stall
+// charged. counter is a statistic that grows on every cycle the pinned
+// state can be entered, so only those cycles are snapshotted.
+func TestSnapshotServingStatePins(t *testing.T) {
+	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
+	type pin struct {
+		name  string
+		state byte
+	}
+	for _, tc := range []struct {
+		sc      snapScenario
+		mod     string
+		counter func(sys *config.System) uint64
+		pins    []pin
+	}{
+		{gsmSnapScenario(config.MemWrapper), "wrapper0",
+			func(sys *config.System) uint64 { return sys.Wrappers[0].Stats().BusyCycles },
+			[]pin{{"decode", 1}, {"exec", 2}}},
+		{cacheSnapScenario(), "static0",
+			func(sys *config.System) uint64 { return sys.Statics[0].Stats().BusyCycles },
+			[]pin{{"exec", 2}}},
+		{dramSnapScenario(), "dram0",
+			func(sys *config.System) uint64 { return sys.DRAMs[0].Stats().RefreshStalls },
+			[]pin{{"refresh-exec", 2}}},
+		{gsmSnapScenario(config.MemHeapSim), "heapsim0",
+			func(sys *config.System) uint64 { return sys.Heaps[0].Stats().BusyCycles },
+			[]pin{{"busy", 1}}},
+	} {
+		t.Run(tc.sc.name+"/"+tc.mod, func(t *testing.T) {
+			sys, err := tc.sc.build(refMode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, todo := tc.sc.done(sys), tc.pins
+			for prev := tc.counter(sys); len(todo) > 0; {
+				if done() {
+					t.Fatalf("run ended with %s never in state %v", tc.mod, todo)
+				}
+				if err := sys.Kernel.Run(1); err != nil {
+					t.Fatal(err)
+				}
+				cur := tc.counter(sys)
+				grew := cur > prev
+				if prev = cur; !grew {
+					continue
+				}
+				data, err := sys.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				state := sectionPayload(t, data, "mod."+tc.mod)[0]
+				for i, p := range todo {
+					if p.state == state {
+						t.Logf("%s %s at cycle %d", tc.mod, p.name, sys.Kernel.Cycle())
+						checkRefSnapshot(t, tc.sc.name+"/"+tc.mod+"-"+p.name, data)
+						todo = append(todo[:i:i], todo[i+1:]...)
+						break
+					}
+				}
+			}
+		})
 	}
 }

@@ -288,6 +288,13 @@ func (p *Port) Pop() (Txn, bool) {
 // phase targeting this (slave) port.
 func (p *Port) CanAccept() bool { return p.CanIssue() }
 
+// InService reports whether tag was popped and not yet completed, i.e.
+// whether the slave may Complete it.
+func (p *Port) InService(tag Tag) bool {
+	_, ok := p.open[tag]
+	return ok
+}
+
 // Complete publishes the completion of a popped transaction. Completions
 // may be published in any order relative to Pop; the master-side
 // delivery mode decides the order the master sees. The master can

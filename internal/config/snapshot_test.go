@@ -157,14 +157,76 @@ func midFlightDMA(tb testing.TB) (SystemConfig, []byte) {
 	return cfg, data
 }
 
+// isMemSection reports whether a snapshot section holds a memory model.
+func isMemSection(name string) bool {
+	for _, k := range []MemKind{MemWrapper, MemStatic, MemDRAM, MemHeapSim} {
+		if strings.HasPrefix(name, "mod."+k.String()) {
+			return true
+		}
+	}
+	return false
+}
+
+// midFlightMem snapshots two ISSes running kernel on one small
+// memory of the given kind, at the first cycle from cycle 200 on that
+// finds the memory serving a request, so the fuzzer starts from a busy
+// section.
+func midFlightMem(tb testing.TB, kind MemKind, kernel string, work int) (SystemConfig, []byte) {
+	tb.Helper()
+	cfg := SystemConfig{Masters: 2, Memories: 1, MemKind: kind, MemBytes: 8192}
+	sys, err := Build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	imgs, err := workload.ISSImages(kernel, 2, 1, work, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.AddCPUs(imgs...); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.Kernel.Run(200); err != nil {
+		tb.Fatal(err)
+	}
+	section := "mod." + kind.String() + "0"
+	for i := 0; i < 100000; i++ {
+		data, err := sys.Snapshot()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		names, payloads := sections(tb, data)
+		for j, n := range names {
+			if n == section && payloads[j][0] != 0 {
+				return cfg, data
+			}
+		}
+		if err := sys.Kernel.Run(1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tb.Fatalf("%s never served a request", section)
+	return cfg, nil
+}
+
+func midFlightStatic(tb testing.TB) (SystemConfig, []byte) {
+	return midFlightMem(tb, MemStatic, "sweep", 4)
+}
+
+func midFlightHeapSim(tb testing.TB) (SystemConfig, []byte) {
+	return midFlightMem(tb, MemHeapSim, "gsm", 1)
+}
+
 // FuzzSnapshotRead feeds hostile section payloads to RestoreSystem.
 // Random bytes almost never pass the per-section CRC, so the fuzzer
-// works one layer down: the first byte picks one section of one of two
-// real mid-flight snapshots — an L1 + L2 + DRAM system of ISSes, and a
-// DMA copy over a split crossbar between wrapper memories with
-// segregated placement — the rest replaces its payload, and the file is
-// re-framed with valid checksums. Restore must return an error or a
-// system — never panic, hang or over-allocate.
+// works one layer down: the first byte picks one section of one of four
+// real mid-flight snapshots — an L1 + L2 + DRAM system of ISSes, a DMA
+// copy over a split crossbar between wrapper memories with segregated
+// placement, and ISSes on a busy static RAM and on a busy heapsim
+// memory — the rest replaces its payload, and the file is re-framed
+// with valid checksums. Restore must return an error or a system —
+// never panic, hang or over-allocate. A system restored from a mutated
+// memory section then runs 64 cycles, which must not panic either: the
+// section's load checks must leave its FSM runnable.
 func FuzzSnapshotRead(f *testing.F) {
 	type section struct {
 		base, index int
@@ -175,7 +237,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		payloads [][][]byte
 		pick     []section
 	)
-	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA} {
+	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA, midFlightStatic, midFlightHeapSim} {
 		cfg, data := build(f)
 		n, p := sections(f, data)
 		if !bytes.Equal(reframe(n, p), data) {
@@ -199,8 +261,12 @@ func FuzzSnapshotRead(f *testing.F) {
 		s := pick[int(b[0])%len(pick)]
 		p := append([][]byte(nil), payloads[s.base]...)
 		p[s.index] = b[1:]
-		if sys, err := RestoreSystem(cfgs[s.base], reframe(names[s.base], p)); err == nil && sys == nil {
+		sys, err := RestoreSystem(cfgs[s.base], reframe(names[s.base], p))
+		switch {
+		case err == nil && sys == nil:
 			t.Fatal("RestoreSystem returned neither a system nor an error")
+		case err == nil && isMemSection(names[s.base][s.index]):
+			_ = sys.Kernel.Run(64) // an error is a legal outcome; a panic is not
 		}
 	})
 }

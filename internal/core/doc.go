@@ -9,7 +9,10 @@
 //     interconnect with a cycle-by-cycle handshake, identifies operations
 //     by opcode, and charges configurable — possibly data-dependent —
 //     delays so the *timing* seen by the rest of the simulated system is
-//     that of a real hardware memory module. Implemented by Wrapper.
+//     that of a real hardware memory module. Implemented by Wrapper on
+//     mem.Server, the serving FSM every memory model shares (see package
+//     mem), so the wrapper and the static memory it is measured against
+//     differ only in their functional part and their delays.
 //
 //   - A functional part: a pointer table and a translator. The pointer
 //     table maps virtual pointers (Vptr) of the simulated architecture to

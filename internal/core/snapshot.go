@@ -61,14 +61,11 @@ func (t *PointerTable) WalkState(c *snapshot.Codec) error {
 	return c.Err()
 }
 
-// WalkState walks the wrapper memory: the FSM, the sampled input
-// registers, the stats, and the pointer table with all host-backed
-// payloads.
+// WalkState walks the wrapper memory: the Server's registers, the
+// sampled input registers, the stats, and the pointer table with all
+// host-backed payloads.
 func (w *Wrapper) WalkState(c *snapshot.Codec) error {
-	snapshot.Byte(c, &w.state)
-	c.U32(&w.wait)
-	w.cur.Walk(c)
-	snapshot.Word(c, &w.curTag)
+	w.WalkFSM(c, nil)
 	c.Bool(&w.in.pending)
 	snapshot.Byte(c, &w.in.op)
 	c.Int(&w.in.sm)
@@ -77,10 +74,7 @@ func (w *Wrapper) WalkState(c *snapshot.Codec) error {
 	c.U32(&w.in.dim)
 	snapshot.Byte(c, &w.in.dtype)
 	c.Int(&w.in.master)
-	c.U64Array(w.stats.Ops[:])
-	c.U64Array(w.stats.Errors[:])
-	c.U64(&w.stats.BusyCycles)
-	c.U64(&w.stats.BurstElems)
+	w.stats.Stats.Walk(c)
 	c.U64(&w.stats.HostAllocs)
 	c.U64(&w.stats.HostFrees)
 	c.U64(&w.stats.HostBytes)

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/alloc"
 	"repro/internal/bus"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -38,24 +39,13 @@ type Config struct {
 
 // Stats counts wrapper activity. All cycle figures are simulated cycles.
 type Stats struct {
-	Ops        [bus.NumOps]uint64
-	Errors     [bus.NumOps]uint64
-	BusyCycles uint64
-	BurstElems uint64
+	mem.Stats
 	// Host-call traffic (also available from a CountingAllocator, but
 	// recorded here so every wrapper reports it by default).
 	HostAllocs uint64
 	HostFrees  uint64
 	HostBytes  uint64
 }
-
-type wrapperState uint8
-
-const (
-	wsIdle   wrapperState = iota // I: waiting for a request
-	wsDecode                     // A: evaluating opcode + sm_addr
-	wsExec                       // F/W/R: charging the operation's delay
-)
 
 // ioRegs are the wrapper's input registers (the "I/O registers" of the
 // paper's Figure 2). A cycle-true FSM samples its input port every clock
@@ -82,22 +72,17 @@ type ioRegs struct {
 // moment it returns to Idle, so back-to-back split transactions pipeline
 // through the memory without a bus turnaround in between.
 //
-// FSM shape: Idle –(request)→ Decode –(Decode cycles)→ Exec –(op
-// cycles)→ complete, back to Idle. The functional effect happens at the
+// The FSM is the mem.Server every memory model shares: Idle –(request)→
+// Decode (I → A, Delays.Decode cycles) → Exec (F/W/R, the operation's
+// cycles) → complete, back to Idle. The functional effect happens at the
 // final cycle, so responses and memory state changes are exactly as late
 // as the configured hardware timing says.
 type Wrapper struct {
+	mem.Server[*Wrapper]
 	cfg   Config
-	port  *bus.Port
 	table *PointerTable
 	tr    Translator
-
-	state  wrapperState
-	wait   uint32
-	cur    bus.Request
-	curTag bus.Tag
-	in     ioRegs
-
+	in    ioRegs
 	stats Stats
 }
 
@@ -114,13 +99,21 @@ func NewWrapper(k *sim.Kernel, cfg Config, port *bus.Port) (*Wrapper, error) {
 	}
 	w := &Wrapper{
 		cfg:   cfg,
-		port:  port,
 		table: table,
 		tr:    Translator{Target: cfg.Endian},
 	}
+	w.Server = mem.NewServer(w, port, &w.stats.Stats, &wrapperHooks)
 	w.table.Linear = cfg.LinearLookup
 	k.Add(w)
 	return w, nil
+}
+
+// wrapperHooks time a Wrapper by its DelayParams and serve it through
+// its pointer table.
+var wrapperHooks = mem.Hooks[*Wrapper]{
+	Decode:  func(w *Wrapper, _ bus.Request) uint32 { return w.cfg.Delays.Decode },
+	Exec:    func(w *Wrapper, req bus.Request, _ uint64) uint32 { return w.cfg.Delays.opCycles(req) },
+	Respond: (*Wrapper).execute,
 }
 
 // Name implements sim.Module.
@@ -139,118 +132,20 @@ func (w *Wrapper) Stats() Stats { return w.stats }
 // port's request queue together with its validity, so an idle queue can
 // never alias a previously latched request.
 func (w *Wrapper) sampleInputs() {
-	if r, ok := w.port.Peek(); ok {
-		w.in = ioRegs{
-			pending: true,
-			op:      r.Op,
-			sm:      r.SM,
-			vptr:    r.VPtr,
-			data:    r.Data,
-			dim:     r.Dim,
-			dtype:   r.DType,
-			master:  r.Master,
-		}
-	} else {
-		w.in = ioRegs{}
-	}
+	r, ok := w.Port().Peek()
+	w.in = ioRegs{ok, r.Op, r.SM, r.VPtr, r.Data, r.Dim, r.DType, r.Master}
 }
 
-// Tick implements sim.Module.
+// Tick implements sim.Module: latch the inputs, then run the FSM.
 func (w *Wrapper) Tick(cycle uint64) {
 	w.sampleInputs()
-	switch w.state {
-	case wsIdle:
-		tx, ok := w.port.Pop()
-		if !ok {
-			return
-		}
-		w.cur = tx.Req
-		w.curTag = tx.Tag
-		w.stats.BusyCycles++
-		w.wait = w.cfg.Delays.Decode
-		w.state = wsDecode
-		if w.wait == 0 {
-			w.enterExec()
-			w.maybeFinish()
-		}
-
-	case wsDecode:
-		w.stats.BusyCycles++
-		w.wait--
-		if w.wait == 0 {
-			w.enterExec()
-			w.maybeFinish()
-		}
-
-	case wsExec:
-		w.stats.BusyCycles++
-		w.wait--
-		w.maybeFinish()
-	}
+	w.Server.Tick(cycle)
 }
-
-// NextWake implements sim.Sleeper. Idle, the wrapper has work only when
-// a request is visible on its link (which a signal commit announces, so
-// WakeNever is safe). In Decode or Exec the FSM is a pure countdown:
-// nothing observable happens until the tick on which wait reaches zero,
-// `wait-1` cycles from now.
-func (w *Wrapper) NextWake(now uint64) uint64 {
-	if w.state == wsIdle {
-		if w.port.Pending() {
-			return now
-		}
-		return sim.WakeNever
-	}
-	if w.wait <= 1 {
-		return now
-	}
-	return now + uint64(w.wait) - 1
-}
-
-// ConcurrentTick implements sim.Concurrent: the wrapper's Tick touches
-// only its own FSM registers, pointer table, translator, host allocator
-// and stats, plus the slave side of its port. Safe to tick concurrently.
-func (w *Wrapper) ConcurrentTick() bool { return true }
 
 // TickWeight implements sim.Weighted: the wrapper latches its input
 // port every cycle and runs pointer-table lookups plus host calls on
 // completion — heavier than a plain table RAM, lighter than an ISS.
 func (w *Wrapper) TickWeight() int { return 4 }
-
-// Skip implements sim.Sleeper: n skipped cycles are n countdown ticks,
-// each of which would have charged one busy cycle. An idle wrapper's
-// skipped ticks would only have re-latched its (idle) input port.
-func (w *Wrapper) Skip(n uint64) {
-	if w.state == wsIdle {
-		return
-	}
-	w.wait -= uint32(n)
-	w.stats.BusyCycles += n
-}
-
-// enterExec charges the operation delay and moves to Exec.
-func (w *Wrapper) enterExec() {
-	w.wait = w.cfg.Delays.opCycles(w.cur)
-	w.state = wsExec
-}
-
-// maybeFinish applies the functional effect and responds once the Exec
-// delay has elapsed.
-func (w *Wrapper) maybeFinish() {
-	if w.state != wsExec || w.wait > 0 {
-		return
-	}
-	resp := w.execute(w.cur)
-	if op := int(w.cur.Op); op < bus.NumOps {
-		w.stats.Ops[op]++
-		if resp.Err != bus.OK {
-			w.stats.Errors[op]++
-		}
-	}
-	w.port.Complete(w.curTag, resp)
-	w.cur = bus.Request{}
-	w.state = wsIdle
-}
 
 // execute performs the functional part of one request against the pointer
 // table, translator and host. It is pure with respect to simulation time:

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -42,13 +43,27 @@ type sysSnapshot struct {
 
 	Wrappers []core.Stats
 	Statics  []mem.Stats
-	Heaps    []heapsim.Stats
+	Heaps    []heapStats
 	DRAMs    []mem.DRAMStats
 	Caches   []cache.Stats
 	L2s      []cache.L2Stats
 	CPUs     []cpuSnapshot
 	Procs    []procSnapshot
 	DMAs     []dmaSnapshot
+}
+
+// heapStats is heapsim.Stats in the field order schedref.json recorded
+// before its service counters moved into the embedded mem.Stats: JSON
+// follows declaration order, so embedding alone would change the
+// recorded bytes with no counter changing. TestHeapStatsMirror keeps
+// the two field sets equal.
+type heapStats struct {
+	Ops, Errors                                                   [bus.NumOps]uint64
+	BusyCycles, MgrAccesses, MgrCycles, BurstElems, AllocFailures uint64
+}
+
+func heapStatsOf(s heapsim.Stats) heapStats {
+	return heapStats{s.Ops, s.Errors, s.BusyCycles, s.MgrAccesses, s.MgrCycles, s.BurstElems, s.AllocFailures}
 }
 
 type cpuSnapshot struct {
@@ -82,7 +97,7 @@ func snapshot(sys *config.System) sysSnapshot {
 		s.Statics = append(s.Statics, r.Stats())
 	}
 	for _, h := range sys.Heaps {
-		s.Heaps = append(s.Heaps, h.Stats())
+		s.Heaps = append(s.Heaps, heapStatsOf(h.Stats()))
 	}
 	for _, d := range sys.DRAMs {
 		s.DRAMs = append(s.DRAMs, d.Stats())
@@ -109,6 +124,47 @@ func snapshot(sys *config.System) sysSnapshot {
 		s.DMAs = append(s.DMAs, dmaSnapshot{Stats: e.Stats(), Done: e.Done()})
 	}
 	return s
+}
+
+// TestHeapStatsMirror checks that heapStats carries every counter of
+// heapsim.Stats under its own name, so the pinned observables cannot
+// silently drop one.
+func TestHeapStatsMirror(t *testing.T) {
+	var st heapsim.Stats
+	n := uint64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Uint64:
+			n++
+			v.SetUint(n)
+		default:
+			t.Fatalf("heapsim.Stats has a %s field", v.Kind())
+		}
+	}
+	fill(reflect.ValueOf(&st).Elem())
+	decode := func(x any) map[string]any {
+		raw, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if got, want := decode(heapStatsOf(st)), decode(st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("heapStats %v differs from heapsim.Stats %v", got, want)
+	}
 }
 
 // diffModes is the kernel-mode matrix every scenario replays. The first

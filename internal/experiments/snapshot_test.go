@@ -717,7 +717,9 @@ func sectionPayload(t *testing.T, data []byte, name string) []byte {
 // state (the section's first byte: 1 Decode — HeapMem's busy state —
 // and 2 Exec). The DRAM pin is an Exec entered with a refresh stall
 // charged. counter is a statistic that grows on every cycle the pinned
-// state can be entered, so only those cycles are snapshotted.
+// state can be entered, so only those cycles are snapshotted. Each
+// pinned snapshot must restore, busy memory included, and snapshot
+// again to the same bytes.
 func TestSnapshotServingStatePins(t *testing.T) {
 	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
 	type pin struct {
@@ -770,6 +772,13 @@ func TestSnapshotServingStatePins(t *testing.T) {
 					if p.state == state {
 						t.Logf("%s %s at cycle %d", tc.mod, p.name, sys.Kernel.Cycle())
 						checkRefSnapshot(t, tc.sc.name+"/"+tc.mod+"-"+p.name, data)
+						warm, err := config.RestoreSystem(tc.sc.cfg(refMode), data)
+						if err != nil {
+							t.Fatalf("%s: restore: %v", p.name, err)
+						}
+						if again, err := warm.Snapshot(); err != nil || !bytes.Equal(again, data) {
+							t.Fatalf("%s: restore + snapshot changed the bytes (err %v)", p.name, err)
+						}
 						todo = append(todo[:i:i], todo[i+1:]...)
 						break
 					}

@@ -9,7 +9,10 @@
 // touches is counted. HeapMem wraps the allocator in a bus slave that
 // charges a configurable number of simulated cycles per counted access,
 // so a simulated malloc costs what walking a real free list through a
-// memory port would cost.
+// memory port would cost. The slave runs on mem.Server, the serving FSM
+// every memory model shares (see package mem): HeapMem executes each
+// request as it is popped and charges the whole delay as decode cycles,
+// and its data operations use the flat-table path of mem.ExecuteTable.
 //
 // This is the E3 baseline: its allocation latency grows with free-list
 // length (fragmentation) and its calloc-zeroing cost grows with request

@@ -3,6 +3,7 @@ package heapsim
 import (
 	"repro/internal/alloc"
 	"repro/internal/bus"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -36,52 +37,35 @@ type Config struct {
 
 // Stats counts module activity.
 type Stats struct {
-	Ops           [bus.NumOps]uint64
-	Errors        [bus.NumOps]uint64
-	BusyCycles    uint64
+	mem.Stats
 	MgrAccesses   uint64 // allocator metadata accesses (from Heap)
 	MgrCycles     uint64 // cycles spent on allocator traffic
-	BurstElems    uint64
 	AllocFailures uint64
 }
-
-type hmState uint8
-
-const (
-	hmIdle hmState = iota
-	hmBusy
-)
 
 // HeapMem is the detailed dynamic-memory module: the same bus protocol as
 // the wrapper, but alloc and free are executed by the in-arena free-list
 // allocator and charged per metadata access. Reads and writes address the
-// arena directly (VPtr is an arena offset, as returned by OpAlloc).
-// Reservations are not modelled (ErrBadOp), as the conventional models
-// the paper displaces did not have them either.
+// arena directly (VPtr is an arena offset, as returned by OpAlloc) through
+// mem.ExecuteTable. Reservations are not modelled (ErrBadOp), as the
+// conventional models the paper displaces did not have them either.
+//
+// It serves its port with the mem.Server every memory model shares, but
+// executes each request eagerly the cycle it is popped, recording the
+// allocator traffic, and charges the whole derived delay as decode
+// cycles: it has no exec phase, and holds the response until the delay
+// has elapsed. Functional effects are invisible to other masters until
+// the response is published, so eager execution is indistinguishable
+// from end-of-delay execution.
 type HeapMem struct {
-	cfg  Config
-	port *bus.Port
-	heap *Heap
-
-	state  hmState
-	wait   uint32
-	resp   bus.Response
-	curOp  bus.Op
-	curTag bus.Tag
-
-	// in holds the input registers sampled every cycle; like the other
-	// memory modules, HeapMem is a cycle-true module evaluated
-	// unconditionally each clock (see core.Wrapper's ioRegs note).
-	in struct {
-		pending bool
-		op      bus.Op
-		vptr    uint32
-		data    uint32
-		dim     uint32
-		dtype   bus.DataType
-	}
-
-	stats Stats
+	mem.Server[*HeapMem]
+	cfg    Config
+	timing mem.Delays // cfg's data-path cycles
+	heap   *Heap
+	resp   bus.Response // computed by serve, held until the delay elapses
+	curOp  bus.Op       // the last request's op; its section carries it for the request
+	in     mem.Latch
+	stats  Stats
 }
 
 // NewHeapMem creates the module and registers it with the kernel. It
@@ -98,10 +82,16 @@ func NewHeapMem(k *sim.Kernel, cfg Config, port *bus.Port) (*HeapMem, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &HeapMem{cfg: cfg, port: port, heap: heap}
+	m := &HeapMem{cfg: cfg, heap: heap, timing: mem.Delays{
+		Read: cfg.Read, Write: cfg.Write, BurstBase: cfg.BurstBase, BurstPerElem: cfg.BurstPerElem,
+	}}
+	m.Server = mem.NewServer(m, port, &m.stats.Stats, &heapHooks)
 	k.Add(m)
 	return m, nil
 }
+
+// heapHooks serve a HeapMem eagerly at decode, with no exec phase.
+var heapHooks = mem.Hooks[*HeapMem]{Decode: (*HeapMem).serve, Respond: (*HeapMem).respond}
 
 // Name implements sim.Module.
 func (m *HeapMem) Name() string { return m.cfg.Name }
@@ -112,106 +102,45 @@ func (m *HeapMem) Heap() *Heap { return m.heap }
 // Stats returns a snapshot of the counters.
 func (m *HeapMem) Stats() Stats { return m.stats }
 
-// Tick implements sim.Module: latch, execute eagerly while recording the
-// allocator traffic, then hold the response until the derived delay has
-// been charged. Functional effects are invisible to other masters until
-// the response is published, so eager execution is indistinguishable
-// from end-of-delay execution.
+// Tick implements sim.Module: latch the inputs, then run the Server.
 func (m *HeapMem) Tick(cycle uint64) {
-	if q, ok := m.port.Peek(); ok {
-		m.in.pending = true
-		m.in.op, m.in.vptr, m.in.data, m.in.dim, m.in.dtype = q.Op, q.VPtr, q.Data, q.Dim, q.DType
-	} else {
-		m.in.pending = false
-		m.in.op, m.in.vptr, m.in.data, m.in.dim, m.in.dtype = 0, 0, 0, 0, 0
-	}
-	switch m.state {
-	case hmIdle:
-		tx, ok := m.port.Pop()
-		if !ok {
-			return
-		}
-		req := tx.Req
-		m.curTag = tx.Tag
-		m.stats.BusyCycles++
-		before := m.heap.Accesses
-		resp, dataCycles := m.execute(req)
-		mgr := uint32(m.heap.Accesses - before)
-		m.stats.MgrAccesses += uint64(mgr)
-		mgrCycles := mgr * m.cfg.WordLatency
-		m.stats.MgrCycles += uint64(mgrCycles)
-		m.resp = resp
-		m.curOp = req.Op
-		m.wait = m.cfg.Decode + mgrCycles + dataCycles
-		if m.wait == 0 {
-			m.finish()
-		} else {
-			m.state = hmBusy
-		}
-	case hmBusy:
-		m.stats.BusyCycles++
-		m.wait--
-		if m.wait == 0 {
-			m.finish()
-		}
-	}
+	m.in.Sample(m.Port())
+	m.Server.Tick(cycle)
 }
 
-// NextWake implements sim.Sleeper. Idle, the module waits for a request
-// (announced by a signal commit); busy, it holds a precomputed response
-// for a pure delay countdown of `wait` more ticks.
-func (m *HeapMem) NextWake(now uint64) uint64 {
-	if m.state == hmIdle {
-		if m.port.Pending() {
-			return now
-		}
-		return sim.WakeNever
-	}
-	if m.wait <= 1 {
-		return now
-	}
-	return now + uint64(m.wait) - 1
+// serve is the Server's Decode hook: it executes req, charges the
+// allocator traffic it caused, and returns the whole delay.
+func (m *HeapMem) serve(req bus.Request) uint32 {
+	before := m.heap.Accesses
+	resp, dataCycles := m.execute(req)
+	mgr := uint32(m.heap.Accesses - before)
+	m.stats.MgrAccesses += uint64(mgr)
+	mgrCycles := mgr * m.cfg.WordLatency
+	m.stats.MgrCycles += uint64(mgrCycles)
+	m.resp, m.curOp = resp, req.Op
+	return m.cfg.Decode + mgrCycles + dataCycles
 }
 
-// ConcurrentTick implements sim.Concurrent: HeapMem's Tick touches only
-// its own arena, free-list allocator, FSM registers and stats, plus the
-// slave side of its port. Safe to tick concurrently.
-func (m *HeapMem) ConcurrentTick() bool { return true }
+// respond is the Server's Respond hook: it hands over the response
+// serve computed.
+func (m *HeapMem) respond(bus.Request) bus.Response {
+	resp := m.resp
+	m.resp = bus.Response{}
+	return resp
+}
 
 // TickWeight implements sim.Weighted: the detailed allocator walks its
 // in-arena free list on alloc/free, making it the heaviest memory model
 // — weigh it like a CPU minus the per-cycle fetch/decode.
 func (m *HeapMem) TickWeight() int { return 6 }
 
-// Skip implements sim.Sleeper: n countdown ticks, each a busy cycle.
-func (m *HeapMem) Skip(n uint64) {
-	if m.state == hmIdle {
-		return
-	}
-	m.wait -= uint32(n)
-	m.stats.BusyCycles += n
-}
-
-func (m *HeapMem) finish() {
-	if op := int(m.curOp); op < bus.NumOps {
-		m.stats.Ops[op]++
-		if m.resp.Err != bus.OK {
-			m.stats.Errors[op]++
-		}
-	}
-	m.port.Complete(m.curTag, m.resp)
-	m.resp = bus.Response{}
-	m.state = hmIdle
-}
-
 // execute performs the functional operation, returning the response and
 // the data-path cycles to charge (allocator cycles are derived from the
 // access counter by the caller).
 func (m *HeapMem) execute(req bus.Request) (bus.Response, uint32) {
-	es := req.DType.Size()
 	switch req.Op {
 	case bus.OpAlloc:
-		bytes := uint64(req.Dim) * uint64(es)
+		bytes := uint64(req.Dim) * uint64(req.DType.Size())
 		if req.Dim == 0 || bytes > uint64(m.heap.Size()) {
 			m.stats.AllocFailures++
 			return bus.Response{Err: bus.ErrCapacity}, 0
@@ -229,57 +158,7 @@ func (m *HeapMem) execute(req bus.Request) (bus.Response, uint32) {
 		}
 		return bus.Response{}, 0
 
-	case bus.OpRead:
-		if !m.inBounds(req.VPtr, es) {
-			return bus.Response{Err: bus.ErrBounds}, m.cfg.Read
-		}
-		return bus.Response{Data: m.readElem(req.VPtr, req.DType)}, m.cfg.Read
-
-	case bus.OpWrite:
-		if !m.inBounds(req.VPtr, es) {
-			return bus.Response{Err: bus.ErrBounds}, m.cfg.Write
-		}
-		m.writeElem(req.VPtr, req.DType, req.Data)
-		return bus.Response{}, m.cfg.Write
-
-	case bus.OpReadBurst:
-		n := req.Dim
-		cyc := m.cfg.BurstBase + m.cfg.BurstPerElem*n
-		if !m.inBounds(req.VPtr, es*n) {
-			return bus.Response{Err: bus.ErrBounds}, cyc
-		}
-		out := make([]uint32, n)
-		for i := uint32(0); i < n; i++ {
-			out[i] = m.readElem(req.VPtr+i*es, req.DType)
-		}
-		m.stats.BurstElems += uint64(n)
-		return bus.Response{Burst: out}, cyc
-
-	case bus.OpWriteBurst:
-		n := uint32(len(req.Burst))
-		cyc := m.cfg.BurstBase + m.cfg.BurstPerElem*n
-		if !m.inBounds(req.VPtr, es*n) {
-			return bus.Response{Err: bus.ErrBounds}, cyc
-		}
-		for i, v := range req.Burst {
-			m.writeElem(req.VPtr+uint32(i)*es, req.DType, v)
-		}
-		m.stats.BurstElems += uint64(n)
-		return bus.Response{}, cyc
-
 	default:
-		return bus.Response{Err: bus.ErrBadOp}, 0
+		return mem.ExecuteTable(m.heap.Arena(), req, &m.stats.BurstElems), m.timing.OpCycles(req)
 	}
-}
-
-func (m *HeapMem) inBounds(addr, n uint32) bool {
-	return uint64(addr)+uint64(n) <= uint64(m.heap.Size())
-}
-
-func (m *HeapMem) readElem(addr uint32, dt bus.DataType) uint32 {
-	return dt.ReadElem(m.heap.Arena()[addr:])
-}
-
-func (m *HeapMem) writeElem(addr uint32, dt bus.DataType, val uint32) {
-	dt.WriteElem(m.heap.Arena()[addr:], val)
 }

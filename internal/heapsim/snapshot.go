@@ -1,28 +1,28 @@
 package heapsim
 
 import (
+	"repro/internal/bus"
 	"repro/internal/snapshot"
 )
 
-// WalkState walks the heap memory: the module FSM, the sampled input
-// registers, the stats, the heap's operation counters, and the raw
-// arena image. The arena bytes carry the allocator's entire metadata
-// (all four policies keep their free lists, headers, and bitmaps inside
-// the simulated arena — the Go-side policy structs are stateless), so
-// walking the image walks the allocator. Build has already formatted a
-// fresh arena; loading overwrites it wholesale and never re-formats it.
+// WalkState walks the heap memory: the Server's registers — with the
+// eager response and its operation in place of the request — the
+// sampled input registers, the stats, the heap's operation counters,
+// and the raw arena image. The arena bytes carry the allocator's entire
+// metadata (all four policies keep their free lists, headers, and
+// bitmaps inside the simulated arena — the Go-side policy structs are
+// stateless), so walking the image walks the allocator. Build has
+// already formatted a fresh arena; loading overwrites it wholesale and
+// never re-formats it.
 func (h *HeapMem) WalkState(c *snapshot.Codec) error {
-	snapshot.Byte(c, &h.state)
-	c.U32(&h.wait)
-	h.resp.Walk(c)
-	snapshot.Byte(c, &h.curOp)
-	snapshot.Word(c, &h.curTag)
-	c.Bool(&h.in.pending)
-	snapshot.Byte(c, &h.in.op)
-	c.U32(&h.in.vptr)
-	c.U32(&h.in.data)
-	c.U32(&h.in.dim)
-	snapshot.Byte(c, &h.in.dtype)
+	h.WalkFSM(c, func(cur *bus.Request) {
+		h.resp.Walk(c)
+		snapshot.Byte(c, &h.curOp)
+		if c.Loading() {
+			cur.Op = h.curOp // the Server counts the response under it
+		}
+	})
+	h.in.Walk(c)
 	c.U64Array(h.stats.Ops[:])
 	c.U64Array(h.stats.Errors[:])
 	c.U64(&h.stats.BusyCycles)

@@ -99,18 +99,14 @@ type dramBank struct {
 // which bank and row an access targets, the row-buffer policy, and the
 // periodic refresh schedule. Service start cycles are deterministic
 // (the port protocol is), so the whole timing model is bit-identical
-// across every kernel scheduling mode.
+// across every kernel scheduling mode. The refresh model is lazy and
+// needs no wakeups of its own: refresh cost and row closure are
+// computed from the exec-entry cycle the Server hands its Exec hook.
 type DRAM struct {
+	Server[*DRAM]
 	cfg   DRAMConfig
-	port  *bus.Port
 	data  []byte
 	banks []dramBank
-
-	state  ramState
-	wait   uint32
-	cur    bus.Request
-	curTag bus.Tag
-
 	stats DRAMStats
 }
 
@@ -150,12 +146,19 @@ func NewDRAMOn(k *sim.Kernel, cfg DRAMConfig, port *bus.Port) (*DRAM, error) {
 	}
 	r := &DRAM{
 		cfg:   cfg,
-		port:  port,
 		data:  make([]byte, cfg.Size),
 		banks: make([]dramBank, cfg.Banks),
 	}
+	r.Server = NewServer(r, port, &r.stats.Stats, &dramHooks)
 	k.Add(r)
 	return r, nil
+}
+
+// dramHooks time a DRAM by its bank model and serve it from its table.
+var dramHooks = Hooks[*DRAM]{
+	Decode:  func(r *DRAM, _ bus.Request) uint32 { return r.cfg.Timing.Decode },
+	Exec:    (*DRAM).opCycles,
+	Respond: func(r *DRAM, req bus.Request) bus.Response { return ExecuteTable(r.data, req, &r.stats.BurstElems) },
 }
 
 // Name implements sim.Module.
@@ -240,88 +243,6 @@ func (r *DRAM) opCycles(req bus.Request, cycle uint64) uint32 {
 	}
 }
 
-// Tick implements sim.Module with the same three-state engine as
-// StaticRAM; only the exec-phase cost function differs.
-func (r *DRAM) Tick(cycle uint64) {
-	switch r.state {
-	case ramIdle:
-		tx, ok := r.port.Pop()
-		if !ok {
-			return
-		}
-		r.cur = tx.Req
-		r.curTag = tx.Tag
-		r.stats.BusyCycles++
-		r.wait = r.cfg.Timing.Decode
-		r.state = ramDecode
-		if r.wait == 0 {
-			r.enterExec(cycle)
-			r.maybeFinish()
-		}
-	case ramDecode:
-		r.stats.BusyCycles++
-		r.wait--
-		if r.wait == 0 {
-			r.enterExec(cycle)
-			r.maybeFinish()
-		}
-	case ramExec:
-		r.stats.BusyCycles++
-		r.wait--
-		r.maybeFinish()
-	}
-}
-
-// NextWake implements sim.Sleeper; the FSM is a pure countdown after
-// the idle pop, exactly like StaticRAM. The lazy refresh model needs no
-// wakeups of its own: refresh cost and row closure are computed from
-// the exec-entry cycle when the next access arrives.
-func (r *DRAM) NextWake(now uint64) uint64 {
-	if r.state == ramIdle {
-		if r.port.Pending() {
-			return now
-		}
-		return sim.WakeNever
-	}
-	if r.wait <= 1 {
-		return now
-	}
-	return now + uint64(r.wait) - 1
-}
-
-// Skip implements sim.Sleeper: n countdown ticks, each a busy cycle.
-func (r *DRAM) Skip(n uint64) {
-	if r.state == ramIdle {
-		return
-	}
-	r.wait -= uint32(n)
-	r.stats.BusyCycles += n
-}
-
-// ConcurrentTick implements sim.Concurrent: confined to its own table,
-// bank registers, FSM and the slave side of its port.
-func (r *DRAM) ConcurrentTick() bool { return true }
-
-// TickWeight implements sim.Weighted: an input latch plus a countdown.
+// TickWeight implements sim.Weighted: a countdown, plus the bank model
+// once per access.
 func (r *DRAM) TickWeight() int { return 3 }
-
-func (r *DRAM) enterExec(cycle uint64) {
-	r.wait = r.opCycles(r.cur, cycle)
-	r.state = ramExec
-}
-
-func (r *DRAM) maybeFinish() {
-	if r.state != ramExec || r.wait > 0 {
-		return
-	}
-	resp := executeTable(r.data, r.cur, &r.stats.BurstElems)
-	if op := int(r.cur.Op); op < bus.NumOps {
-		r.stats.Ops[op]++
-		if resp.Err != bus.OK {
-			r.stats.Errors[op]++
-		}
-	}
-	r.port.Complete(r.curTag, resp)
-	r.cur = bus.Request{}
-	r.state = ramIdle
-}

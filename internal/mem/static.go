@@ -3,6 +3,7 @@ package mem
 import (
 	"repro/internal/bus"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // Delays are the static RAM's timing parameters, a subset of the
@@ -21,85 +22,9 @@ func DefaultDelays() Delays {
 	return Delays{Decode: 1, Read: 1, Write: 1, BurstBase: 1, BurstPerElem: 1}
 }
 
-// Config parameterizes a StaticRAM.
-type Config struct {
-	// Name labels the module.
-	Name string
-	// Size is the table size in bytes, allocated in full at construction
-	// (that is the point of the static model).
-	Size uint32
-	// Delays are the timing parameters; zero values mean minimum latency.
-	Delays Delays
-}
-
-// Stats counts memory activity.
-type Stats struct {
-	Ops        [bus.NumOps]uint64
-	Errors     [bus.NumOps]uint64
-	BusyCycles uint64
-	BurstElems uint64
-}
-
-type ramState uint8
-
-const (
-	ramIdle ramState = iota
-	ramDecode
-	ramExec
-)
-
-// StaticRAM is a table memory module: a fixed little-endian byte array
-// addressed directly by VPtr. Dynamic operations answer ErrBadOp.
-type StaticRAM struct {
-	cfg  Config
-	port *bus.Port
-	data []byte
-
-	state  ramState
-	wait   uint32
-	cur    bus.Request
-	curTag bus.Tag
-
-	// in holds the input registers sampled every cycle; like the
-	// wrapper, the static RAM is a cycle-true module evaluated
-	// unconditionally each clock (see core.Wrapper's ioRegs note).
-	in struct {
-		pending bool
-		op      bus.Op
-		vptr    uint32
-		data    uint32
-		dim     uint32
-		dtype   bus.DataType
-	}
-
-	stats Stats
-}
-
-// NewStaticRAM creates the module, allocates its full table, and
-// registers it with the kernel.
-func NewStaticRAM(k *sim.Kernel, cfg Config, port *bus.Port) *StaticRAM {
-	if cfg.Name == "" {
-		cfg.Name = "sram"
-	}
-	r := &StaticRAM{cfg: cfg, port: port, data: make([]byte, cfg.Size)}
-	k.Add(r)
-	return r
-}
-
-// Name implements sim.Module.
-func (r *StaticRAM) Name() string { return r.cfg.Name }
-
-// Stats returns a snapshot of the counters.
-func (r *StaticRAM) Stats() Stats { return r.stats }
-
-// Size returns the configured table size in bytes.
-func (r *StaticRAM) Size() uint32 { return r.cfg.Size }
-
-// Peek returns the byte at addr for white-box tests.
-func (r *StaticRAM) Peek(addr uint32) byte { return r.data[addr] }
-
-func (r *StaticRAM) opCycles(req bus.Request) uint32 {
-	d := r.cfg.Delays
+// OpCycles returns the data-path cycles of req: a scalar access or a
+// burst transfer. Other operations cost none.
+func (d *Delays) OpCycles(req bus.Request) uint32 {
 	switch req.Op {
 	case bus.OpRead:
 		return d.Read
@@ -114,100 +39,96 @@ func (r *StaticRAM) opCycles(req bus.Request) uint32 {
 	}
 }
 
-// Tick implements sim.Module with the same three-state engine as the
-// wrapper, so the two models differ only functionally.
+// Config parameterizes a StaticRAM.
+type Config struct {
+	// Name labels the module.
+	Name string
+	// Size is the table size in bytes, allocated in full at construction
+	// (that is the point of the static model).
+	Size uint32
+	// Delays are the timing parameters; zero values mean minimum latency.
+	Delays Delays
+}
+
+// Latch is the input register bank a cycle-true memory samples every
+// clock, whether or not a request is arriving (see core.Wrapper's
+// ioRegs note). StaticRAM and HeapMem latch these fields; the wrapper
+// also latches sm and master.
+type Latch struct {
+	pending         bool
+	op              bus.Op
+	vptr, data, dim uint32
+	dtype           bus.DataType
+}
+
+// Sample latches the head of port's request queue, or zeroes the
+// registers when the queue is empty.
+func (l *Latch) Sample(port *bus.Port) {
+	q, ok := port.Peek()
+	*l = Latch{ok, q.Op, q.VPtr, q.Data, q.Dim, q.DType}
+}
+
+// Walk walks the registers in field order.
+func (l *Latch) Walk(c *snapshot.Codec) {
+	c.Bool(&l.pending)
+	snapshot.Byte(c, &l.op)
+	c.U32(&l.vptr)
+	c.U32(&l.data)
+	c.U32(&l.dim)
+	snapshot.Byte(c, &l.dtype)
+}
+
+// StaticRAM is a table memory module: a fixed little-endian byte array
+// addressed directly by VPtr. Dynamic operations answer ErrBadOp. It
+// serves its port with the same Server as the wrapper, so the two
+// models differ only functionally.
+type StaticRAM struct {
+	Server[*StaticRAM]
+	cfg   Config
+	data  []byte
+	in    Latch
+	stats Stats
+}
+
+// NewStaticRAM creates the module, allocates its full table, and
+// registers it with the kernel.
+func NewStaticRAM(k *sim.Kernel, cfg Config, port *bus.Port) *StaticRAM {
+	if cfg.Name == "" {
+		cfg.Name = "sram"
+	}
+	r := &StaticRAM{cfg: cfg, data: make([]byte, cfg.Size)}
+	r.Server = NewServer(r, port, &r.stats, &staticHooks)
+	k.Add(r)
+	return r
+}
+
+// staticHooks time a StaticRAM by its Delays and serve it from its table.
+var staticHooks = Hooks[*StaticRAM]{
+	Decode: func(r *StaticRAM, _ bus.Request) uint32 { return r.cfg.Delays.Decode },
+	Exec:   func(r *StaticRAM, req bus.Request, _ uint64) uint32 { return r.cfg.Delays.OpCycles(req) },
+	Respond: func(r *StaticRAM, req bus.Request) bus.Response {
+		return ExecuteTable(r.data, req, &r.stats.BurstElems)
+	},
+}
+
+// Name implements sim.Module.
+func (r *StaticRAM) Name() string { return r.cfg.Name }
+
+// Stats returns a snapshot of the counters.
+func (r *StaticRAM) Stats() Stats { return r.stats }
+
+// Size returns the configured table size in bytes.
+func (r *StaticRAM) Size() uint32 { return r.cfg.Size }
+
+// Peek returns the byte at addr for white-box tests.
+func (r *StaticRAM) Peek(addr uint32) byte { return r.data[addr] }
+
+// Tick implements sim.Module: latch the inputs, then run the Server.
 func (r *StaticRAM) Tick(cycle uint64) {
-	if q, ok := r.port.Peek(); ok {
-		r.in.pending = true
-		r.in.op, r.in.vptr, r.in.data, r.in.dim, r.in.dtype = q.Op, q.VPtr, q.Data, q.Dim, q.DType
-	} else {
-		r.in.pending = false
-		r.in.op, r.in.vptr, r.in.data, r.in.dim, r.in.dtype = 0, 0, 0, 0, 0
-	}
-	switch r.state {
-	case ramIdle:
-		tx, ok := r.port.Pop()
-		if !ok {
-			return
-		}
-		r.cur = tx.Req
-		r.curTag = tx.Tag
-		r.stats.BusyCycles++
-		r.wait = r.cfg.Delays.Decode
-		r.state = ramDecode
-		if r.wait == 0 {
-			r.enterExec()
-			r.maybeFinish()
-		}
-	case ramDecode:
-		r.stats.BusyCycles++
-		r.wait--
-		if r.wait == 0 {
-			r.enterExec()
-			r.maybeFinish()
-		}
-	case ramExec:
-		r.stats.BusyCycles++
-		r.wait--
-		r.maybeFinish()
-	}
+	r.in.Sample(r.port)
+	r.Server.Tick(cycle)
 }
-
-// NextWake implements sim.Sleeper; see core.Wrapper.NextWake — the
-// static RAM runs the same three-state FSM, so the same reasoning
-// applies: idle waits on a signal, Decode/Exec are pure countdowns.
-func (r *StaticRAM) NextWake(now uint64) uint64 {
-	if r.state == ramIdle {
-		if r.port.Pending() {
-			return now
-		}
-		return sim.WakeNever
-	}
-	if r.wait <= 1 {
-		return now
-	}
-	return now + uint64(r.wait) - 1
-}
-
-// ConcurrentTick implements sim.Concurrent: the static RAM's Tick is
-// confined to its own table, FSM registers and stats, plus the slave
-// side of its link. Safe to tick concurrently.
-func (r *StaticRAM) ConcurrentTick() bool { return true }
 
 // TickWeight implements sim.Weighted: a table RAM's tick is an input
 // latch plus a countdown — cheap.
 func (r *StaticRAM) TickWeight() int { return 3 }
-
-// Skip implements sim.Sleeper: n countdown ticks, each a busy cycle.
-func (r *StaticRAM) Skip(n uint64) {
-	if r.state == ramIdle {
-		return
-	}
-	r.wait -= uint32(n)
-	r.stats.BusyCycles += n
-}
-
-func (r *StaticRAM) enterExec() {
-	r.wait = r.opCycles(r.cur)
-	r.state = ramExec
-}
-
-func (r *StaticRAM) maybeFinish() {
-	if r.state != ramExec || r.wait > 0 {
-		return
-	}
-	resp := r.execute(r.cur)
-	if op := int(r.cur.Op); op < bus.NumOps {
-		r.stats.Ops[op]++
-		if resp.Err != bus.OK {
-			r.stats.Errors[op]++
-		}
-	}
-	r.port.Complete(r.curTag, resp)
-	r.cur = bus.Request{}
-	r.state = ramIdle
-}
-
-func (r *StaticRAM) execute(req bus.Request) bus.Response {
-	return executeTable(r.data, req, &r.stats.BurstElems)
-}

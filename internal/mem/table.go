@@ -4,32 +4,34 @@ import (
 	"repro/internal/bus"
 )
 
-// executeTable implements the flat table-memory operation semantics
-// shared by StaticRAM and DRAM: a fixed little-endian byte array
-// addressed directly by VPtr, dynamic operations rejected with
-// ErrBadOp. burstElems is bumped by the element count of burst
-// operations.
-func executeTable(data []byte, req bus.Request, burstElems *uint64) bus.Response {
-	inBounds := func(addr, n uint32) bool {
-		return uint64(addr)+uint64(n) <= uint64(len(data))
-	}
+// ExecuteTable implements the flat table-memory operation semantics
+// shared by StaticRAM, DRAM and the heapsim arena: a fixed
+// little-endian byte array addressed directly by VPtr, dynamic
+// operations rejected with ErrBadOp. burstElems is bumped by the
+// element count of burst operations.
+func ExecuteTable(data []byte, req bus.Request, burstElems *uint64) bus.Response {
 	es := req.DType.Size()
+	// fits reports whether n elements from VPtr lie inside data. The
+	// span is 64-bit: a burst of 2³⁰+1 words must not wrap to 4 bytes.
+	fits := func(n uint32) bool {
+		return uint64(req.VPtr)+uint64(es)*uint64(n) <= uint64(len(data))
+	}
 	switch req.Op {
 	case bus.OpRead:
-		if !inBounds(req.VPtr, es) {
+		if !fits(1) {
 			return bus.Response{Err: bus.ErrBounds}
 		}
 		return bus.Response{Data: req.DType.ReadElem(data[req.VPtr:])}
 
 	case bus.OpWrite:
-		if !inBounds(req.VPtr, es) {
+		if !fits(1) {
 			return bus.Response{Err: bus.ErrBounds}
 		}
 		req.DType.WriteElem(data[req.VPtr:], req.Data)
 		return bus.Response{}
 
 	case bus.OpReadBurst:
-		if !inBounds(req.VPtr, es*req.Dim) {
+		if !fits(req.Dim) {
 			return bus.Response{Err: bus.ErrBounds}
 		}
 		out := make([]uint32, req.Dim)
@@ -41,7 +43,7 @@ func executeTable(data []byte, req bus.Request, burstElems *uint64) bus.Response
 
 	case bus.OpWriteBurst:
 		n := uint32(len(req.Burst))
-		if !inBounds(req.VPtr, es*n) {
+		if !fits(n) {
 			return bus.Response{Err: bus.ErrBounds}
 		}
 		for i, v := range req.Burst {

@@ -132,8 +132,20 @@ func (w *Wrapper) Stats() Stats { return w.stats }
 // port's request queue together with its validity, so an idle queue can
 // never alias a previously latched request.
 func (w *Wrapper) sampleInputs() {
-	r, ok := w.Port().Peek()
-	w.in = ioRegs{ok, r.Op, r.SM, r.VPtr, r.Data, r.Dim, r.DType, r.Master}
+	if r, ok := w.Port().Peek(); ok {
+		w.in = ioRegs{
+			pending: true,
+			op:      r.Op,
+			sm:      r.SM,
+			vptr:    r.VPtr,
+			data:    r.Data,
+			dim:     r.Dim,
+			dtype:   r.DType,
+			master:  r.Master,
+		}
+	} else {
+		w.in = ioRegs{}
+	}
 }
 
 // Tick implements sim.Module: latch the inputs, then run the FSM.

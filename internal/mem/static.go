@@ -64,8 +64,12 @@ type Latch struct {
 // Sample latches the head of port's request queue, or zeroes the
 // registers when the queue is empty.
 func (l *Latch) Sample(port *bus.Port) {
-	q, ok := port.Peek()
-	*l = Latch{ok, q.Op, q.VPtr, q.Data, q.Dim, q.DType}
+	if q, ok := port.Peek(); ok {
+		l.pending = true
+		l.op, l.vptr, l.data, l.dim, l.dtype = q.Op, q.VPtr, q.Data, q.Dim, q.DType
+	} else {
+		*l = Latch{}
+	}
 }
 
 // Walk walks the registers in field order.

@@ -342,6 +342,7 @@ func midFlightScenarios() []snapScenario {
 		cacheSnapScenario(), l2dramSnapScenario(), dramSnapScenario(),
 		dmaSnapScenario("dma-mlp", config.InterBus, 4, true),
 		dmaSnapScenario("dma-mlp-inorder", config.InterBus, 4, false),
+		dmaSnapScenario("dma-mlp-xbar", config.InterCrossbar, 4, true),
 	}
 }
 
@@ -710,15 +711,80 @@ func sectionPayload(t *testing.T, data []byte, name string) []byte {
 	return nil
 }
 
+// interBusy is the interconnect's busy-cycle count.
+func interBusy(sys *config.System) uint64 { return sys.Inter.Stats().BusyCycles }
+
+// memState is a memory section's serving state, its first byte.
+func memState(p []byte) byte { return p[0] }
+
+// skipRequest reads past a request walked by bus.Request.Walk.
+func skipRequest(d *snaplib.Decoder) {
+	d.U8()   // op
+	d.Int()  // sm
+	d.U32()  // vptr
+	d.U32()  // data
+	d.U32()  // dim
+	d.U8()   // dtype
+	d.U32s() // burst
+	d.Int()  // master
+	d.Bool() // excl
+	d.Bool() // wb
+}
+
+// busState is the channel of a mod.bus section: 0 free, 1 moving request
+// words, 2 moving response words, 3 free but held for a slave (the
+// occupied protocol between a transaction's two phases).
+func busState(p []byte) byte {
+	d := snaplib.NewDecoder(p)
+	d.Int() // masters
+	d.Int() // slaves
+	state := d.U8()
+	d.U32() // word counter
+	skipRequest(d)
+	d.Int() // origin master
+	d.U64() // origin tag
+	if held := d.Int(); state == 0 && held != 0 {
+		return 3
+	}
+	return state
+}
+
+// xbarState is 3 when some lane of a mod.xbar section moves request and
+// response words at once, else 0.
+func xbarState(p []byte) byte {
+	d := snaplib.NewDecoder(p)
+	d.Int() // masters
+	for n := d.Int(); n > 0 && d.Err() == nil; n-- {
+		rq := d.U8()
+		d.U32() // request word counter
+		skipRequest(d)
+		d.Int() // origin master
+		d.U64() // origin tag
+		rs := d.U8()
+		d.U32() // response word counter
+		for e := d.U32(); e > 0 && d.Err() == nil; e-- {
+			d.U64() // slave-port tag
+			d.Int() // origin master
+			d.U64() // origin tag
+		}
+		if rq != 0 && rs != 0 {
+			return 3
+		}
+	}
+	return 0
+}
+
 // TestSnapshotServingStatePins pins the snapshot of every memory model
-// caught mid-service. The N/2 checkpoints of TestSchedDiffSnapshot may
-// find a memory idle; here each pin is taken at the first cycle of a
-// pinned scenario whose section shows the memory in the named serving
-// state (the section's first byte: 1 Decode — HeapMem's busy state —
-// and 2 Exec). The DRAM pin is an Exec entered with a refresh stall
-// charged. counter is a statistic that grows on every cycle the pinned
-// state can be entered, so only those cycles are snapshotted. Each
-// pinned snapshot must restore, busy memory included, and snapshot
+// caught mid-service, and of both interconnects caught mid-transfer.
+// The N/2 checkpoints of TestSchedDiffSnapshot may find a module idle;
+// here each pin is taken at the first cycle of a pinned scenario whose
+// section, decoded by state, shows the module in the named state. For a
+// memory that is the section's first byte (1 Decode — HeapMem's busy
+// state — and 2 Exec); the DRAM pin is an Exec entered with a refresh
+// stall charged. For the fabric it is busState's channel or xbarState's
+// doubly busy lane. counter is a statistic that grows on every cycle the
+// pinned state can be entered, so only those cycles are snapshotted.
+// Each pinned snapshot must restore, busy module included, and snapshot
 // again to the same bytes.
 func TestSnapshotServingStatePins(t *testing.T) {
 	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
@@ -729,21 +795,28 @@ func TestSnapshotServingStatePins(t *testing.T) {
 	for _, tc := range []struct {
 		sc      snapScenario
 		mod     string
+		state   func(section []byte) byte
 		counter func(sys *config.System) uint64
 		pins    []pin
 	}{
-		{gsmSnapScenario(config.MemWrapper), "wrapper0",
+		{gsmSnapScenario(config.MemWrapper), "wrapper0", memState,
 			func(sys *config.System) uint64 { return sys.Wrappers[0].Stats().BusyCycles },
 			[]pin{{"decode", 1}, {"exec", 2}}},
-		{cacheSnapScenario(), "static0",
+		{cacheSnapScenario(), "static0", memState,
 			func(sys *config.System) uint64 { return sys.Statics[0].Stats().BusyCycles },
 			[]pin{{"exec", 2}}},
-		{dramSnapScenario(), "dram0",
+		{dramSnapScenario(), "dram0", memState,
 			func(sys *config.System) uint64 { return sys.DRAMs[0].Stats().RefreshStalls },
 			[]pin{{"refresh-exec", 2}}},
-		{gsmSnapScenario(config.MemHeapSim), "heapsim0",
+		{gsmSnapScenario(config.MemHeapSim), "heapsim0", memState,
 			func(sys *config.System) uint64 { return sys.Heaps[0].Stats().BusyCycles },
 			[]pin{{"busy", 1}}},
+		{dmaSnapScenario("dma-mlp", config.InterBus, 4, true), "bus", busState,
+			interBusy, []pin{{"request", 1}, {"response", 2}}},
+		{gsmSnapScenario(config.MemWrapper), "bus", busState,
+			interBusy, []pin{{"held", 3}}},
+		{dmaSnapScenario("dma-mlp-xbar", config.InterCrossbar, 4, true), "xbar", xbarState,
+			interBusy, []pin{{"lane-both", 3}}},
 	} {
 		t.Run(tc.sc.name+"/"+tc.mod, func(t *testing.T) {
 			sys, err := tc.sc.build(refMode)
@@ -767,7 +840,7 @@ func TestSnapshotServingStatePins(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				state := sectionPayload(t, data, "mod."+tc.mod)[0]
+				state := tc.state(sectionPayload(t, data, "mod."+tc.mod))
 				for i, p := range todo {
 					if p.state == state {
 						t.Logf("%s %s at cycle %d", tc.mod, p.name, sys.Kernel.Cycle())

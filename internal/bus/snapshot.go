@@ -152,48 +152,88 @@ func (s *pendSrc) walk(c *snapshot.Codec) {
 	snapshot.Word(c, &s.tag)
 }
 
-func walkPend(c *snapshot.Codec, m *map[Tag]pendSrc) {
-	snapshot.Map(c, m, func(_ Tag, s pendSrc) pendSrc {
+// walk walks the channel's state and word counter and, if it carries
+// requests, the request on it and its origin. A loaded state must be
+// free or a transfer the channel carries.
+func (ch *channel) walk(c *snapshot.Codec, reqs, resps bool) {
+	snapshot.Byte(c, &ch.state)
+	c.U32(&ch.counter)
+	if reqs {
+		ch.req.Walk(c)
+		ch.from.walk(c)
+	}
+	if ch.state != chIdle && (ch.state != chReqXfer || !reqs) && (ch.state != chRespXfer || !resps) {
+		c.Fail(fmt.Errorf("channel state %d is not one of this channel's states", ch.state))
+	}
+}
+
+// checkOrigin fails the load unless src names a request its master has
+// popped and not completed: routing a response back to any other would
+// panic.
+func (f *fabric) checkOrigin(c *snapshot.Codec, src pendSrc) {
+	switch {
+	case src.master < 0 || src.master >= len(f.masters):
+		c.Fail(fmt.Errorf("%s: request from master %d of %d", f.name, src.master, len(f.masters)))
+	case !f.masters[src.master].InService(src.tag):
+		c.Fail(fmt.Errorf("%s: request from master %d under tag %d, which its port has not handed out", f.name, src.master, src.tag))
+	}
+}
+
+// checkInFlight fails the load unless a request moving on ch toward
+// slave sm is one its master waits on, and that slave's port has the
+// credit the grant reserved for it.
+func (f *fabric) checkInFlight(c *snapshot.Codec, ch *channel, sm int) {
+	if !c.Loading() || ch.state != chReqXfer {
+		return
+	}
+	f.checkOrigin(c, ch.from)
+	if sm >= 0 && sm < len(f.slaves) && !f.slaves[sm].CanAccept() {
+		c.Fail(fmt.Errorf("%s: request in flight to slave %d, whose port is full", f.name, sm))
+	}
+}
+
+// walkPend walks slave si's pending table; every loaded entry must pass
+// checkOrigin.
+func (f *fabric) walkPend(c *snapshot.Codec, si int) {
+	f.outstanding -= len(f.pend[si])
+	snapshot.Map(c, &f.pend[si], func(_ Tag, s pendSrc) pendSrc {
 		s.walk(c)
+		if c.Loading() {
+			f.checkOrigin(c, s)
+		}
 		return s
 	})
+	f.outstanding += len(f.pend[si])
 }
 
 // walkTopology walks an interconnect's master and slave counts, which
 // must match the rebuilt one's.
-func walkTopology(c *snapshot.Codec, kind string, masters, slaves int) {
-	nm, ns := masters, slaves
+func (f *fabric) walkTopology(c *snapshot.Codec, kind string) {
+	nm, ns := len(f.masters), len(f.slaves)
 	c.Int(&nm)
 	c.Int(&ns)
-	if nm != masters || ns != slaves {
-		c.Fail(fmt.Errorf("%s topology mismatch: snapshot has %dx%d, system has %dx%d", kind, nm, ns, masters, slaves))
+	if nm != len(f.masters) || ns != len(f.slaves) {
+		c.Fail(fmt.Errorf("%s topology mismatch: snapshot has %dx%d, system has %dx%d", kind, nm, ns, len(f.masters), len(f.slaves)))
 	}
 }
 
-// WalkState walks the bus: the channel state (including an occupied
-// hold), the per-slave pending maps, the arbiters, and the stats.
-// Topology (masters, slaves, word cycles, snoop hook) is rebuilt from
-// config; the outstanding count is derived from the pending maps.
+// WalkState walks the bus: the channel (including an occupied hold),
+// the per-slave pending tables, the arbiters, and the stats. Topology
+// (masters, slaves, word cycles, snoop hook) is rebuilt from config.
 func (b *Bus) WalkState(c *snapshot.Codec) error {
-	walkTopology(c, "bus", len(b.masters), len(b.slaves))
-	snapshot.Byte(c, &b.state)
-	c.U32(&b.counter)
-	b.req.Walk(c)
-	b.reqFrom.walk(c)
+	b.walkTopology(c, "bus")
+	b.ch.walk(c, true, true)
 	held := b.held + 1 // 0: free
 	c.Int(&held)
 	if held < 0 || held > len(b.slaves) {
 		return c.Fail(fmt.Errorf("bus held for slave %d of %d", held-1, len(b.slaves)))
 	}
-	for i := range b.pend {
-		walkPend(c, &b.pend[i])
+	for si := range b.pend {
+		b.walkPend(c, si)
 	}
 	if c.Loading() {
 		b.held = held - 1
-		b.outstanding = 0
-		for _, m := range b.pend {
-			b.outstanding += len(m)
-		}
+		b.checkInFlight(c, &b.ch, b.ch.req.SM)
 	}
 	walkArbiter(c, b.arb)
 	walkArbiter(c, b.respArb())
@@ -202,18 +242,15 @@ func (b *Bus) WalkState(c *snapshot.Codec) error {
 }
 
 // WalkState walks the crossbar: every lane's request and response
-// engines and pending map, the per-lane arbiters, the stats.
+// channels and pending table, the per-lane arbiters, the stats.
 func (x *Crossbar) WalkState(c *snapshot.Codec) error {
-	walkTopology(c, "crossbar", len(x.masters), len(x.slaves))
-	for i := range x.lanes {
-		l := &x.lanes[i]
-		snapshot.Byte(c, &l.rqState)
-		c.U32(&l.rqCounter)
-		l.rqCur.Walk(c)
-		l.rqFrom.walk(c)
-		snapshot.Byte(c, &l.rsState)
-		c.U32(&l.rsCounter)
-		walkPend(c, &l.pend)
+	x.walkTopology(c, "crossbar")
+	for si := range x.lanes {
+		ln := &x.lanes[si]
+		ln.rq.walk(c, true, false)
+		ln.rs.walk(c, false, true)
+		x.walkPend(c, si)
+		x.checkInFlight(c, &ln.rq, si)
 	}
 	for _, a := range x.arbs {
 		walkArbiter(c, a)

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/snapshot"
 )
@@ -12,7 +13,9 @@ import (
 // upstream (memories, caches, DMA, ISS bridge) parks them in its own
 // state.
 
-// Walk walks the request's fields through c.
+// Walk walks the request's fields through c. A loaded op must be one of
+// the defined operations: masters issue no other, and the interconnect
+// counts requests per op.
 func (r *Request) Walk(c *snapshot.Codec) {
 	snapshot.Byte(c, &r.Op)
 	c.Int(&r.SM)
@@ -24,6 +27,9 @@ func (r *Request) Walk(c *snapshot.Codec) {
 	c.Int(&r.Master)
 	c.Bool(&r.Excl)
 	c.Bool(&r.WB)
+	if int(r.Op) >= NumOps {
+		c.Fail(fmt.Errorf("request op %d is not an operation", r.Op))
+	}
 }
 
 // Walk walks the response's fields through c.
@@ -44,7 +50,10 @@ func (q *Completion) walk(c *snapshot.Codec) {
 	q.Resp.Walk(c)
 }
 
-func (s *Stats) walk(c *snapshot.Codec) {
+// walkStats walks the counters; the per-master and per-slave tables must
+// have the interconnect's topology.
+func (f *fabric) walkStats(c *snapshot.Codec) {
+	s := &f.stats
 	c.U64(&s.Transactions)
 	c.U64(&s.Words)
 	c.U64(&s.BusyCycles)
@@ -55,6 +64,10 @@ func (s *Stats) walk(c *snapshot.Codec) {
 	snapshot.Slice(c, &s.PerSlave, c.U64)
 	c.U64(&s.NoSlave)
 	snapshot.Slice(c, &s.RespGrants, c.U64)
+	if len(s.PerMaster) != len(f.masters) || len(s.PerSlave) != len(f.slaves) || len(s.RespGrants) != len(f.slaves) {
+		c.Fail(fmt.Errorf("%s: counters for %d masters and %d/%d slaves, topology is %dx%d",
+			f.name, len(s.PerMaster), len(s.PerSlave), len(s.RespGrants), len(f.masters), len(f.slaves)))
+	}
 }
 
 // Arbiter state markers. config.Build only ever wires these two
@@ -123,13 +136,25 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 	if p.completed < p.drained || p.completed-p.drained > uint64(p.depth) {
 		return c.Fail(fmt.Errorf("port %s: inconsistent completion ring (completed=%d drained=%d depth=%d)", p.name, p.completed, p.drained, p.depth))
 	}
+	// Every transaction is issued, popped, completed, drained and
+	// delivered in that order, at most depth of them between the first
+	// and the last step, and the signals carry the counters they commit.
+	if p.popped < p.completed || p.drained < p.delivered || p.issued-p.delivered > uint64(p.depth) ||
+		reqSeq != p.issued || ackSeq != p.completed {
+		return c.Fail(fmt.Errorf("port %s: inconsistent counters (issued=%d popped=%d completed=%d drained=%d delivered=%d reqSeq=%d ackSeq=%d depth=%d)",
+			p.name, p.issued, p.popped, p.completed, p.drained, p.delivered, reqSeq, ackSeq, p.depth))
+	}
 	if c.Loading() {
 		clear(p.reqBuf)
 		clear(p.cmplBuf)
 	}
 	// Live ring entries, oldest first.
 	for i := p.popped; i < p.issued && c.Err() == nil; i++ {
-		p.reqBuf[i%uint64(p.depth)].walk(c)
+		t := &p.reqBuf[i%uint64(p.depth)]
+		t.walk(c)
+		if t.Tag != Tag(i+1) {
+			c.Fail(fmt.Errorf("port %s: request %d queued under tag %d", p.name, i+1, t.Tag))
+		}
 	}
 	for i := p.drained; i < p.completed && c.Err() == nil; i++ {
 		p.cmplBuf[i%uint64(p.depth)].walk(c)
@@ -140,11 +165,34 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 		return r
 	})
 	snapshot.Slice(c, &p.oooQ, func(q *Completion) { q.walk(c) })
+	if c.Loading() && c.Err() == nil && (uint64(len(p.open)) != p.popped-p.completed ||
+		uint64(len(p.reorder)+len(p.oooQ)) != p.drained-p.delivered) {
+		return c.Fail(fmt.Errorf("port %s: %d open and %d undelivered transactions, counters say %d and %d",
+			p.name, len(p.open), len(p.reorder)+len(p.oooQ), p.popped-p.completed, p.drained-p.delivered))
+	}
 	if c.Loading() && c.Err() == nil {
 		p.reqSeq.Restore(reqSeq)
 		p.ackSeq.Restore(ackSeq)
 	}
 	return c.Err()
+}
+
+// holds reports whether tag is one of the port's outstanding
+// transactions: queued, in service, completed or awaiting delivery.
+func (p *Port) holds(tag Tag) bool {
+	for i := p.popped; i < p.issued; i++ {
+		if p.reqBuf[i%uint64(p.depth)].Tag == tag {
+			return true
+		}
+	}
+	for i := p.drained; i < p.completed; i++ {
+		if p.cmplBuf[i%uint64(p.depth)].Tag == tag {
+			return true
+		}
+	}
+	_, open := p.open[tag]
+	_, early := p.reorder[tag]
+	return open || early || slices.ContainsFunc(p.oooQ, func(c Completion) bool { return c.Tag == tag })
 }
 
 func (s *pendSrc) walk(c *snapshot.Codec) {
@@ -192,18 +240,26 @@ func (f *fabric) checkInFlight(c *snapshot.Codec, ch *channel, sm int) {
 	}
 }
 
-// walkPend walks slave si's pending table; every loaded entry must pass
-// checkOrigin.
+// walkPend walks slave si's pending table. Every loaded entry must pass
+// checkOrigin, and the table must hold exactly the transactions
+// outstanding on the slave's port, or a completion would come back with
+// no origin to route it to.
 func (f *fabric) walkPend(c *snapshot.Codec, si int) {
 	f.outstanding -= len(f.pend[si])
-	snapshot.Map(c, &f.pend[si], func(_ Tag, s pendSrc) pendSrc {
+	snapshot.Map(c, &f.pend[si], func(stag Tag, s pendSrc) pendSrc {
 		s.walk(c)
 		if c.Loading() {
 			f.checkOrigin(c, s)
+			if !f.slaves[si].holds(stag) {
+				c.Fail(fmt.Errorf("%s: slave %d tag %d pending, which its port does not hold", f.name, si, stag))
+			}
 		}
 		return s
 	})
 	f.outstanding += len(f.pend[si])
+	if n := f.slaves[si].Outstanding(); c.Loading() && len(f.pend[si]) != n {
+		c.Fail(fmt.Errorf("%s: %d requests pending at slave %d, whose port holds %d", f.name, len(f.pend[si]), si, n))
+	}
 }
 
 // walkTopology walks an interconnect's master and slave counts, which
@@ -237,7 +293,7 @@ func (b *Bus) WalkState(c *snapshot.Codec) error {
 	}
 	walkArbiter(c, b.arb)
 	walkArbiter(c, b.respArb())
-	b.stats.walk(c)
+	b.walkStats(c)
 	return c.Err()
 }
 
@@ -255,6 +311,6 @@ func (x *Crossbar) WalkState(c *snapshot.Codec) error {
 	for _, a := range x.arbs {
 		walkArbiter(c, a)
 	}
-	x.stats.walk(c)
+	x.walkStats(c)
 	return c.Err()
 }

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // fabricRig is a split interconnect between two masters and two slave
 // ports with no slave model behind them, so a forwarded request stays
-// pending.
+// pending. Four cycles a word keep a request on its channel for a
+// while.
 type fabricRig struct {
 	k     *sim.Kernel
 	ports []*Port // m0, m1, s0, s1
@@ -26,7 +28,7 @@ func newFabricRig(newInter func(k *sim.Kernel, masters, slaves []*Port) (snapsho
 		ports = append(ports, NewPort(k, name, PortConfig{Depth: 2}))
 	}
 	inter, f := newInter(k, ports[:2], ports[2:])
-	f.Split = true
+	f.Split, f.WordCycles = true, 4
 	return fabricRig{k, ports, inter, f}
 }
 
@@ -99,8 +101,8 @@ func checkCrafted(t *testing.T, build func() fabricRig, ch func(fabricRig) *chan
 	}
 }
 
-// originCases corrupt the origin of the pending request and of the one
-// on the request channel.
+// originCases corrupt the pending request — its origin, or its slave-port
+// tag — and the origin of the one on the request channel.
 func originCases(ch func(fabricRig) *channel) []craftCase {
 	pendTo := func(src pendSrc) func(r fabricRig) {
 		return func(r fabricRig) {
@@ -114,9 +116,24 @@ func originCases(ch func(fabricRig) *channel) []craftCase {
 		{"pending from master -1", pendTo(pendSrc{master: -1, tag: 1}), "master -1 of 2"},
 		{"pending under a stray tag", pendTo(pendSrc{master: 0, tag: 99}), "has not handed out"},
 		{"pending under another master's tag", pendTo(pendSrc{master: 1, tag: 1}), "has not handed out"},
+		{"pending under a slave tag its port does not hold", func(r fabricRig) {
+			for tag, src := range r.f.pend[0] {
+				delete(r.f.pend[0], tag)
+				r.f.pend[0][99] = src
+			}
+		}, "which its port does not hold"},
+		{"pending entry lost", func(r fabricRig) { clear(r.f.pend[0]) }, "0 requests pending at slave 0, whose port holds 1"},
 		{"in flight from master 9", func(r fabricRig) { ch(r).from.master = 9 }, "master 9 of 2"},
 		{"in flight under a stray tag", func(r fabricRig) { ch(r).from.tag = 99 }, "has not handed out"},
-		{"in flight to a full port", func(r fabricRig) { r.ports[2].Issue(Request{}) }, "port is full"},
+		{"in flight to a full port", func(r fabricRig) {
+			// Master 1's request takes slave 0's last credit behind the
+			// interconnect's back; the in-flight read keeps moving words.
+			r.ports[1].Issue(Request{Op: OpRead, SM: 0})
+			_ = r.k.Run(1)
+			tx, _ := r.ports[1].Pop()
+			r.f.pend[0][r.ports[2].Issue(tx.Req)] = pendSrc{master: 1, tag: tx.Tag}
+			_ = r.k.Run(1)
+		}, "port is full"},
 	}
 }
 
@@ -135,6 +152,7 @@ func TestBusSnapshotRejectsImpossibleState(t *testing.T) {
 	}
 	ch := func(r fabricRig) *channel { return &r.inter.(*Bus).ch }
 	checkCrafted(t, build, ch, append(originCases(ch),
+		craftCase{"counters for no master", func(r fabricRig) { r.f.stats.PerMaster = nil }, "counters for 0 masters"},
 		craftCase{"channel state 3", func(r fabricRig) { ch(r).state = 3 }, "not one of this channel's states"},
 		craftCase{"channel state 255", func(r fabricRig) { ch(r).state = 255 }, "not one of this channel's states"},
 	))
@@ -157,4 +175,88 @@ func TestCrossbarSnapshotRejectsImpossibleState(t *testing.T) {
 		craftCase{"response channel moving a request", func(r fabricRig) { lane(r).rs.state = chReqXfer }, "not one of this channel's states"},
 		craftCase{"response channel state 3", func(r fabricRig) { lane(r).rs.state = 3 }, "not one of this channel's states"},
 	))
+}
+
+// TestPortSnapshotRejectsInconsistentState crafts port sections no run
+// can leave behind — counters out of their issue → pop → complete →
+// drain → deliver order or out of step with the signals that carry
+// them, open or undelivered tables of the wrong size, a queued request
+// under a tag out of issue order or with an op that does not exist —
+// and expects the load to fail: each would mislead the modules on both
+// ends of the port.
+func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
+	// build returns a depth-4 port with three requests issued, two
+	// popped, one completed and drained but not delivered.
+	build := func() *Port {
+		k := sim.New()
+		p := NewPort(k, "p", PortConfig{Depth: 4, OutOfOrder: true})
+		for i := range 3 {
+			p.Issue(Request{Op: OpRead, VPtr: uint32(i)})
+		}
+		if err := k.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		tx, _ := p.Pop()
+		p.Pop()
+		p.Complete(tx.Tag, Response{})
+		if err := k.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		p.HasCompletion() // drains the completion ring
+		return p
+	}
+	// The counters follow the name "p", the depth and the delivery mode:
+	// issued, popped, completed, drained, delivered, reqSeq, ackSeq.
+	const issued, popped, delivered, reqSeq, ackSeq = 0, 1, 4, 5, 6
+	counter := func(i int, v uint64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[4+1+8+1+8*i:], v) }
+	}
+	for _, tc := range []struct {
+		name   string
+		craft  func(p *Port)
+		bytes  func(payload []byte)
+		errStr string
+	}{
+		{"as run", nil, nil, ""},
+		{"issued ahead of its signal", nil, counter(issued, 4), "inconsistent counters"},
+		{"signal ahead of issued", nil, counter(reqSeq, 4), "inconsistent counters"},
+		{"completed before popped", nil, counter(popped, 0), "inconsistent counters"},
+		{"completed with no signal", nil, counter(ackSeq, 0), "inconsistent counters"},
+		{"delivered before drained", nil, counter(delivered, 2), "inconsistent counters"},
+		{"more outstanding than credits", nil, func(b []byte) {
+			counter(issued, 5)(b)
+			counter(popped, 4)(b)
+			counter(reqSeq, 5)(b)
+		}, "inconsistent counters"},
+		{"open table lost", func(p *Port) { clear(p.open) }, nil, "0 open and 1 undelivered"},
+		{"undelivered completion lost", func(p *Port) { p.oooQ = nil }, nil, "1 open and 0 undelivered"},
+		{"queued under a stray tag", func(p *Port) { p.reqBuf[2].Tag = 9 }, nil, "request 3 queued under tag 9"},
+		{"queued with no such op", func(p *Port) { p.reqBuf[2].Req.Op = Op(NumOps) }, nil, "is not an operation"},
+	} {
+		p := build()
+		if tc.craft != nil {
+			tc.craft(p)
+		}
+		w := snapshot.NewWriter()
+		w.Save("port", p)
+		data, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := data[len(snapshot.Magic)+4+4+len("port")+4 : len(data)-4]
+		if tc.bytes != nil {
+			tc.bytes(payload)
+		}
+		cw := snapshot.NewWriter()
+		cw.Add("port", payload)
+		cdata, _ := cw.Finish()
+		f, err := snapshot.Read(cdata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = f.Load("port", build())
+		if tc.errStr == "" && err != nil || tc.errStr != "" && (err == nil || !strings.Contains(err.Error(), tc.errStr)) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.errStr)
+		}
+	}
 }

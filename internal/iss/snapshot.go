@@ -57,6 +57,11 @@ func (c *CPU) WalkState(cd *snapshot.Codec) error {
 	if dcLen < 0 || dcLen > len(c.mem)/4 {
 		return cd.Fail(fmt.Errorf("cpu %s: decode cache of %d slots exceeds the %d-byte memory", c.name, dcLen, len(c.mem)))
 	}
+	// The CPU stalls exactly while its one bridge transaction is out;
+	// its port loaded first.
+	if cd.Loading() && (c.state == cpuStalled) != (c.port != nil && c.port.Busy()) {
+		return cd.Fail(fmt.Errorf("cpu %s: state %d with %d transactions outstanding on its port", c.name, c.state, c.port.Outstanding()))
+	}
 	if cd.Loading() && cd.Err() == nil {
 		c.console.Reset()
 		c.console.Write(console)

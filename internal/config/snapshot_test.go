@@ -124,11 +124,24 @@ func TestRestoreRejectsBadMasterCounts(t *testing.T) {
 // wrapper sections carry live entries and the placer arena, the
 // crossbar section busy lanes and the DMA section in-flight chunks.
 func midFlightDMA(tb testing.TB) (SystemConfig, []byte) {
+	return midFlightCopy(tb, InterCrossbar)
+}
+
+// midFlightSplitBus is midFlightDMA over a split bus, so a mutated bus
+// section reaches the response arbiter and RespGrants.
+func midFlightSplitBus(tb testing.TB) (SystemConfig, []byte) {
+	return midFlightCopy(tb, InterBus)
+}
+
+// midFlightCopy snapshots the DMA copy over inter at the first cycle
+// from cycle 200 on that finds both memories with a request of the copy
+// pending in the interconnect.
+func midFlightCopy(tb testing.TB, inter InterconnectKind) (SystemConfig, []byte) {
 	tb.Helper()
 	const elems = 256
 	cfg := SystemConfig{
 		Masters: 1, Memories: 2, MemKind: MemWrapper, AllocPolicy: alloc.Segregated,
-		Interconnect: InterCrossbar, OutstandingDepth: 4, SplitBus: true, OutOfOrder: true,
+		Interconnect: inter, OutstandingDepth: 4, SplitBus: true, OutOfOrder: true,
 	}
 	sys, err := Build(cfg)
 	if err != nil {
@@ -147,8 +160,13 @@ func midFlightDMA(tb testing.TB) (SystemConfig, []byte) {
 	if err := sys.Kernel.Run(200); err != nil {
 		tb.Fatal(err)
 	}
-	if eng.Idle() {
-		tb.Fatal("DMA copy finished before the checkpoint")
+	for sys.SlavePorts[0].Outstanding() == 0 || sys.SlavePorts[1].Outstanding() == 0 {
+		if eng.Idle() {
+			tb.Fatal("DMA copy finished before the checkpoint")
+		}
+		if err := sys.Kernel.Run(1); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	data, err := sys.Snapshot()
 	if err != nil {
@@ -157,14 +175,16 @@ func midFlightDMA(tb testing.TB) (SystemConfig, []byte) {
 	return cfg, data
 }
 
-// isMemSection reports whether a snapshot section holds a memory model.
-func isMemSection(name string) bool {
+// runsAfterRestore reports whether a system restored from a mutated
+// copy of the named section must also run: a memory model, an
+// interconnect or a port.
+func runsAfterRestore(name string) bool {
 	for _, k := range []MemKind{MemWrapper, MemStatic, MemDRAM, MemHeapSim} {
 		if strings.HasPrefix(name, "mod."+k.String()) {
 			return true
 		}
 	}
-	return false
+	return name == "mod.bus" || name == "mod.xbar" || strings.HasPrefix(name, "port.")
 }
 
 // midFlightMem snapshots two ISSes running kernel on one small
@@ -218,15 +238,16 @@ func midFlightHeapSim(tb testing.TB) (SystemConfig, []byte) {
 
 // FuzzSnapshotRead feeds hostile section payloads to RestoreSystem.
 // Random bytes almost never pass the per-section CRC, so the fuzzer
-// works one layer down: the first byte picks one section of one of four
+// works one layer down: the first byte picks one section of one of five
 // real mid-flight snapshots — an L1 + L2 + DRAM system of ISSes, a DMA
-// copy over a split crossbar between wrapper memories with segregated
-// placement, and ISSes on a busy static RAM and on a busy heapsim
-// memory — the rest replaces its payload, and the file is re-framed
-// with valid checksums. Restore must return an error or a system —
-// never panic, hang or over-allocate. A system restored from a mutated
-// memory section then runs 64 cycles, which must not panic either: the
-// section's load checks must leave its FSM runnable.
+// copy between wrapper memories with segregated placement over a split
+// crossbar and over a split bus, and ISSes on a busy static RAM and on
+// a busy heapsim memory — the rest replaces its payload, and the file
+// is re-framed with valid checksums. Restore must return an error or a
+// system — never panic, hang or over-allocate. A system restored from a
+// mutated memory, interconnect or port section then runs 64 cycles,
+// which must not panic either: the section's load checks must leave its
+// FSM runnable.
 func FuzzSnapshotRead(f *testing.F) {
 	type section struct {
 		base, index int
@@ -237,7 +258,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		payloads [][][]byte
 		pick     []section
 	)
-	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA, midFlightStatic, midFlightHeapSim} {
+	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA, midFlightStatic, midFlightHeapSim, midFlightSplitBus} {
 		cfg, data := build(f)
 		n, p := sections(f, data)
 		if !bytes.Equal(reframe(n, p), data) {
@@ -265,7 +286,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		switch {
 		case err == nil && sys == nil:
 			t.Fatal("RestoreSystem returned neither a system nor an error")
-		case err == nil && isMemSection(names[s.base][s.index]):
+		case err == nil && runsAfterRestore(names[s.base][s.index]):
 			_ = sys.Kernel.Run(64) // an error is a legal outcome; a panic is not
 		}
 	})

@@ -25,6 +25,10 @@ import (
 // pre-port protocol. Even so, a master with a multi-outstanding port
 // already overlaps lanes: once lane A pops its head request, the next
 // queued request becomes poppable by lane B in the same cycle.
+//
+// BusyCycles counts lane-channel-cycles: two lanes busy in one cycle
+// count twice, and in split mode a lane's request and response channels
+// count separately, while a held occupied lane counts once per cycle.
 type Crossbar struct {
 	fabric
 	arbs  []Arbiter

@@ -40,14 +40,26 @@
 //
 // # Phases: one engine, released or held
 //
-// Both interconnects move every transaction in two phases through one
-// engine. The address phase occupies the channel while the request words
-// move (WireWords × WordCycles) and deposits the request in the slave
-// port's queue — bounded by the port depth, the protocol's credit pool.
-// The response phase routes the slave's completion back to its master
-// (through a pending table keyed by the slave-port tag) and occupies the
-// channel for the response words. The one thing their Split field
-// selects is what the channel does in between:
+// Both interconnects are built from one transfer engine. A channel is
+// free or moving the words of a request or of a response, counted down
+// at WordCycles per word; the Bus has one channel for both phases, and
+// every Crossbar lane a request channel and a response channel. The
+// base both embed owns the ports, the per-slave pending tables (slave-
+// port tag → master index and master-port tag) and the counters, and
+// runs the three steps of a transaction the same way for either:
+//
+//   - grant: arbitrate among masters whose head request the channel may
+//     serve (a slave with queue credit free, or none at all — rejected
+//     with ErrNoSlave once its words have moved) and the snoop domain
+//     lets proceed, pop the winner and start its request words;
+//   - deliver: when the request words have moved, issue the request into
+//     the slave port's queue — bounded by the port depth, the protocol's
+//     credit pool — and record its origin;
+//   - respond: take the slave's completion, route it back to its master
+//     through the pending table and start the response words.
+//
+// The one thing the Split field selects is what the channel does
+// between deliver and respond:
 //
 // Split releases it. Slaves process their queues autonomously, other
 // address phases proceed, and a finished transaction re-arbitrates for
@@ -67,14 +79,23 @@
 // bit-identical to the pre-split implementation; the differential
 // reference in internal/experiments/testdata pins both protocols.
 //
-// On the Bus the hold is one slave index beside the channel state. The
-// Crossbar gives every slave an independent lane with a request engine
-// and a response engine: split lanes run them concurrently, so a lane
-// can accept request N+1 while its slave processes N and response N−1
-// drains; an occupied lane starts an address phase only if it was
-// entirely free (both engines idle, nothing pending) when the tick
-// began. Requests to nonexistent slaves are rejected centrally with
-// ErrNoSlave in either protocol.
+// What stays with each type is its policy. On the Bus the hold is one
+// slave index beside the channel, and a free channel serves a
+// completion before a new request. A Crossbar lane runs its response
+// channel before its request channel, so split lanes can accept request
+// N+1 while the slave processes N and response N−1 drains; an occupied
+// lane starts an address phase only if it was entirely free (both
+// channels idle, nothing pending) when the tick began. The crossbar
+// rejects requests to nonexistent slaves centrally, before its lanes
+// run; the bus moves their words first. The counters the two bump at
+// different moments stay with each: PerSlave at grant on a lane but
+// after the address words on the bus, and RespGrants.
+//
+// A snapshot restores the engine only into a state a run can reach: the
+// port, bus and crossbar sections reject channel states, origins,
+// pending tables and counters no run leaves behind (see
+// docs/SNAPSHOT.md), so a restored fabric cannot panic on its first
+// response.
 //
 // # Arbitration
 //

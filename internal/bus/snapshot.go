@@ -289,8 +289,8 @@ func (b *Bus) WalkState(c *snapshot.Codec) error {
 	}
 	if c.Loading() {
 		b.held = held - 1
-		b.checkInFlight(c, &b.ch, b.ch.req.SM)
 	}
+	b.checkInFlight(c, &b.ch, b.ch.req.SM)
 	walkArbiter(c, b.arb)
 	walkArbiter(c, b.respArb())
 	b.walkStats(c)

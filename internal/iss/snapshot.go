@@ -59,8 +59,8 @@ func (c *CPU) WalkState(cd *snapshot.Codec) error {
 	}
 	// The CPU stalls exactly while its one bridge transaction is out;
 	// its port loaded first.
-	if cd.Loading() && (c.state == cpuStalled) != (c.port != nil && c.port.Busy()) {
-		return cd.Fail(fmt.Errorf("cpu %s: state %d with %d transactions outstanding on its port", c.name, c.state, c.port.Outstanding()))
+	if out := c.port != nil && c.port.Busy(); cd.Loading() && (c.state == cpuStalled) != out {
+		return cd.Fail(fmt.Errorf("cpu %s: stalled=%v, but bridge transaction out=%v", c.name, c.state == cpuStalled, out))
 	}
 	if cd.Loading() && cd.Err() == nil {
 		c.console.Reset()

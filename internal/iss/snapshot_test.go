@@ -34,13 +34,13 @@ func TestSnapshotRejectsStallWithoutTransaction(t *testing.T) {
 		err   string
 	}{
 		{"as built", func(*sim.Kernel, *CPU, *bus.Port) {}, ""},
-		{"stalled with nothing outstanding", func(_ *sim.Kernel, cpu *CPU, _ *bus.Port) { cpu.state = cpuStalled }, "state 1 with 0 transactions"},
+		{"stalled with nothing outstanding", func(_ *sim.Kernel, cpu *CPU, _ *bus.Port) { cpu.state = cpuStalled }, "stalled=true, but bridge transaction out=false"},
 		{"running with a transaction out", func(k *sim.Kernel, _ *CPU, p *bus.Port) {
 			p.Issue(bus.Request{Op: bus.OpRead})
 			if err := k.Run(1); err != nil {
 				t.Fatal(err)
 			}
-		}, "state 0 with 1 transactions"},
+		}, "stalled=false, but bridge transaction out=true"},
 	} {
 		k, cpu, p := build()
 		tc.craft(k, cpu, p)

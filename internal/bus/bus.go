@@ -77,7 +77,10 @@ func (b *Bus) NextWake(now uint64) uint64 {
 		return sim.WakeNever
 	}
 	for _, m := range b.masters {
-		if req, ok := m.Peek(); ok && b.eligible(req.SM, math.MinInt, math.MaxInt) {
+		if !m.Pending() {
+			continue
+		}
+		if req, _ := m.Peek(); b.eligible(req.SM, math.MinInt, math.MaxInt) {
 			return now
 		}
 	}

@@ -182,8 +182,11 @@ func (f *fabric) eligible(sm, lo, hi int) bool {
 func (f *fabric) grant(ch *channel, arb Arbiter, lo, hi int) bool {
 	cands := f.scratch[:0]
 	for mi, m := range f.masters {
-		req, ok := m.Peek()
-		if !ok || !f.eligible(req.SM, lo, hi) {
+		if !m.Pending() {
+			continue
+		}
+		req, _ := m.Peek()
+		if !f.eligible(req.SM, lo, hi) {
 			continue
 		}
 		if f.Snoop != nil && !f.Snoop.CanProceed(req, mi) {

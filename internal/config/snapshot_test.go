@@ -3,6 +3,9 @@ package config
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -236,6 +239,48 @@ func midFlightHeapSim(tb testing.TB) (SystemConfig, []byte) {
 	return midFlightMem(tb, MemHeapSim, "gsm", 1)
 }
 
+// fuzzBases are the mid-flight snapshots FuzzSnapshotRead mutates, split
+// into sections. pick lists every (base, section) pair in selector order:
+// a new base is appended after the old ones, so committed seeds keep
+// their selector.
+type fuzzBases struct {
+	cfgs     []SystemConfig
+	names    [][]string
+	payloads [][][]byte
+	pick     []struct{ base, index int }
+}
+
+func newFuzzBases(tb testing.TB) *fuzzBases {
+	tb.Helper()
+	fb := &fuzzBases{}
+	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA, midFlightStatic, midFlightHeapSim, midFlightSplitBus} {
+		cfg, data := build(tb)
+		n, p := sections(tb, data)
+		if !bytes.Equal(reframe(n, p), data) {
+			tb.Fatal("re-framing the unmodified sections changed the snapshot")
+		}
+		fb.cfgs, fb.names, fb.payloads = append(fb.cfgs, cfg), append(fb.names, n), append(fb.payloads, p)
+		for i := range n {
+			fb.pick = append(fb.pick, struct{ base, index int }{b, i})
+		}
+	}
+	if len(fb.pick) > 256 {
+		tb.Fatalf("%d sections do not fit the selector byte", len(fb.pick))
+	}
+	return fb
+}
+
+// restore replaces the section that b's first byte selects with the
+// rest of b and restores the re-framed snapshot. It returns the
+// selected section's name with RestoreSystem's result.
+func (fb *fuzzBases) restore(b []byte) (string, *System, error) {
+	s := fb.pick[int(b[0])%len(fb.pick)]
+	p := append([][]byte(nil), fb.payloads[s.base]...)
+	p[s.index] = b[1:]
+	sys, err := RestoreSystem(fb.cfgs[s.base], reframe(fb.names[s.base], p))
+	return fb.names[s.base][s.index], sys, err
+}
+
 // FuzzSnapshotRead feeds hostile section payloads to RestoreSystem.
 // Random bytes almost never pass the per-section CRC, so the fuzzer
 // works one layer down: the first byte picks one section of one of five
@@ -249,45 +294,82 @@ func midFlightHeapSim(tb testing.TB) (SystemConfig, []byte) {
 // which must not panic either: the section's load checks must leave its
 // FSM runnable.
 func FuzzSnapshotRead(f *testing.F) {
-	type section struct {
-		base, index int
-	}
-	var (
-		cfgs     []SystemConfig
-		names    [][]string
-		payloads [][][]byte
-		pick     []section
-	)
-	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA, midFlightStatic, midFlightHeapSim, midFlightSplitBus} {
-		cfg, data := build(f)
-		n, p := sections(f, data)
-		if !bytes.Equal(reframe(n, p), data) {
-			f.Fatal("re-framing the unmodified sections changed the snapshot")
-		}
-		cfgs, names, payloads = append(cfgs, cfg), append(names, n), append(payloads, p)
-		for i := range n {
-			pick = append(pick, section{b, i})
-		}
-	}
-	if len(pick) > 256 {
-		f.Fatalf("%d sections do not fit the selector byte", len(pick))
-	}
-	for i, s := range pick {
-		f.Add(append([]byte{byte(i)}, payloads[s.base][s.index]...))
+	fb := newFuzzBases(f)
+	for i, s := range fb.pick {
+		f.Add(append([]byte{byte(i)}, fb.payloads[s.base][s.index]...))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
 		}
-		s := pick[int(b[0])%len(pick)]
-		p := append([][]byte(nil), payloads[s.base]...)
-		p[s.index] = b[1:]
-		sys, err := RestoreSystem(cfgs[s.base], reframe(names[s.base], p))
+		name, sys, err := fb.restore(b)
 		switch {
 		case err == nil && sys == nil:
 			t.Fatal("RestoreSystem returned neither a system nor an error")
-		case err == nil && runsAfterRestore(names[s.base][s.index]):
+		case err == nil && runsAfterRestore(name):
 			_ = sys.Kernel.Run(64) // an error is a legal outcome; a panic is not
 		}
 	})
+}
+
+// seedOutcomes pins what RestoreSystem makes of every committed
+// FuzzSnapshotRead seed: the end of its error message, or "" for a
+// seed that restores. Checks may move between a section's walk and its
+// Check, which changes only the prefix naming where the error was
+// raised, never the message.
+var seedOutcomes = map[string]string{
+	"bus_huge_counter_slice":         "truncated payload: need 8 bytes at offset 261 of 261",
+	"bus_pend_master_7":              "bus: request from master 7 of 1",
+	"bus_pend_stray_tag":             "bus: request from master 0 under tag 99, which its port has not handed out",
+	"bus_short_counter_tables":       "bus: counters for 0 masters and 2/1 slaves, topology is 4x1",
+	"heapsim_exec_state":             "serving state 2 is not one of this memory's states 0..1",
+	"heapsim_short_wait":             "",
+	"iss_huge_decode_cache":          "cpu iss0: decode cache of 1099511627776 slots exceeds the 65536-byte memory",
+	"iss_port_full_while_running":    "port m1: inconsistent counters (issued=13 popped=13 completed=13 drained=13 delivered=3472328296227680304 reqSeq=3472328296227680304 ackSeq=3472328296227680304 depth=1)",
+	"static_busy_zero_wait":          "serving state 1 with 0 cycles left to wait",
+	"static_stray_tag":               "serving tag 999, which port s0 has not handed out",
+	"xbar_completion_without_origin": "xbar: slave 0 tag 72057594037927942 pending, which its port does not hold",
+	"xbar_pend_master_9":             "xbar: request from master 9 of 1",
+}
+
+// TestSnapshotSeedOutcomes replays every committed FuzzSnapshotRead
+// seed through the fuzz target's bases and selector byte and compares
+// the outcome with its pin. A seed without a pin fails the test.
+func TestSnapshotSeedOutcomes(t *testing.T) {
+	fb := newFuzzBases(t)
+	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotRead")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, fi := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, fi.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil || len(b) == 0 {
+			t.Fatalf("%s: not a one-argument []byte corpus entry (%v)", fi.Name(), err)
+		}
+		seen[fi.Name()] = true
+		_, _, err = fb.restore([]byte(b))
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		want, pinned := seedOutcomes[fi.Name()]
+		switch {
+		case !pinned:
+			t.Errorf("%s: no pinned outcome; restore gave %q", fi.Name(), got)
+		case want == "" && got != "", want != "" && !strings.HasSuffix(got, want):
+			t.Errorf("%s: restore gave %q, want an error ending %q", fi.Name(), got, want)
+		}
+	}
+	for name := range seedOutcomes {
+		if !seen[name] {
+			t.Errorf("pinned seed %s is not committed", name)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -112,7 +113,8 @@ func walkArbiter(c *snapshot.Codec, a Arbiter) {
 // kernel signals. Only live ring slots travel, so the snapshot does not
 // leak stale host memory. The port must have been rebuilt with the same
 // name, depth, and delivery mode; geometry skew is an error, never
-// silently absorbed.
+// silently absorbed. Whether the loaded counters and tables agree is
+// Check's to say.
 func (p *Port) WalkState(c *snapshot.Codec) error {
 	name, depth, ooo := p.name, p.depth, p.ooo
 	c.String(&name)
@@ -130,31 +132,13 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 	reqSeq, ackSeq := p.reqSeq.Get(), p.ackSeq.Get()
 	c.U64(&reqSeq)
 	c.U64(&ackSeq)
-	if p.issued < p.popped || p.issued-p.popped > uint64(p.depth) {
-		return c.Fail(fmt.Errorf("port %s: inconsistent request ring (issued=%d popped=%d depth=%d)", p.name, p.issued, p.popped, p.depth))
-	}
-	if p.completed < p.drained || p.completed-p.drained > uint64(p.depth) {
-		return c.Fail(fmt.Errorf("port %s: inconsistent completion ring (completed=%d drained=%d depth=%d)", p.name, p.completed, p.drained, p.depth))
-	}
-	// Every transaction is issued, popped, completed, drained and
-	// delivered in that order, at most depth of them between the first
-	// and the last step, and the signals carry the counters they commit.
-	if p.popped < p.completed || p.drained < p.delivered || p.issued-p.delivered > uint64(p.depth) ||
-		reqSeq != p.issued || ackSeq != p.completed {
-		return c.Fail(fmt.Errorf("port %s: inconsistent counters (issued=%d popped=%d completed=%d drained=%d delivered=%d reqSeq=%d ackSeq=%d depth=%d)",
-			p.name, p.issued, p.popped, p.completed, p.drained, p.delivered, reqSeq, ackSeq, p.depth))
-	}
 	if c.Loading() {
 		clear(p.reqBuf)
 		clear(p.cmplBuf)
 	}
 	// Live ring entries, oldest first.
 	for i := p.popped; i < p.issued && c.Err() == nil; i++ {
-		t := &p.reqBuf[i%uint64(p.depth)]
-		t.walk(c)
-		if t.Tag != Tag(i+1) {
-			c.Fail(fmt.Errorf("port %s: request %d queued under tag %d", p.name, i+1, t.Tag))
-		}
+		p.reqBuf[i%uint64(p.depth)].walk(c)
 	}
 	for i := p.drained; i < p.completed && c.Err() == nil; i++ {
 		p.cmplBuf[i%uint64(p.depth)].walk(c)
@@ -165,11 +149,6 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 		return r
 	})
 	snapshot.Slice(c, &p.oooQ, func(q *Completion) { q.walk(c) })
-	if c.Loading() && c.Err() == nil && (uint64(len(p.open)) != p.popped-p.completed ||
-		uint64(len(p.reorder)+len(p.oooQ)) != p.drained-p.delivered) {
-		return c.Fail(fmt.Errorf("port %s: %d open and %d undelivered transactions, counters say %d and %d",
-			p.name, len(p.open), len(p.reorder)+len(p.oooQ), p.popped-p.completed, p.drained-p.delivered))
-	}
 	if c.Loading() && c.Err() == nil {
 		p.reqSeq.Restore(reqSeq)
 		p.ackSeq.Restore(ackSeq)
@@ -177,13 +156,37 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 	return c.Err()
 }
 
-// holds reports whether tag is one of the port's outstanding
-// transactions: queued, in service, completed or awaiting delivery.
-func (p *Port) holds(tag Tag) bool {
+// Check reports whether the port holds a state a run leaves between
+// cycles: every transaction is issued, popped, completed, drained and
+// delivered in that order, at most depth of them between the first and
+// the last step; the signals carry the counters they commit; queued
+// requests carry their issue tags; and the open and undelivered tables
+// hold exactly the transactions the counters say.
+func (p *Port) Check() error {
+	d := uint64(p.depth)
+	if p.issued < p.popped || p.popped < p.completed || p.completed < p.drained || p.drained < p.delivered ||
+		p.issued-p.delivered > d || p.reqSeq.Get() != p.issued || p.ackSeq.Get() != p.completed {
+		return fmt.Errorf("port %s: inconsistent counters (issued=%d popped=%d completed=%d drained=%d delivered=%d reqSeq=%d ackSeq=%d depth=%d)",
+			p.name, p.issued, p.popped, p.completed, p.drained, p.delivered, p.reqSeq.Get(), p.ackSeq.Get(), p.depth)
+	}
 	for i := p.popped; i < p.issued; i++ {
-		if p.reqBuf[i%uint64(p.depth)].Tag == tag {
-			return true
+		if t := p.reqBuf[i%d].Tag; t != Tag(i+1) {
+			return fmt.Errorf("port %s: request %d queued under tag %d", p.name, i+1, t)
 		}
+	}
+	if uint64(len(p.open)) != p.popped-p.completed || uint64(len(p.reorder)+len(p.oooQ)) != p.drained-p.delivered {
+		return fmt.Errorf("port %s: %d open and %d undelivered transactions, counters say %d and %d",
+			p.name, len(p.open), len(p.reorder)+len(p.oooQ), p.popped-p.completed, p.drained-p.delivered)
+	}
+	return nil
+}
+
+// holds reports whether tag is one of the port's outstanding
+// transactions: queued (a port that passes Check queues requests under
+// their issue numbers), in service, completed or awaiting delivery.
+func (p *Port) holds(tag Tag) bool {
+	if Tag(p.popped) < tag && tag <= Tag(p.issued) {
+		return true
 	}
 	for i := p.drained; i < p.completed; i++ {
 		if p.cmplBuf[i%uint64(p.depth)].Tag == tag {
@@ -215,51 +218,61 @@ func (ch *channel) walk(c *snapshot.Codec, reqs, resps bool) {
 	}
 }
 
-// checkOrigin fails the load unless src names a request its master has
-// popped and not completed: routing a response back to any other would
-// panic.
-func (f *fabric) checkOrigin(c *snapshot.Codec, src pendSrc) {
+// checkOrigin reports an error unless src names a request its master
+// has popped and not completed: routing a response back to any other
+// would panic.
+func (f *fabric) checkOrigin(src pendSrc) error {
 	switch {
 	case src.master < 0 || src.master >= len(f.masters):
-		c.Fail(fmt.Errorf("%s: request from master %d of %d", f.name, src.master, len(f.masters)))
+		return fmt.Errorf("%s: request from master %d of %d", f.name, src.master, len(f.masters))
 	case !f.masters[src.master].InService(src.tag):
-		c.Fail(fmt.Errorf("%s: request from master %d under tag %d, which its port has not handed out", f.name, src.master, src.tag))
+		return fmt.Errorf("%s: request from master %d under tag %d, which its port has not handed out", f.name, src.master, src.tag)
 	}
+	return nil
 }
 
-// checkInFlight fails the load unless a request moving on ch toward
+// checkInFlight reports an error unless a request moving on ch toward
 // slave sm is one its master waits on, and that slave's port has the
 // credit the grant reserved for it.
-func (f *fabric) checkInFlight(c *snapshot.Codec, ch *channel, sm int) {
-	if !c.Loading() || ch.state != chReqXfer {
-		return
+func (f *fabric) checkInFlight(ch *channel, sm int) error {
+	switch {
+	case ch.state != chReqXfer:
+		return nil
+	case sm >= 0 && sm < len(f.slaves) && !f.slaves[sm].CanAccept():
+		return fmt.Errorf("%s: request in flight to slave %d, whose port is full", f.name, sm)
 	}
-	f.checkOrigin(c, ch.from)
-	if sm >= 0 && sm < len(f.slaves) && !f.slaves[sm].CanAccept() {
-		c.Fail(fmt.Errorf("%s: request in flight to slave %d, whose port is full", f.name, sm))
-	}
+	return f.checkOrigin(ch.from)
 }
 
-// walkPend walks slave si's pending table. Every loaded entry must pass
-// checkOrigin, and the table must hold exactly the transactions
-// outstanding on the slave's port, or a completion would come back with
-// no origin to route it to.
-func (f *fabric) walkPend(c *snapshot.Codec, si int) {
-	f.outstanding -= len(f.pend[si])
-	snapshot.Map(c, &f.pend[si], func(stag Tag, s pendSrc) pendSrc {
-		s.walk(c)
-		if c.Loading() {
-			f.checkOrigin(c, s)
+// checkPend reports an error unless every pending entry passes
+// checkOrigin and each slave's pending table holds exactly the
+// transactions outstanding on its port: a completion with no entry
+// would have no origin to route back to.
+func (f *fabric) checkPend() error {
+	for si, pend := range f.pend {
+		for stag, src := range pend {
+			if err := f.checkOrigin(src); err != nil {
+				return err
+			}
 			if !f.slaves[si].holds(stag) {
-				c.Fail(fmt.Errorf("%s: slave %d tag %d pending, which its port does not hold", f.name, si, stag))
+				return fmt.Errorf("%s: slave %d tag %d pending, which its port does not hold", f.name, si, stag)
 			}
 		}
+		if n := f.slaves[si].Outstanding(); len(pend) != n {
+			return fmt.Errorf("%s: %d requests pending at slave %d, whose port holds %d", f.name, len(pend), si, n)
+		}
+	}
+	return nil
+}
+
+// walkPend walks slave si's pending table.
+func (f *fabric) walkPend(c *snapshot.Codec, si int) {
+	f.outstanding -= len(f.pend[si])
+	snapshot.Map(c, &f.pend[si], func(_ Tag, s pendSrc) pendSrc {
+		s.walk(c)
 		return s
 	})
 	f.outstanding += len(f.pend[si])
-	if n := f.slaves[si].Outstanding(); c.Loading() && len(f.pend[si]) != n {
-		c.Fail(fmt.Errorf("%s: %d requests pending at slave %d, whose port holds %d", f.name, len(f.pend[si]), si, n))
-	}
 }
 
 // walkTopology walks an interconnect's master and slave counts, which
@@ -290,7 +303,6 @@ func (b *Bus) WalkState(c *snapshot.Codec) error {
 	if c.Loading() {
 		b.held = held - 1
 	}
-	b.checkInFlight(c, &b.ch, b.ch.req.SM)
 	walkArbiter(c, b.arb)
 	walkArbiter(c, b.respArb())
 	b.walkStats(c)
@@ -306,11 +318,24 @@ func (x *Crossbar) WalkState(c *snapshot.Codec) error {
 		ln.rq.walk(c, true, false)
 		ln.rs.walk(c, false, true)
 		x.walkPend(c, si)
-		x.checkInFlight(c, &ln.rq, si)
 	}
 	for _, a := range x.arbs {
 		walkArbiter(c, a)
 	}
 	x.walkStats(c)
 	return c.Err()
+}
+
+// Check reports an error unless every pending and in-flight request is
+// one its master waits on and its slave's port holds (see checkPend and
+// checkInFlight).
+func (b *Bus) Check() error { return cmp.Or(b.checkPend(), b.checkInFlight(&b.ch, b.ch.req.SM)) }
+
+// Check is the crossbar's Bus.Check, over every lane.
+func (x *Crossbar) Check() error {
+	err := x.checkPend()
+	for si := range x.lanes {
+		err = cmp.Or(err, x.checkInFlight(&x.lanes[si].rq, si))
+	}
+	return err
 }

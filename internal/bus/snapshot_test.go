@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -64,19 +63,26 @@ func (r fabricRig) save(t *testing.T) []byte {
 	return data
 }
 
-// load restores data into the rig, ports first as in a system restore.
+// load restores data into the rig and, as a system restore does once
+// every section has loaded, checks the ports and the interconnect.
 func (r fabricRig) load(t *testing.T, data []byte) error {
 	t.Helper()
 	f, err := snapshot.Read(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Load("inter", r.inter); err != nil {
+		return err
+	}
 	for _, p := range r.ports {
 		if err := f.Load("port."+p.Name(), p); err != nil {
 			t.Fatal(err)
 		}
+		if err := p.Check(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return f.Load("inter", r.inter)
+	return r.inter.(interface{ Check() error }).Check()
 }
 
 type craftCase struct {
@@ -86,7 +92,8 @@ type craftCase struct {
 }
 
 // checkCrafted crafts each case into a busy rig's state, snapshots it
-// and expects the load into a fresh rig to fail with the case's error.
+// and expects the load into a fresh rig, or the check after it, to fail
+// with the case's error.
 // The uncrafted snapshot must load.
 func checkCrafted(t *testing.T, build func() fabricRig, ch func(fabricRig) *channel, cases []craftCase) {
 	t.Helper()
@@ -140,8 +147,8 @@ func originCases(ch func(fabricRig) *channel) []craftCase {
 // TestBusSnapshotRejectsImpossibleState crafts bus sections the bus can
 // never hold between cycles — a channel state it does not have, or a
 // pending or in-flight request whose master or master-port tag is not
-// one in service — and expects the load to fail rather than the next
-// response to panic. Genuine mid-transfer states are restored by the
+// one in service — and expects the load or the bus's Check to fail
+// rather than the next response to panic. Genuine mid-transfer states are restored by the
 // experiments' pinned snapshots.
 func TestBusSnapshotRejectsImpossibleState(t *testing.T) {
 	build := func() fabricRig {
@@ -177,13 +184,13 @@ func TestCrossbarSnapshotRejectsImpossibleState(t *testing.T) {
 	))
 }
 
-// TestPortSnapshotRejectsInconsistentState crafts port sections no run
-// can leave behind — counters out of their issue → pop → complete →
-// drain → deliver order or out of step with the signals that carry
-// them, open or undelivered tables of the wrong size, a queued request
-// under a tag out of issue order or with an op that does not exist —
-// and expects the load to fail: each would mislead the modules on both
-// ends of the port.
+// TestPortSnapshotRejectsInconsistentState crafts port states no run can
+// leave behind — counters out of their issue → pop → complete → drain →
+// deliver order or out of step with the signals that carry them, open
+// or undelivered tables of the wrong size, a queued request under a tag
+// out of issue order or with an op that does not exist — and expects
+// the load (the op) or the loaded port's Check (the rest) to fail: each
+// would mislead the modules on both ends of the port.
 func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 	// build returns a depth-4 port with three requests issued, two
 	// popped, one completed and drained but not delivered.
@@ -205,56 +212,43 @@ func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 		p.HasCompletion() // drains the completion ring
 		return p
 	}
-	// The counters follow the name "p", the depth and the delivery mode:
-	// issued, popped, completed, drained, delivered, reqSeq, ackSeq.
-	const issued, popped, delivered, reqSeq, ackSeq = 0, 1, 4, 5, 6
-	counter := func(i int, v uint64) func([]byte) {
-		return func(b []byte) { binary.LittleEndian.PutUint64(b[4+1+8+1+8*i:], v) }
-	}
 	for _, tc := range []struct {
 		name   string
 		craft  func(p *Port)
-		bytes  func(payload []byte)
 		errStr string
 	}{
-		{"as run", nil, nil, ""},
-		{"issued ahead of its signal", nil, counter(issued, 4), "inconsistent counters"},
-		{"signal ahead of issued", nil, counter(reqSeq, 4), "inconsistent counters"},
-		{"completed before popped", nil, counter(popped, 0), "inconsistent counters"},
-		{"completed with no signal", nil, counter(ackSeq, 0), "inconsistent counters"},
-		{"delivered before drained", nil, counter(delivered, 2), "inconsistent counters"},
-		{"more outstanding than credits", nil, func(b []byte) {
-			counter(issued, 5)(b)
-			counter(popped, 4)(b)
-			counter(reqSeq, 5)(b)
+		{"as run", func(*Port) {}, ""},
+		{"issued ahead of its signal", func(p *Port) { p.issued = 4 }, "inconsistent counters"},
+		{"signal ahead of issued", func(p *Port) { p.reqSeq.Restore(4) }, "inconsistent counters"},
+		{"completed before popped", func(p *Port) { p.popped = 0 }, "inconsistent counters"},
+		{"completed with no signal", func(p *Port) { p.ackSeq.Restore(0) }, "inconsistent counters"},
+		{"delivered before drained", func(p *Port) { p.delivered = 2 }, "inconsistent counters"},
+		{"more outstanding than credits", func(p *Port) {
+			p.issued, p.popped = 5, 4
+			p.reqSeq.Restore(5)
 		}, "inconsistent counters"},
-		{"open table lost", func(p *Port) { clear(p.open) }, nil, "0 open and 1 undelivered"},
-		{"undelivered completion lost", func(p *Port) { p.oooQ = nil }, nil, "1 open and 0 undelivered"},
-		{"queued under a stray tag", func(p *Port) { p.reqBuf[2].Tag = 9 }, nil, "request 3 queued under tag 9"},
-		{"queued with no such op", func(p *Port) { p.reqBuf[2].Req.Op = Op(NumOps) }, nil, "is not an operation"},
+		{"open table lost", func(p *Port) { clear(p.open) }, "0 open and 1 undelivered"},
+		{"undelivered completion lost", func(p *Port) { p.oooQ = nil }, "1 open and 0 undelivered"},
+		{"queued under a stray tag", func(p *Port) { p.reqBuf[2].Tag = 9 }, "request 3 queued under tag 9"},
+		{"queued with no such op", func(p *Port) { p.reqBuf[2].Req.Op = Op(NumOps) }, "is not an operation"},
 	} {
 		p := build()
-		if tc.craft != nil {
-			tc.craft(p)
-		}
+		tc.craft(p)
 		w := snapshot.NewWriter()
 		w.Save("port", p)
 		data, err := w.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload := data[len(snapshot.Magic)+4+4+len("port")+4 : len(data)-4]
-		if tc.bytes != nil {
-			tc.bytes(payload)
-		}
-		cw := snapshot.NewWriter()
-		cw.Add("port", payload)
-		cdata, _ := cw.Finish()
-		f, err := snapshot.Read(cdata)
+		f, err := snapshot.Read(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = f.Load("port", build())
+		loaded := build()
+		err = f.Load("port", loaded)
+		if err == nil {
+			err = loaded.Check()
+		}
 		if tc.errStr == "" && err != nil || tc.errStr != "" && (err == nil || !strings.Contains(err.Error(), tc.errStr)) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.errStr)
 		}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/bus"
@@ -228,4 +229,18 @@ func (p *partitioner) walk(cd *snapshot.Codec) {
 			}
 		}
 	}
+}
+
+// Check checks the private writeback port, whose state only the cache's
+// section carries.
+func (c *Cache) Check() error { return c.chans[0].wb.Check() }
+
+// Check checks the private down links, whose state only the L2's
+// section carries.
+func (l *L2) Check() error {
+	var err error
+	for i := range l.chans {
+		err = cmp.Or(err, l.chans[i].down.Check())
+	}
+	return err
 }

@@ -1,11 +1,13 @@
 package config
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 
 	"repro/internal/bus"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dma"
 	"repro/internal/mem"
@@ -229,7 +231,39 @@ func (s *System) restoreFrom(f *snapshot.File, m *meta) error {
 			return err
 		}
 	}
+	if err := s.Check(); err != nil {
+		return fmt.Errorf("config: restored state fails its check: %w", err)
+	}
 	return nil
+}
+
+// Check reports the first inconsistency in the system's state: each
+// port's and each module's own Check, then MESI exclusivity across
+// coherent L1s and inclusion under an L2. A run never leaves such a
+// state between cycles, so a failure means the state came from outside
+// the run; restoring a snapshot checks once, after every section has
+// loaded, so no section's walk depends on another's.
+func (s *System) Check() error {
+	var err error
+	for _, ports := range [...][]*bus.Port{s.MasterPorts, s.SlavePorts, s.CachePorts} {
+		for _, p := range ports {
+			err = cmp.Or(err, p.Check())
+		}
+	}
+	// Modules read their ports, so they are checked only once every
+	// port has passed.
+	for _, m := range s.Kernel.Modules() {
+		if c, ok := m.(interface{ Check() error }); ok && err == nil {
+			err = c.Check()
+		}
+	}
+	if s.Domain != nil && err == nil {
+		err = cache.CheckExclusivity(s.Caches)
+	}
+	if s.L2 != nil && err == nil {
+		err = cache.CheckInclusion(s.L2, s.Caches)
+	}
+	return err
 }
 
 // RestoreSystem builds a fresh runnable system from cfg and a snapshot:

@@ -627,10 +627,29 @@ func TestSchedDiffExperimentSuite(t *testing.T) {
 // lockstep sequential reference bit for bit — stats, golden ISS/PE
 // output, cycle counts.
 func TestSchedDiffAllocPolicy(t *testing.T) {
+	for _, sc := range allocPolicyScenarios() {
+		runBoth(t, "alloc-"+sc.name, func(m config.SystemConfig) (*config.System, error) {
+			sys, err := sc.build(m)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
+				return nil, err
+			}
+			return sys, nil
+		})
+	}
+}
+
+// allocPolicyScenarios build the systems of TestSchedDiffAllocPolicy —
+// one trace replayed on a heapsim or wrapper memory under each of the
+// named allocation policies — ready to run until sys.ProcsDone.
+func allocPolicyScenarios() []snapScenario {
 	tr := trace.Generate(trace.GenConfig{
 		Seed: 61, Events: 1200, Slots: 16, NumSM: 1,
 		MinDim: 4, MaxDim: 64, DType: bus.U32, Mix: trace.DefaultMix(), PtrArithPct: 20,
 	})
+	var scs []snapScenario
 	for _, tc := range []struct {
 		name   string
 		kind   config.MemKind
@@ -641,7 +660,7 @@ func TestSchedDiffAllocPolicy(t *testing.T) {
 		{"wrapper-segregated", config.MemWrapper, alloc.Segregated},
 		{"wrapper-bestfit", config.MemWrapper, alloc.BestFit},
 	} {
-		runBoth(t, "alloc-"+tc.name, func(m config.SystemConfig) (*config.System, error) {
+		scs = append(scs, snapScenario{name: tc.name, build: func(m config.SystemConfig) (*config.System, error) {
 			cfg := m
 			cfg.Masters, cfg.Memories, cfg.MemKind = 1, 1, tc.kind
 			cfg.MemBytes = 1 << 22
@@ -664,12 +683,10 @@ func TestSchedDiffAllocPolicy(t *testing.T) {
 			if err := sys.AddProcs(trace.ReplayTask(tr, trace.ModeDynamic, nil)); err != nil {
 				return nil, err
 			}
-			if _, err := sys.Kernel.RunUntil(sys.ProcsDone, runLimit); err != nil {
-				return nil, err
-			}
 			return sys, nil
-		})
+		}, done: func(sys *config.System) func() bool { return sys.ProcsDone }})
 	}
+	return scs
 }
 
 // TestSchedDiffSplitPort extends the matrix along the transaction-

@@ -12,7 +12,8 @@ import (
 
 // TestSnapshotRejectsStallWithoutTransaction crafts a CPU whose stall
 // disagrees with its port — stalled with nothing outstanding, or running
-// with its bridge transaction still out — and expects the load to fail:
+// with its bridge transaction still out — and expects the loaded CPU's
+// Check to fail:
 // the first would never resume, the second would issue into a full port.
 func TestSnapshotRejectsStallWithoutTransaction(t *testing.T) {
 	prog, err := isa.Assemble("loop: b loop")
@@ -60,6 +61,9 @@ func TestSnapshotRejectsStallWithoutTransaction(t *testing.T) {
 			t.Fatalf("%s: port: %v", tc.name, err)
 		}
 		err = f.Load("cpu", cpu)
+		if err == nil {
+			err = cpu.Check()
+		}
 		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.err)
 		}

@@ -154,11 +154,7 @@ func (s *Server[M]) ConcurrentTick() bool { return true }
 // WalkFSM walks the registers every memory section starts with: state,
 // wait, the request in service and its tag. walkCur, when non-nil,
 // walks in place of the request (HeapMem keeps its eager response
-// instead). Loading rejects a state the model does not have; a busy
-// state with no cycle left to count, since Tick and Skip keep wait at
-// least 1 between cycles and a zero would count down through 2³² busy
-// cycles; and a busy state whose tag the port, loaded before the
-// modules, has not handed out, which Complete could not accept.
+// instead). Loading rejects a state the model does not have.
 func (s *Server[M]) WalkFSM(c *snapshot.Codec, walkCur func(cur *bus.Request)) {
 	snapshot.Byte(c, &s.state)
 	c.U32(&s.wait)
@@ -172,13 +168,21 @@ func (s *Server[M]) WalkFSM(c *snapshot.Codec, walkCur func(cur *bus.Request)) {
 	if s.hooks.Exec == nil {
 		last = serveDecode
 	}
-	switch {
-	case !c.Loading():
-	case s.state > last:
+	if s.state > last {
 		c.Fail(fmt.Errorf("serving state %d is not one of this memory's states 0..%d", s.state, last))
-	case s.state != serveIdle && s.wait == 0:
-		c.Fail(fmt.Errorf("serving state %d with 0 cycles left to wait", s.state))
-	case s.state != serveIdle && !s.port.InService(s.curTag):
-		c.Fail(fmt.Errorf("serving tag %d, which port %s has not handed out", s.curTag, s.port.Name()))
 	}
+}
+
+// Check reports an error unless a busy Server has a cycle left to count
+// — Tick and Skip keep wait at least 1 between cycles, and a zero would
+// count down through 2³² busy cycles — and serves a tag its port has
+// handed out, which Complete could accept.
+func (s *Server[M]) Check() error {
+	switch {
+	case s.state != serveIdle && s.wait == 0:
+		return fmt.Errorf("memory at port %s: serving state %d with 0 cycles left to wait", s.port.Name(), s.state)
+	case s.state != serveIdle && !s.port.InService(s.curTag):
+		return fmt.Errorf("serving tag %d, which port %s has not handed out", s.curTag, s.port.Name())
+	}
+	return nil
 }

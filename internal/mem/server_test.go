@@ -101,8 +101,8 @@ func TestBurstSpanDoesNotWrap(t *testing.T) {
 // TestSnapshotRejectsImpossibleServingState crafts each model's section with
 // a serving state the FSM can never hold between cycles — a state
 // number beyond the model's states, a busy state with 0 cycles left, or
-// one serving a tag its port never handed out — and expects the load to
-// fail. Genuine busy states are restored by the experiments' pinned
+// one serving a tag its port never handed out — and expects the load
+// (the state number) or the model's Check (the rest) to fail. Genuine busy states are restored by the experiments' pinned
 // mid-service snapshots.
 func TestSnapshotRejectsImpossibleServingState(t *testing.T) {
 	for _, m := range models(t) {
@@ -140,6 +140,9 @@ func TestSnapshotRejectsImpossibleServingState(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = f.Load("mod", m.mod)
+			if err == nil {
+				err = m.mod.(interface{ Check() error }).Check()
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.err) {
 				t.Errorf("%s: state %d wait %d: err = %v, want %q", m.name, tc.state, tc.wait, err, tc.err)
 			}

@@ -35,10 +35,14 @@ const (
 
 // Stateful is implemented by modules whose dynamic state travels in a
 // snapshot. WalkState visits that state once, in section order, through
-// c. Checks against the freshly built module (geometry, capacities,
-// index ranges) compare a walked value with the built one, so they hold
-// trivially when saving and fail the load otherwise: a module never
-// loads inconsistent state.
+// c. A walk checks a value only where it compares one decoded value
+// with a constant or with the freshly built module (geometry,
+// capacities, index ranges), or where the walk itself would panic, loop
+// or over-allocate without the check; such a check holds trivially when
+// saving. Every rule that relates two values, or a value to another
+// section's state, is the module's Check, which the system runs once
+// every section has loaded — so no walk depends on the order sections
+// load in.
 type Stateful interface {
 	WalkState(c *Codec) error
 }
@@ -58,11 +62,11 @@ func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
 // Bool appends a bool as one byte.
 func (e *Encoder) Bool(v bool) {
+	var b uint8
 	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
+		b = 1
 	}
+	e.U8(b)
 }
 
 // U32 appends a little-endian uint32.
@@ -132,35 +136,26 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
+// fixed returns the next n ≤ 8 bytes, or n zero bytes once an error is
+// sticky.
+func (d *Decoder) fixed(n int) []byte {
+	if b := d.take(n); b != nil {
+		return b
 	}
-	return b[0]
+	return make([]byte, n)
 }
+
+// U8 reads one byte.
+func (d *Decoder) U8() uint8 { return d.fixed(1)[0] }
 
 // Bool reads a bool.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
 // U32 reads a little-endian uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
+func (d *Decoder) U32() uint32 { return binary.LittleEndian.Uint32(d.fixed(4)) }
 
 // U64 reads a little-endian uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
+func (d *Decoder) U64() uint64 { return binary.LittleEndian.Uint64(d.fixed(8)) }
 
 // Int reads an int written by Encoder.Int.
 func (d *Decoder) Int() int { return int(d.U64()) }
@@ -363,12 +358,6 @@ func (f *File) Load(name string, s Stateful) error {
 	return nil
 }
 
-// Has reports whether the named section exists.
-func (f *File) Has(name string) bool {
-	_, ok := f.sections[name]
-	return ok
-}
-
 // Names returns the section names in sorted order.
 func (f *File) Names() []string {
 	names := append([]string(nil), f.order...)
@@ -415,68 +404,35 @@ func (c *Codec) Fail(err error) error {
 	return c.dec.Fail(err)
 }
 
-// U8 walks one byte.
-func (c *Codec) U8(p *uint8) {
+// walk walks *p through the decoder's read or the encoder's write.
+func walk[T any](c *Codec, p *T, read func(*Decoder) T, write func(*Encoder, T)) {
 	if c.dec != nil {
-		*p = c.dec.U8()
+		*p = read(c.dec)
 		return
 	}
-	c.enc.U8(*p)
+	write(c.enc, *p)
 }
+
+// U8 walks one byte.
+func (c *Codec) U8(p *uint8) { walk(c, p, (*Decoder).U8, (*Encoder).U8) }
 
 // Bool walks a bool as one byte.
-func (c *Codec) Bool(p *bool) {
-	if c.dec != nil {
-		*p = c.dec.Bool()
-		return
-	}
-	c.enc.Bool(*p)
-}
+func (c *Codec) Bool(p *bool) { walk(c, p, (*Decoder).Bool, (*Encoder).Bool) }
 
 // U32 walks a little-endian uint32.
-func (c *Codec) U32(p *uint32) {
-	if c.dec != nil {
-		*p = c.dec.U32()
-		return
-	}
-	c.enc.U32(*p)
-}
+func (c *Codec) U32(p *uint32) { walk(c, p, (*Decoder).U32, (*Encoder).U32) }
 
 // U64 walks a little-endian uint64.
-func (c *Codec) U64(p *uint64) {
-	if c.dec != nil {
-		*p = c.dec.U64()
-		return
-	}
-	c.enc.U64(*p)
-}
+func (c *Codec) U64(p *uint64) { walk(c, p, (*Decoder).U64, (*Encoder).U64) }
 
 // Int walks a non-negative int as a uint64.
-func (c *Codec) Int(p *int) {
-	if c.dec != nil {
-		*p = c.dec.Int()
-		return
-	}
-	c.enc.Int(*p)
-}
+func (c *Codec) Int(p *int) { walk(c, p, (*Decoder).Int, (*Encoder).Int) }
 
 // String walks a length-prefixed string.
-func (c *Codec) String(p *string) {
-	if c.dec != nil {
-		*p = c.dec.String()
-		return
-	}
-	c.enc.String(*p)
-}
+func (c *Codec) String(p *string) { walk(c, p, (*Decoder).String, (*Encoder).String) }
 
 // Bytes walks a length-prefixed byte slice; loading allocates a copy.
-func (c *Codec) Bytes(p *[]byte) {
-	if c.dec != nil {
-		*p = c.dec.Bytes32()
-		return
-	}
-	c.enc.Bytes32(*p)
-}
+func (c *Codec) Bytes(p *[]byte) { walk(c, p, (*Decoder).Bytes32, (*Encoder).Bytes32) }
 
 // U64Array walks each element of a fixed-length array in place, with no
 // count prefix: the length is the built module's.
@@ -487,13 +443,7 @@ func (c *Codec) U64Array(v []uint64) {
 }
 
 // U32s walks a length-prefixed []uint32.
-func (c *Codec) U32s(p *[]uint32) {
-	if c.dec != nil {
-		*p = c.dec.U32s()
-		return
-	}
-	c.enc.U32s(*p)
-}
+func (c *Codec) U32s(p *[]uint32) { walk(c, p, (*Decoder).U32s, (*Encoder).U32s) }
 
 // Image walks a fixed-size image in place, length-prefixed like Bytes.
 // Loading requires the length to equal len(buf), the size the module was

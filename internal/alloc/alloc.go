@@ -153,6 +153,29 @@ func New(kind Kind, m Mem) (Policy, error) {
 	}
 }
 
+// walkFree calls visit, unmetered, for every block on the free list
+// whose head word is at head; each block links to the next through its
+// word 1. The arena bytes may come from outside the program (a
+// snapshot), so the walk bounds itself: a link to a block that is
+// unaligned or does not fit in [lo, hi), or more blocks in total (n
+// counts them across the lists of one arena) than [lo, hi) has room
+// for, ends it with an error instead of a panic or an endless loop. An
+// error from visit ends it too.
+func walkFree(m Mem, head, lo, hi uint32, n *int, visit func(blk uint32) error) error {
+	for cur := m.Peek32(head); cur != nilPtr; cur = m.Peek32(cur + 4) {
+		if cur < lo || cur%8 != 0 || uint64(cur)+minSplit > uint64(hi) {
+			return fmt.Errorf("free list links to %#x, outside the blocks [%#x, %#x)", cur, lo, hi)
+		}
+		if *n++; *n > int((hi-lo)/minSplit) {
+			return fmt.Errorf("free lists hold more than the %d blocks [%#x, %#x) has room for", (hi-lo)/minSplit, lo, hi)
+		}
+		if err := visit(cur); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // SliceMem is a host-backed Mem over a plain byte slice with an access
 // counter — the arena the wrapper's placement policy and the allocator
 // benchmarks use. The counter exists for reporting symmetry with

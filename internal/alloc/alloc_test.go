@@ -529,3 +529,41 @@ func TestSegregatedInClassScanBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckInvariantsBoundsHostileLists corrupts the free lists of a
+// fragmented arena the way hostile snapshot bytes can — a link out of
+// the arena, a link to an unaligned address, a list that loops back on
+// itself — and expects CheckInvariants and the gauges to return rather
+// than panic or spin, CheckInvariants with an error.
+func TestCheckInvariantsBoundsHostileLists(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, tc := range []struct {
+			name string
+			link func(blk uint32) uint32
+		}{
+			{"link beyond 4 GiB", func(uint32) uint32 { return 0xFFFFFF00 }},
+			{"link past the arena", func(uint32) uint32 { return 4096 + 8 }},
+			{"unaligned link", func(blk uint32) uint32 { return blk + 4 }},
+			{"list loops on itself", func(blk uint32) uint32 { return blk }},
+		} {
+			p, m := mustPolicy(t, kind, 4096)
+			var live []uint32
+			for range 8 {
+				a, ok := p.Alloc(40, false)
+				if !ok {
+					t.Fatalf("%v: alloc failed", kind)
+				}
+				live = append(live, a)
+			}
+			for i := 0; i < len(live); i += 2 {
+				p.Free(live[i])
+			}
+			blk := live[2] - hdrSize // free, between two live blocks
+			m.Wr32(blk+4, tc.link(blk))
+			if err := p.CheckInvariants(); err == nil {
+				t.Errorf("%v, %s: CheckInvariants found nothing", kind, tc.name)
+			}
+			_, _, _ = p.FreeBytes(), p.FreeBlocks(), p.LargestFree()
+		}
+	}
+}

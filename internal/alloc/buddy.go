@@ -191,16 +191,26 @@ func (p *buddy) Free(addr uint32) bool {
 	return true
 }
 
+// walkOrders walks every order list (see walkFree), visit receiving
+// each block with its order's block size.
+func (p *buddy) walkOrders(visit func(size, blk uint32) error) error {
+	n := 0
+	for i := 0; i < buddyOrders; i++ {
+		size := uint32(1) << (i + buddyMinOrder)
+		if err := walkFree(p.m, buddyHeadOff(i), buddyBase, p.end, &n, func(blk uint32) error { return visit(size, blk) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // freeSpans collects every free block from the order lists, unmetered.
 func (p *buddy) freeSpans() []span {
 	var out []span
-	for i := 0; i < buddyOrders; i++ {
-		cur := p.m.Peek32(buddyHeadOff(i))
-		for cur != nilPtr {
-			out = append(out, span{cur, uint32(1) << (i + buddyMinOrder)})
-			cur = p.m.Peek32(cur + 4)
-		}
-	}
+	p.walkOrders(func(size, blk uint32) error {
+		out = append(out, span{blk, size})
+		return nil
+	})
 	return out
 }
 
@@ -233,22 +243,21 @@ func (p *buddy) LargestFree() uint32 {
 func (p *buddy) CheckInvariants() error {
 	m := p.m
 	free := map[uint32]uint32{}
-	for i := 0; i < buddyOrders; i++ {
-		size := uint32(1) << (i + buddyMinOrder)
-		cur := m.Peek32(buddyHeadOff(i))
-		for cur != nilPtr {
-			if got := m.Peek32(cur); got != size {
-				return fmt.Errorf("free block %#x on order-%d list has size %d", cur, i+buddyMinOrder, got)
-			}
-			if cur < buddyBase || (cur-buddyBase)%size != 0 || uint64(cur)+uint64(size) > uint64(p.end) {
-				return fmt.Errorf("free block %#x size %d misaligned or out of bounds", cur, size)
-			}
-			if _, dup := free[cur]; dup {
-				return fmt.Errorf("free block %#x listed twice", cur)
-			}
-			free[cur] = size
-			cur = m.Peek32(cur + 4)
+	err := p.walkOrders(func(size, cur uint32) error {
+		if got := m.Peek32(cur); got != size {
+			return fmt.Errorf("free block %#x on the %d-byte list has size %d", cur, size, got)
 		}
+		if (cur-buddyBase)%size != 0 || uint64(cur)+uint64(size) > uint64(p.end) {
+			return fmt.Errorf("free block %#x size %d misaligned or out of bounds", cur, size)
+		}
+		if _, dup := free[cur]; dup {
+			return fmt.Errorf("free block %#x listed twice", cur)
+		}
+		free[cur] = size
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for blk, size := range free {
 		bud := buddyBase + ((blk - buddyBase) ^ size)

@@ -161,33 +161,39 @@ type span struct {
 	Addr, Size uint32
 }
 
-// freeList walks the free list without charging accesses.
-func (p *listPolicy) freeList() []span {
+// freeList walks the free list without charging accesses (see
+// walkFree).
+func (p *listPolicy) freeList() ([]span, error) {
 	var out []span
-	cur := p.m.Peek32(listHeadAddr)
-	for cur != nilPtr {
-		out = append(out, span{cur, p.m.Peek32(cur)})
-		cur = p.m.Peek32(cur + 4)
-	}
-	return out
+	n := 0
+	err := walkFree(p.m, listHeadAddr, listHeapStart, p.m.Size(), &n, func(blk uint32) error {
+		out = append(out, span{blk, p.m.Peek32(blk)})
+		return nil
+	})
+	return out, err
 }
 
 // FreeBytes implements Policy.
 func (p *listPolicy) FreeBytes() uint32 {
 	var total uint32
-	for _, s := range p.freeList() {
+	fl, _ := p.freeList()
+	for _, s := range fl {
 		total += s.Size
 	}
 	return total
 }
 
 // FreeBlocks implements Policy.
-func (p *listPolicy) FreeBlocks() int { return len(p.freeList()) }
+func (p *listPolicy) FreeBlocks() int {
+	fl, _ := p.freeList()
+	return len(fl)
+}
 
 // LargestFree implements Policy.
 func (p *listPolicy) LargestFree() uint32 {
 	var max uint32
-	for _, s := range p.freeList() {
+	fl, _ := p.freeList()
+	for _, s := range fl {
 		if s.Size > max {
 			max = s.Size
 		}
@@ -200,7 +206,10 @@ func (p *listPolicy) LargestFree() uint32 {
 // with every block either free or carrying the allocation magic.
 func (p *listPolicy) CheckInvariants() error {
 	m := p.m
-	fl := p.freeList()
+	fl, err := p.freeList()
+	if err != nil {
+		return err
+	}
 	freeAt := map[uint32]uint32{}
 	last := uint32(0)
 	for i, s := range fl {

@@ -220,16 +220,25 @@ func (p *segregated) Free(addr uint32) bool {
 	return true
 }
 
+// walkClasses walks every class list (see walkFree), visit receiving
+// each block with its class.
+func (p *segregated) walkClasses(visit func(c int, blk uint32) error) error {
+	n := 0
+	for c := range segBounds {
+		if err := walkFree(p.m, segHeadOff(c), segBase, p.end, &n, func(blk uint32) error { return visit(c, blk) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // freeSpans collects every free block from the class lists, unmetered.
 func (p *segregated) freeSpans() []span {
 	var out []span
-	for c := range segBounds {
-		cur := p.m.Peek32(segHeadOff(c))
-		for cur != nilPtr {
-			out = append(out, span{cur, p.m.Peek32(cur) &^ segFlags})
-			cur = p.m.Peek32(cur + 4)
-		}
-	}
+	p.walkClasses(func(_ int, blk uint32) error {
+		out = append(out, span{blk, p.m.Peek32(blk) &^ segFlags})
+		return nil
+	})
 	return out
 }
 
@@ -263,28 +272,31 @@ func (p *segregated) LargestFree() uint32 {
 func (p *segregated) CheckInvariants() error {
 	m := p.m
 	listed := map[uint32]uint32{}
-	for c := range segBounds {
-		prev := uint32(nilPtr)
-		cur := m.Peek32(segHeadOff(c))
-		for cur != nilPtr {
-			w0 := m.Peek32(cur)
-			size := w0 &^ segFlags
-			if w0&segFree == 0 {
-				return fmt.Errorf("listed block %#x not flagged free", cur)
-			}
-			if segClass(size) != c {
-				return fmt.Errorf("block %#x size %d on class %d, want %d", cur, size, c, segClass(size))
-			}
-			if got := m.Peek32(cur + 8); got != prev {
-				return fmt.Errorf("block %#x prev link %#x, want %#x", cur, got, prev)
-			}
-			if _, dup := listed[cur]; dup {
-				return fmt.Errorf("block %#x listed twice", cur)
-			}
-			listed[cur] = size
-			prev = cur
-			cur = m.Peek32(cur + 4)
+	prev, prevClass := uint32(nilPtr), -1
+	err := p.walkClasses(func(c int, cur uint32) error {
+		if c != prevClass {
+			prev, prevClass = nilPtr, c
 		}
+		w0 := m.Peek32(cur)
+		size := w0 &^ segFlags
+		if w0&segFree == 0 {
+			return fmt.Errorf("listed block %#x not flagged free", cur)
+		}
+		if segClass(size) != c {
+			return fmt.Errorf("block %#x size %d on class %d, want %d", cur, size, c, segClass(size))
+		}
+		if got := m.Peek32(cur + 8); got != prev {
+			return fmt.Errorf("block %#x prev link %#x, want %#x", cur, got, prev)
+		}
+		if _, dup := listed[cur]; dup {
+			return fmt.Errorf("block %#x listed twice", cur)
+		}
+		listed[cur] = size
+		prev = cur
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	off := segBase
 	prevFree := false

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -318,18 +319,19 @@ func FuzzSnapshotRead(f *testing.F) {
 // Check, which changes only the prefix naming where the error was
 // raised, never the message.
 var seedOutcomes = map[string]string{
-	"bus_huge_counter_slice":         "truncated payload: need 8 bytes at offset 261 of 261",
-	"bus_pend_master_7":              "bus: request from master 7 of 1",
-	"bus_pend_stray_tag":             "bus: request from master 0 under tag 99, which its port has not handed out",
-	"bus_short_counter_tables":       "bus: counters for 0 masters and 2/1 slaves, topology is 4x1",
-	"heapsim_exec_state":             "serving state 2 is not one of this memory's states 0..1",
-	"heapsim_short_wait":             "",
-	"iss_huge_decode_cache":          "cpu iss0: decode cache of 1099511627776 slots exceeds the 65536-byte memory",
-	"iss_port_full_while_running":    "port m1: inconsistent counters (issued=13 popped=13 completed=13 drained=13 delivered=3472328296227680304 reqSeq=3472328296227680304 ackSeq=3472328296227680304 depth=1)",
-	"static_busy_zero_wait":          "serving state 1 with 0 cycles left to wait",
-	"static_stray_tag":               "serving tag 999, which port s0 has not handed out",
-	"xbar_completion_without_origin": "xbar: slave 0 tag 72057594037927942 pending, which its port does not hold",
-	"xbar_pend_master_9":             "xbar: request from master 9 of 1",
+	"bus_huge_counter_slice":          "truncated payload: need 8 bytes at offset 261 of 261",
+	"heapsim_arena_head_out_of_range": "heapsim0: arena: free list links to 0xffffff00, outside the blocks [0x8, 0x2000)",
+	"bus_pend_master_7":               "bus: request from master 7 of 1",
+	"bus_pend_stray_tag":              "bus: request from master 0 under tag 99, which its port has not handed out",
+	"bus_short_counter_tables":        "bus: counters for 0 masters and 2/1 slaves, topology is 4x1",
+	"heapsim_exec_state":              "serving state 2 is not one of this memory's states 0..1",
+	"heapsim_short_wait":              "",
+	"iss_huge_decode_cache":           "cpu iss0: decode cache of 1099511627776 slots exceeds the 65536-byte memory",
+	"iss_port_full_while_running":     "port m1: inconsistent counters (issued=13 popped=13 completed=13 drained=13 delivered=3472328296227680304 reqSeq=3472328296227680304 ackSeq=3472328296227680304 depth=1)",
+	"static_busy_zero_wait":           "serving state 1 with 0 cycles left to wait",
+	"static_stray_tag":                "serving tag 999, which port s0 has not handed out",
+	"xbar_completion_without_origin":  "xbar: slave 0 tag 72057594037927942 pending, which its port does not hold",
+	"xbar_pend_master_9":              "xbar: request from master 9 of 1",
 }
 
 // TestSnapshotSeedOutcomes replays every committed FuzzSnapshotRead
@@ -371,5 +373,90 @@ func TestSnapshotSeedOutcomes(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("pinned seed %s is not committed", name)
 		}
+	}
+}
+
+// gsmOnWrapper snapshots isses ISSes running two GSM frames on one
+// wrapper memory that places allocations under policy, at cycle.
+func gsmOnWrapper(tb testing.TB, isses int, policy alloc.Kind, cycle uint64) (SystemConfig, []byte) {
+	tb.Helper()
+	cfg := SystemConfig{Masters: isses, Memories: 1, MemKind: MemWrapper, AllocPolicy: policy}
+	sys, err := Build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	imgs, err := workload.ISSImages("gsm", isses, 1, 2, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.AddCPUs(imgs...); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.Kernel.Run(cycle); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := sys.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg, data
+}
+
+// TestRestoreRejectsCorruptArena overwrites the head of an allocator's
+// free lists inside a snapshot — the heapsim arena, or the wrapper's
+// placement arena — with links out of the arena. Each section loads
+// byte for byte, so only the module's Check can refuse it; without
+// that check the heapsim cases and the segregated and buddy placers
+// restore and then panic in the allocator's next walk, and the
+// first-fit placer runs on with a corrupt arena nothing reports.
+func TestRestoreRejectsCorruptArena(t *testing.T) {
+	heapCfg, heapData := midFlightHeapSim(t)
+	const placerBytes = 1 << 20 // the wrapper's default capacity, its placer arena's size
+	for _, tc := range []struct {
+		name     string
+		cfg      SystemConfig
+		data     []byte
+		section  string
+		arena    int
+		head     uint32
+		words    int
+		contains string
+	}{
+		{"heapsim head beyond 4 GiB", heapCfg, heapData, "mod.heapsim0", 8192, 0xFFFFFF00, 1, "heapsim0: arena: free list links to 0xffffff00"},
+		{"heapsim head past the arena", heapCfg, heapData, "mod.heapsim0", 8192, 0x2008, 1, "heapsim0: arena: free list links to 0x2008"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkCorruptArena(t, tc.cfg, tc.data, tc.section, tc.arena, tc.head, tc.words, tc.contains)
+		})
+	}
+	for _, policy := range []alloc.Kind{alloc.Segregated, alloc.Buddy, alloc.FirstFit} {
+		t.Run("placer "+policy.String(), func(t *testing.T) {
+			cfg, data := gsmOnWrapper(t, 2, policy, 3000)
+			checkCorruptArena(t, cfg, data, "mod.wrapper0", placerBytes, 0xFFFFFF00, 16, "wrapper0: placer: free list links to 0xffffff00")
+		})
+	}
+}
+
+// checkCorruptArena writes head into the first words of the arena that
+// ends section's payload and expects the restore to fail with an error
+// containing contains.
+func checkCorruptArena(t *testing.T, cfg SystemConfig, data []byte, section string, arena int, head uint32, words int, contains string) {
+	t.Helper()
+	if _, err := RestoreSystem(cfg, data); err != nil {
+		t.Fatalf("uncorrupted snapshot: %v", err)
+	}
+	names, payloads := sections(t, data)
+	p := append([][]byte(nil), payloads...)
+	i := slices.Index(names, section)
+	if i < 0 {
+		t.Fatalf("no section %s", section)
+	}
+	p[i] = append([]byte(nil), p[i]...)
+	start := len(p[i]) - arena
+	for w := range words {
+		binary.LittleEndian.PutUint32(p[i][start+4*w:], head)
+	}
+	if _, err := RestoreSystem(cfg, reframe(names, p)); err == nil || !strings.Contains(err.Error(), contains) {
+		t.Fatalf("restore: err = %v, want one containing %q", err, contains)
 	}
 }

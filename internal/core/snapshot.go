@@ -80,3 +80,15 @@ func (w *Wrapper) WalkState(c *snapshot.Codec) error {
 	c.U64(&w.stats.HostBytes)
 	return w.table.WalkState(c)
 }
+
+// Check adds the placement policy's arena to the Server's check: its
+// free lists and blocks must tile the virtual space, or the next
+// allocation would follow a link out of it.
+func (w *Wrapper) Check() error {
+	if p := w.table.placer; p != nil {
+		if err := p.CheckInvariants(); err != nil {
+			return fmt.Errorf("%s: placer: %w", w.cfg.Name, err)
+		}
+	}
+	return w.Server.Check()
+}

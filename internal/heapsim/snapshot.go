@@ -1,6 +1,8 @@
 package heapsim
 
 import (
+	"fmt"
+
 	"repro/internal/bus"
 	"repro/internal/snapshot"
 )
@@ -36,4 +38,14 @@ func (h *HeapMem) WalkState(c *snapshot.Codec) error {
 	c.U64(&h.heap.Failed)
 	c.Image(h.heap.arena)
 	return c.Err()
+}
+
+// Check adds the arena to the Server's check: the allocator's free
+// lists and blocks must tile it, or the next allocation would follow a
+// link out of it.
+func (h *HeapMem) Check() error {
+	if err := h.heap.CheckInvariants(); err != nil {
+		return fmt.Errorf("%s: arena: %w", h.cfg.Name, err)
+	}
+	return h.Server.Check()
 }

@@ -181,10 +181,12 @@ func (p *Port) Check() error {
 	return nil
 }
 
-// holds reports whether tag is one of the port's outstanding
-// transactions: queued (a port that passes Check queues requests under
-// their issue numbers), in service, completed or awaiting delivery.
-func (p *Port) holds(tag Tag) bool {
+// Holds reports whether tag is one of the port's outstanding
+// transactions, issued and not yet delivered: queued, in service,
+// completed or awaiting delivery. It is meant for the Checks of the
+// modules on either end, and answers only for a port that passes its
+// own Check (which also makes queued tags the issue numbers).
+func (p *Port) Holds(tag Tag) bool {
 	if Tag(p.popped) < tag && tag <= Tag(p.issued) {
 		return true
 	}
@@ -254,7 +256,7 @@ func (f *fabric) checkPend() error {
 			if err := f.checkOrigin(src); err != nil {
 				return err
 			}
-			if !f.slaves[si].holds(stag) {
+			if !f.slaves[si].Holds(stag) {
 				return fmt.Errorf("%s: slave %d tag %d pending, which its port does not hold", f.name, si, stag)
 			}
 		}

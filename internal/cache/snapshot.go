@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
 
 	"repro/internal/bus"
@@ -232,15 +231,75 @@ func (p *partitioner) walk(cd *snapshot.Codec) {
 }
 
 // Check checks the private writeback port, whose state only the cache's
-// section carries.
-func (c *Cache) Check() error { return c.chans[0].wb.Check() }
+// section carries, and then the engine's tags against its ports (see
+// checkTags).
+func (c *Cache) Check() error {
+	if err := c.chans[0].wb.Check(); err != nil {
+		return err
+	}
+	return c.checkTags()
+}
 
 // Check checks the private down links, whose state only the L2's
-// section carries.
+// section carries, and then the engine's tags against its ports (see
+// checkTags).
 func (l *L2) Check() error {
-	var err error
 	for i := range l.chans {
-		err = cmp.Or(err, l.chans[i].down.Check())
+		if err := l.chans[i].down.Check(); err != nil {
+			return err
+		}
 	}
-	return err
+	return l.checkTags()
+}
+
+// checkTags reports an error unless every tag the engine waits on is
+// one its ports hold — an issued refill's and a forward's on the down
+// port, an in-flight writeback's on the writeback port, each waiter's
+// and each forward's up-port tag in service on the up port — and the
+// down and writeback ports hold no transaction the engine does not wait
+// on. A completion nothing waits on faults the run, and completing an
+// up-port tag not in service panics.
+func (e *engine) checkTags() error {
+	for i := range e.chans {
+		ch := &e.chans[i]
+		down := len(ch.fwd)
+		for _, m := range e.mshrs {
+			if e.chanOf(m.sm) != i {
+				continue
+			}
+			if m.issued {
+				down++
+				if !ch.down.Holds(m.tag) {
+					return fmt.Errorf("%s: refill under tag %d, which port %s does not hold", e.name, m.tag, ch.down.Name())
+				}
+			}
+			for _, w := range m.waiters {
+				if !ch.up.InService(w.tag) {
+					return fmt.Errorf("%s: miss waiting under tag %d, which port %s has not handed out", e.name, w.tag, ch.up.Name())
+				}
+			}
+		}
+		for tag, upTag := range ch.fwd {
+			switch {
+			case !ch.down.Holds(tag):
+				return fmt.Errorf("%s: forward under tag %d, which port %s does not hold", e.name, tag, ch.down.Name())
+			case !ch.up.InService(upTag):
+				return fmt.Errorf("%s: forward answers tag %d, which port %s has not handed out", e.name, upTag, ch.up.Name())
+			}
+		}
+		for tag := range ch.wbInflight {
+			if !ch.wb.Holds(tag) {
+				return fmt.Errorf("%s: writeback under tag %d, which port %s does not hold", e.name, tag, ch.wb.Name())
+			}
+		}
+		if ch.wb == ch.down {
+			down += len(ch.wbInflight)
+		} else if n := ch.wb.Outstanding(); n != len(ch.wbInflight) {
+			return fmt.Errorf("%s: %d writebacks in flight, port %s holds %d", e.name, len(ch.wbInflight), ch.wb.Name(), n)
+		}
+		if n := ch.down.Outstanding(); n != down {
+			return fmt.Errorf("%s: %d refills, forwards and writebacks in flight, port %s holds %d", e.name, down, ch.down.Name(), n)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package dma
 
 import (
+	"fmt"
+
 	"repro/internal/bus"
 	"repro/internal/snapshot"
 )
@@ -62,4 +64,20 @@ func (e *Engine) WalkState(c *snapshot.Codec) error {
 	c.U64(&e.stats.Errors)
 	c.U64(&e.stats.BusyCycles)
 	return c.Err()
+}
+
+// Check reports an error unless the in-flight table holds exactly the
+// transactions outstanding on the engine's port: a completion with no
+// entry has no chunk to land in, and an entry with no transaction keeps
+// the descriptor from ever retiring.
+func (e *Engine) Check() error {
+	if n := e.port.Outstanding(); len(e.inflight) != n {
+		return fmt.Errorf("%s: %d chunks in flight, port %s holds %d", e.name, len(e.inflight), e.port.Name(), n)
+	}
+	for tag := range e.inflight {
+		if !e.port.Holds(tag) {
+			return fmt.Errorf("%s: chunk in flight under tag %d, which port %s does not hold", e.name, tag, e.port.Name())
+		}
+	}
+	return nil
 }

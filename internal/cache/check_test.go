@@ -137,3 +137,41 @@ func TestCheckRejectsStrayMasterTags(t *testing.T) {
 		"L2 writeback under a stray tag", writingBack, func(e *engine) { rekey(e.chans[0].wbInflight, 999) }, "writeback under tag 999",
 	})
 }
+
+// TestRestoreRejectsBadWayMask loads L2 sections whose partition masks
+// leave a master no way to install into, name ways the L2 does not
+// have, or change a static partition, and expects each load to fail:
+// an empty mask stalls every miss of its master for good.
+func TestRestoreRejectsBadWayMask(t *testing.T) {
+	read := func(ctx *smapi.Ctx) {
+		for i := uint32(0); i < 64; i++ {
+			_, code := ctx.Mem(0).ReadAs(64*i, bus.U32)
+			must(code)
+		}
+	}
+	l2cfg := L2Config{Sets: 2, Ways: 4, Partition: PartSWP, SWPMasks: []uint64{0x3, 0xC}}
+	for _, tc := range []struct {
+		name string
+		mask uint64
+	}{
+		{"empty", 0},
+		{"beyond the ways", 0x13},
+		{"not the static mask", 0x1},
+	} {
+		r := buildL2Rig(t, Config{}, l2cfg, ramBytes, false, read, read)
+		fresh := buildL2Rig(t, Config{}, l2cfg, ramBytes, false, read, read)
+		if err := loadSection(t, r.l2, fresh.l2); err != nil {
+			t.Fatalf("unmodified L2: %v", err)
+		}
+		r.l2.part.masks[0] = tc.mask
+		if err := loadSection(t, r.l2, fresh.l2); err == nil || !strings.Contains(err.Error(), "way mask") {
+			t.Errorf("%s mask %#x: err = %v", tc.name, tc.mask, err)
+		}
+	}
+	// Resumed with an empty mask, master 0's first miss never installs.
+	r := buildL2Rig(t, Config{}, l2cfg, ramBytes, false, read, read)
+	r.l2.part.masks[0] = 0
+	if out := resumeOutcome(r.k, r.procs[0].Done, 100_000); out != "hang" {
+		t.Errorf("an empty mask resumed to %q, want a hang", out)
+	}
+}

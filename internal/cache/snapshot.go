@@ -202,8 +202,15 @@ func (p *partitioner) walk(cd *snapshot.Codec) {
 			kind, nmasks, p.kind, len(p.masks)))
 		return
 	}
+	// A master's mask must leave it a way to install into, within the
+	// L2's ways; a static partition's masks never change.
+	full := uint64(1)<<uint(p.ways) - 1
 	for i := range p.masks {
+		built := p.masks[i]
 		cd.U64(&p.masks[i])
+		if m := p.masks[i]; m == 0 || m&^full != 0 || p.kind == PartSWP && m != built {
+			cd.Fail(fmt.Errorf("way mask %#x of master %d is empty, outside the %d ways, or not the static mask %#x", m, i, p.ways, built))
+		}
 	}
 	cd.U64(&p.count)
 	cd.U64(&p.repartitions)

@@ -20,14 +20,27 @@ import (
 
 // midFlightL2 snapshots a small L1 + UCP-partitioned L2 + DRAM system
 // of two sweeping ISSes mid-run, so the cache sections hold live lines,
-// MSHRs and writebacks.
+// MSHRs and writebacks, and the partitioner its utility monitors.
 func midFlightL2(tb testing.TB) (SystemConfig, []byte) {
+	return midFlightCaches(tb, SystemConfig{Partition: cache.PartUCP, UCPPeriod: 64})
+}
+
+// midFlightSWP is midFlightL2 with the L2 statically way-partitioned by
+// explicit masks, so the partitioner section carries masks and no
+// utility monitors.
+func midFlightSWP(tb testing.TB) (SystemConfig, []byte) {
+	return midFlightCaches(tb, SystemConfig{Partition: cache.PartSWP, L2SWPMasks: []uint64{0x3, 0xC}})
+}
+
+// midFlightCaches snapshots the two-ISS sweep over L1s, a 4-way L2 and
+// DRAM at cycle 600, partitioned as part says.
+func midFlightCaches(tb testing.TB, part SystemConfig) (SystemConfig, []byte) {
 	tb.Helper()
 	cfg := SystemConfig{
 		Masters: 2, Memories: 1, MemKind: MemDRAM, MemBytes: 4096,
 		Cache: true, Coherent: true, CacheSets: 2, CacheWays: 1,
-		L2: true, L2Sets: 2, L2Ways: 4, L2MSHRs: 4,
-		Partition: cache.PartUCP, UCPPeriod: 64, DRAMBanks: 4,
+		L2: true, L2Sets: 2, L2Ways: 4, L2MSHRs: 4, DRAMBanks: 4,
+		Partition: part.Partition, UCPPeriod: part.UCPPeriod, L2SWPMasks: part.L2SWPMasks,
 	}
 	sys, err := Build(cfg)
 	if err != nil {
@@ -179,18 +192,6 @@ func midFlightCopy(tb testing.TB, inter InterconnectKind) (SystemConfig, []byte)
 	return cfg, data
 }
 
-// runsAfterRestore reports whether a system restored from a mutated
-// copy of the named section must also run: a memory model, an
-// interconnect or a port.
-func runsAfterRestore(name string) bool {
-	for _, k := range []MemKind{MemWrapper, MemStatic, MemDRAM, MemHeapSim} {
-		if strings.HasPrefix(name, "mod."+k.String()) {
-			return true
-		}
-	}
-	return name == "mod.bus" || name == "mod.xbar" || strings.HasPrefix(name, "port.")
-}
-
 // midFlightMem snapshots two ISSes running kernel on one small
 // memory of the given kind, at the first cycle from cycle 200 on that
 // finds the memory serving a request, so the fuzzer starts from a busy
@@ -254,7 +255,7 @@ type fuzzBases struct {
 func newFuzzBases(tb testing.TB) *fuzzBases {
 	tb.Helper()
 	fb := &fuzzBases{}
-	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA, midFlightStatic, midFlightHeapSim, midFlightSplitBus} {
+	for b, build := range []func(testing.TB) (SystemConfig, []byte){midFlightL2, midFlightDMA, midFlightStatic, midFlightHeapSim, midFlightSplitBus, midFlightSWP} {
 		cfg, data := build(tb)
 		n, p := sections(tb, data)
 		if !bytes.Equal(reframe(n, p), data) {
@@ -284,16 +285,16 @@ func (fb *fuzzBases) restore(b []byte) (string, *System, error) {
 
 // FuzzSnapshotRead feeds hostile section payloads to RestoreSystem.
 // Random bytes almost never pass the per-section CRC, so the fuzzer
-// works one layer down: the first byte picks one section of one of five
-// real mid-flight snapshots — an L1 + L2 + DRAM system of ISSes, a DMA
+// works one layer down: the first byte picks one section of one of six
+// real mid-flight snapshots — an L1 + L2 + DRAM system of ISSes with
+// the L2 partitioned by utility and again by static way masks, a DMA
 // copy between wrapper memories with segregated placement over a split
 // crossbar and over a split bus, and ISSes on a busy static RAM and on
 // a busy heapsim memory — the rest replaces its payload, and the file
 // is re-framed with valid checksums. Restore must return an error or a
-// system — never panic, hang or over-allocate. A system restored from a
-// mutated memory, interconnect or port section then runs 64 cycles,
-// which must not panic either: the section's load checks must leave its
-// FSM runnable.
+// system — never panic, hang or over-allocate. A restored system then
+// runs 64 cycles, which must not panic either: whatever passes the
+// section walks and System.Check must be runnable.
 func FuzzSnapshotRead(f *testing.F) {
 	fb := newFuzzBases(f)
 	for i, s := range fb.pick {
@@ -303,11 +304,11 @@ func FuzzSnapshotRead(f *testing.F) {
 		if len(b) == 0 {
 			return
 		}
-		name, sys, err := fb.restore(b)
+		_, sys, err := fb.restore(b)
 		switch {
 		case err == nil && sys == nil:
 			t.Fatal("RestoreSystem returned neither a system nor an error")
-		case err == nil && runsAfterRestore(name):
+		case err == nil:
 			_ = sys.Kernel.Run(64) // an error is a legal outcome; a panic is not
 		}
 	})

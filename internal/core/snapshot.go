@@ -81,14 +81,29 @@ func (w *Wrapper) WalkState(c *snapshot.Codec) error {
 	return w.table.WalkState(c)
 }
 
-// Check adds the placement policy's arena to the Server's check: its
-// free lists and blocks must tile the virtual space, or the next
-// allocation would follow a link out of it.
+// Check adds the pointer table to the Server's check (see
+// PointerTable.check).
 func (w *Wrapper) Check() error {
-	if p := w.table.placer; p != nil {
-		if err := p.CheckInvariants(); err != nil {
-			return fmt.Errorf("%s: placer: %w", w.cfg.Name, err)
-		}
+	if err := w.table.check(); err != nil {
+		return fmt.Errorf("%s: %w", w.cfg.Name, err)
 	}
 	return w.Server.Check()
+}
+
+// check reports an error unless every entry's host bytes hold exactly
+// its elements — the data path indexes them by dim — and, under a
+// placement policy, the placer's free lists and blocks tile its arena,
+// or the next allocation would follow a link out of it.
+func (t *PointerTable) check() error {
+	for i := range t.entries {
+		if e := &t.entries[i]; uint64(len(e.Host)) != uint64(e.Dim)*uint64(e.DType.Size()) {
+			return fmt.Errorf("entry at %#x: %d host bytes for %d elements of %s", e.VPtr, len(e.Host), e.Dim, e.DType)
+		}
+	}
+	if t.placer != nil {
+		if err := t.placer.CheckInvariants(); err != nil {
+			return fmt.Errorf("placer: %w", err)
+		}
+	}
+	return nil
 }

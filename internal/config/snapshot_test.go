@@ -461,3 +461,22 @@ func checkCorruptArena(t *testing.T, cfg SystemConfig, data []byte, section stri
 		t.Fatalf("restore: err = %v, want one containing %q", err, contains)
 	}
 }
+
+// TestSystemCheckDoesNotAllocate: on a system without caches or a
+// placement arena — a GSM ISS mid-flight on a wrapper memory, the shape
+// a warm-boot job restores — System.Check allocates nothing, so the
+// check every restore runs adds no garbage.
+func TestSystemCheckDoesNotAllocate(t *testing.T) {
+	cfg, data := gsmOnWrapper(t, 1, alloc.Default, 3000)
+	sys, err := RestoreSystem(cfg, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := sys.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("System.Check allocated %.1f times per call", n)
+	}
+}

@@ -87,8 +87,8 @@ func dropOne[V any](m map[bus.Tag]V) {
 
 // TestCheckRejectsStrayMasterTags crafts an L1's and an L2's tag tables
 // out of step with their ports — a refill, forward or writeback under a
-// tag its port does not hold, a waiter or forward answering an up-port
-// tag not in service, a writeback or forward lost from its table — and
+// tag its port does not hold, a waiter, forward or pending bypass
+// answering an up-port tag not in service, a writeback or forward lost from its table — and
 // expects the cache's Check to reject each: resumed unchecked, every one
 // faults on an orphan completion, panics completing an unknown tag, or
 // never finishes.
@@ -120,6 +120,7 @@ func TestCheckRejectsStrayMasterTags(t *testing.T) {
 				e.chans[0].fwd[k] = 999
 			}
 		}, "forward answers tag 999, which port m0 has not handed out"},
+		{"bypass answering a stray tag", func(e *engine) bool { return e.chans[0].pending != nil }, func(e *engine) { e.chans[0].pending.upTag = 999 }, "bypass answers tag 999, which port m0 has not handed out"},
 		{"forward lost", forwarding, func(e *engine) { dropOne(e.chans[0].fwd) }, "in flight, port c0 holds"},
 		{"writeback under a stray tag", writingBack, func(e *engine) { rekey(e.chans[0].wbInflight, 999) }, "writeback under tag 999, which port w0 does not hold"},
 		{"writeback lost", writingBack, func(e *engine) { dropOne(e.chans[0].wbInflight) }, "writebacks in flight, port w0 holds"},

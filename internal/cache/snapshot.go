@@ -261,10 +261,10 @@ func (l *L2) Check() error {
 
 // checkTags reports an error unless every tag the engine waits on is
 // one its ports hold — an issued refill's and a forward's on the down
-// port, an in-flight writeback's on the writeback port, each waiter's
-// and each forward's up-port tag in service on the up port — and the
-// down and writeback ports hold no transaction the engine does not wait
-// on. A completion nothing waits on faults the run, and completing an
+// port, an in-flight writeback's on the writeback port, the up-port tag
+// of each waiter, forward and pending bypass in service on the up port —
+// and the down and writeback ports hold no transaction the engine does
+// not wait on. A completion nothing waits on faults the run, and completing an
 // up-port tag not in service panics.
 func (e *engine) checkTags() error {
 	for i := range e.chans {
@@ -293,6 +293,9 @@ func (e *engine) checkTags() error {
 			case !ch.up.InService(upTag):
 				return fmt.Errorf("%s: forward answers tag %d, which port %s has not handed out", e.name, upTag, ch.up.Name())
 			}
+		}
+		if p := ch.pending; p != nil && !ch.up.InService(p.upTag) {
+			return fmt.Errorf("%s: bypass answers tag %d, which port %s has not handed out", e.name, p.upTag, ch.up.Name())
 		}
 		for tag := range ch.wbInflight {
 			if !ch.wb.Holds(tag) {

@@ -181,6 +181,10 @@ func (p *Port) Check() error {
 	return nil
 }
 
+// Serving returns the number of requests popped and not yet completed:
+// the transactions the slave side holds in service.
+func (p *Port) Serving() int { return len(p.open) }
+
 // Holds reports whether tag is one of the port's outstanding
 // transactions, issued and not yet delivered: queued, in service,
 // completed or awaiting delivery. It is meant for the Checks of the

@@ -88,10 +88,10 @@ func dropOne[V any](m map[bus.Tag]V) {
 // TestCheckRejectsStrayMasterTags crafts an L1's and an L2's tag tables
 // out of step with their ports — a refill, forward or writeback under a
 // tag its port does not hold, a waiter, forward or pending bypass
-// answering an up-port tag not in service, a writeback or forward lost from its table — and
-// expects the cache's Check to reject each: resumed unchecked, every one
-// faults on an orphan completion, panics completing an unknown tag, or
-// never finishes.
+// answering an up-port tag not in service, a miss waiter, writeback or
+// forward lost from its table — and expects the cache's Check to reject
+// each: resumed unchecked, every one faults on an orphan completion,
+// panics completing an unknown tag, or never finishes.
 func TestCheckRejectsStrayMasterTags(t *testing.T) {
 	// One PE dirties more lines than a 2-line L1 holds, so writebacks
 	// go out, and reads each line back by a burst, which bypasses the
@@ -121,6 +121,7 @@ func TestCheckRejectsStrayMasterTags(t *testing.T) {
 			}
 		}, "forward answers tag 999, which port m0 has not handed out"},
 		{"bypass answering a stray tag", func(e *engine) bool { return e.chans[0].pending != nil }, func(e *engine) { e.chans[0].pending.upTag = 999 }, "bypass answers tag 999, which port m0 has not handed out"},
+		{"miss waiter lost", issued, func(e *engine) { m := anyMSHR(e); m.waiters = m.waiters[1:] }, "miss waiters, forwards and bypasses, port m0 serves"},
 		{"forward lost", forwarding, func(e *engine) { dropOne(e.chans[0].fwd) }, "in flight, port c0 holds"},
 		{"writeback under a stray tag", writingBack, func(e *engine) { rekey(e.chans[0].wbInflight, 999) }, "writeback under tag 999, which port w0 does not hold"},
 		{"writeback lost", writingBack, func(e *engine) { dropOne(e.chans[0].wbInflight) }, "writebacks in flight, port w0 holds"},

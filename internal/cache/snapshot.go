@@ -263,13 +263,17 @@ func (l *L2) Check() error {
 // one its ports hold — an issued refill's and a forward's on the down
 // port, an in-flight writeback's on the writeback port, the up-port tag
 // of each waiter, forward and pending bypass in service on the up port —
-// and the down and writeback ports hold no transaction the engine does
-// not wait on. A completion nothing waits on faults the run, and completing an
-// up-port tag not in service panics.
+// and the ports hold no transaction the engine does not wait on or
+// answer. A completion nothing waits on faults the run, completing an
+// up-port tag not in service panics, and an up-port request nothing
+// answers never completes.
 func (e *engine) checkTags() error {
 	for i := range e.chans {
 		ch := &e.chans[i]
-		down := len(ch.fwd)
+		down, up := len(ch.fwd), len(ch.fwd)
+		if ch.pending != nil {
+			up++
+		}
 		for _, m := range e.mshrs {
 			if e.chanOf(m.sm) != i {
 				continue
@@ -280,6 +284,7 @@ func (e *engine) checkTags() error {
 					return fmt.Errorf("%s: refill under tag %d, which port %s does not hold", e.name, m.tag, ch.down.Name())
 				}
 			}
+			up += len(m.waiters)
 			for _, w := range m.waiters {
 				if !ch.up.InService(w.tag) {
 					return fmt.Errorf("%s: miss waiting under tag %d, which port %s has not handed out", e.name, w.tag, ch.up.Name())
@@ -309,6 +314,9 @@ func (e *engine) checkTags() error {
 		}
 		if n := ch.down.Outstanding(); n != down {
 			return fmt.Errorf("%s: %d refills, forwards and writebacks in flight, port %s holds %d", e.name, down, ch.down.Name(), n)
+		}
+		if n := ch.up.Serving(); n != up {
+			return fmt.Errorf("%s: %d miss waiters, forwards and bypasses, port %s serves %d", e.name, up, ch.up.Name(), n)
 		}
 	}
 	return nil

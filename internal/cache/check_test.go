@@ -68,7 +68,7 @@ func anyMSHR(e *engine) *mshr {
 	return nil
 }
 
-// rekey moves one entry of m (the lowest key) under key to.
+// rekey moves one entry of m under key to.
 func rekey[V any](m map[bus.Tag]V, to bus.Tag) {
 	for k, v := range m {
 		delete(m, k)

@@ -273,14 +273,12 @@ func newFuzzBases(tb testing.TB) *fuzzBases {
 }
 
 // restore replaces the section that b's first byte selects with the
-// rest of b and restores the re-framed snapshot. It returns the
-// selected section's name with RestoreSystem's result.
-func (fb *fuzzBases) restore(b []byte) (string, *System, error) {
+// rest of b and restores the re-framed snapshot.
+func (fb *fuzzBases) restore(b []byte) (*System, error) {
 	s := fb.pick[int(b[0])%len(fb.pick)]
 	p := append([][]byte(nil), fb.payloads[s.base]...)
 	p[s.index] = b[1:]
-	sys, err := RestoreSystem(fb.cfgs[s.base], reframe(fb.names[s.base], p))
-	return fb.names[s.base][s.index], sys, err
+	return RestoreSystem(fb.cfgs[s.base], reframe(fb.names[s.base], p))
 }
 
 // FuzzSnapshotRead feeds hostile section payloads to RestoreSystem.
@@ -304,7 +302,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		if len(b) == 0 {
 			return
 		}
-		_, sys, err := fb.restore(b)
+		sys, err := fb.restore(b)
 		switch {
 		case err == nil && sys == nil:
 			t.Fatal("RestoreSystem returned neither a system nor an error")
@@ -357,7 +355,7 @@ func TestSnapshotSeedOutcomes(t *testing.T) {
 			t.Fatalf("%s: not a one-argument []byte corpus entry (%v)", fi.Name(), err)
 		}
 		seen[fi.Name()] = true
-		_, _, err = fb.restore([]byte(b))
+		_, err = fb.restore([]byte(b))
 		got := ""
 		if err != nil {
 			got = err.Error()

@@ -1,9 +1,13 @@
 package bus
 
 import (
+	"encoding/hex"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // TestPortPeekNeverStale is the regression test for the PeekRequest
@@ -288,5 +292,227 @@ func TestPortRingReuse(t *testing.T) {
 	}
 	if delivered != total {
 		t.Fatalf("delivered %d/%d", delivered, total)
+	}
+}
+
+// oooModel is the delivery contract of an out-of-order port: a FIFO of
+// completions in the order Complete published them, of which the ones
+// published before the last kernel step are visible.
+type oooModel struct {
+	fifo    []Completion
+	visible int
+}
+
+// take checks one TakeCompletion result against the model and consumes
+// the model's head.
+func (m *oooModel) take(t *testing.T, what string, c Completion, ok bool) {
+	t.Helper()
+	if want := m.visible > 0; ok != want {
+		t.Fatalf("%s: TakeCompletion ok = %v with %d visible completions", what, ok, m.visible)
+	}
+	if !ok {
+		return
+	}
+	if c.Tag != m.fifo[0].Tag || c.Resp.Data != m.fifo[0].Resp.Data {
+		t.Fatalf("%s: delivered tag %d data %#x, want tag %d data %#x", what, c.Tag, c.Resp.Data, m.fifo[0].Tag, m.fifo[0].Resp.Data)
+	}
+	m.fifo = m.fifo[1:]
+	m.visible--
+}
+
+// TestOutOfOrderDelivery drives out-of-order ports of depth 1–8 through
+// seeded random interleavings of Issue, Pop, Complete, TakeCompletion
+// and kernel steps, and checks every delivered (tag, response) against
+// a model FIFO in completion order: a completion is deliverable from
+// the cycle after Complete, exactly once, and its credit comes back on
+// delivery. The scripted case is the depth-4 live set {1, 5, 6, 7},
+// where tags 1 and 5 share ring slot 1 but credits came back in
+// completion order.
+func TestOutOfOrderDelivery(t *testing.T) {
+	t.Run("live set 1 5 6 7", func(t *testing.T) {
+		k := sim.New()
+		p := NewPort(k, "p", PortConfig{Depth: 4, OutOfOrder: true})
+		var m oooModel
+		step := func() {
+			if err := k.Step(); err != nil {
+				t.Fatal(err)
+			}
+			m.visible = len(m.fifo)
+		}
+		complete := func(tag Tag) {
+			r := Response{Data: uint32(tag) * 0x101}
+			p.Complete(tag, r)
+			m.fifo = append(m.fifo, Completion{Tag: tag, Resp: r})
+		}
+		for range 4 {
+			p.Issue(Request{Op: OpRead})
+		}
+		step()
+		for range 4 {
+			p.Pop()
+		}
+		complete(2)
+		complete(3)
+		complete(4)
+		step()
+		for range 3 {
+			c, ok := p.TakeCompletion()
+			m.take(t, "first round", c, ok)
+		}
+		for want := Tag(5); want <= 7; want++ {
+			if tag := p.Issue(Request{Op: OpRead}); tag != want {
+				t.Fatalf("issued tag %d, want %d", tag, want)
+			}
+		}
+		if p.CanIssue() {
+			t.Fatal("credit free with live set {1, 5, 6, 7} at depth 4")
+		}
+		step()
+		for range 3 {
+			p.Pop()
+		}
+		complete(5)
+		complete(7)
+		step()
+		complete(1)
+		c, ok := p.TakeCompletion()
+		m.take(t, "before 1 is visible", c, ok)
+		step()
+		complete(6)
+		for range 2 {
+			c, ok := p.TakeCompletion()
+			m.take(t, "after 1 is visible", c, ok)
+		}
+		c, ok = p.TakeCompletion()
+		m.take(t, "6 not yet visible", c, ok)
+		step()
+		c, ok = p.TakeCompletion()
+		m.take(t, "last", c, ok)
+		if !p.Idle() || len(m.fifo) != 0 {
+			t.Fatalf("port holds %d, model %d after the last delivery", p.Outstanding(), len(m.fifo))
+		}
+	})
+	for seed := uint64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		depth := 1 + rng.IntN(8)
+		k := sim.New()
+		p := NewPort(k, "p", PortConfig{Depth: depth, OutOfOrder: true})
+		var m oooModel
+		var open []Tag
+		issued, delivered := 0, 0
+		for op := 0; op < 2000; op++ {
+			what := fmt.Sprintf("seed %d depth %d op %d", seed, depth, op)
+			switch rng.IntN(5) {
+			case 0:
+				if can := issued-delivered < depth; p.CanIssue() != can {
+					t.Fatalf("%s: CanIssue = %v with %d outstanding", what, !can, issued-delivered)
+				}
+				if p.CanIssue() {
+					p.Issue(Request{Op: OpRead, VPtr: uint32(op)})
+					issued++
+				}
+			case 1:
+				if tx, ok := p.Pop(); ok {
+					open = append(open, tx.Tag)
+				}
+			case 2:
+				if len(open) > 0 {
+					i := rng.IntN(len(open))
+					tag := open[i]
+					open = append(open[:i], open[i+1:]...)
+					r := Response{Data: rng.Uint32()}
+					p.Complete(tag, r)
+					m.fifo = append(m.fifo, Completion{Tag: tag, Resp: r})
+				}
+			case 3:
+				if has := p.HasCompletion(); has != (m.visible > 0) {
+					t.Fatalf("%s: HasCompletion = %v with %d visible", what, has, m.visible)
+				}
+				c, ok := p.TakeCompletion()
+				m.take(t, what, c, ok)
+				if ok {
+					delivered++
+				}
+			case 4:
+				if err := k.Step(); err != nil {
+					t.Fatal(err)
+				}
+				m.visible = len(m.fifo)
+			}
+			if p.Outstanding() != issued-delivered {
+				t.Fatalf("%s: %d outstanding, want %d", what, p.Outstanding(), issued-delivered)
+			}
+		}
+	}
+}
+
+// TestPortWalkStatePin pins the section bytes of an out-of-order port
+// holding a drained-undelivered completion (tag 2) and an undrained one
+// (tag 3) beside a request in service (tag 1) and a queued one (tag 4),
+// and checks that loading them into a fresh port saves the same bytes
+// and delivers the same completions.
+func TestPortWalkStatePin(t *testing.T) {
+	build := func() (*sim.Kernel, *Port) {
+		k := sim.New()
+		return k, NewPort(k, "p", PortConfig{Depth: 4, OutOfOrder: true})
+	}
+	k, p := build()
+	for i := range 3 {
+		p.Issue(Request{Op: OpReadBurst, VPtr: uint32(0x10 * (i + 1)), Dim: 2})
+	}
+	if err := k.Step(); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		p.Pop()
+	}
+	p.Complete(2, Response{Burst: []uint32{0xA, 0xB}})
+	if err := k.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if !p.HasCompletion() { // drains tag 2
+		t.Fatal("tag 2 not deliverable")
+	}
+	p.Complete(3, Response{Data: 0x33})
+	p.Issue(Request{Op: OpWrite, VPtr: 0x40, Data: 0x44})
+	if err := k.Step(); err != nil {
+		t.Fatal(err)
+	}
+	save := func(p *Port) string {
+		w := snapshot.NewWriter()
+		w.Save("port", p)
+		data, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(data)
+	}
+	const pin = "4d50534e415000010200000004000000706f7274b800000001000000700400000000000000010400000000000000030000000000000002000000000000000100000000000000000000000000000004000000000000000200000000000000040000000000000001000000000000000040000000440000000000000000000000000000000000000000000003000000000000000033000000000000000000000001000000010000000000000000000000010000000200000000000000000000000000000000020000000a0000000b000000e41e56fb"
+	got := save(p)
+	if got != pin {
+		t.Errorf("section bytes changed:\n got %s\nwant %s", got, pin)
+	}
+	data, _ := hex.DecodeString(got)
+	f, err := snapshot.Read(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, q := build()
+	if err := f.Load("port", q); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if again := save(q); again != got {
+		t.Errorf("restored port saves different bytes:\n got %s\nwant %s", again, got)
+	}
+	for _, want := range []Tag{2, 3} {
+		if c, ok := q.TakeCompletion(); !ok || c.Tag != want {
+			t.Fatalf("restored port delivered %+v/%v, want tag %d", c, ok, want)
+		}
+	}
+	if _, ok := q.TakeCompletion(); ok {
+		t.Fatal("restored port delivered a third completion")
 	}
 }

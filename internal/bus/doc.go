@@ -30,6 +30,21 @@
 // ignore tags keep the classic FIFO contract; out-of-order delivers in
 // completion order for masters that track tags themselves.
 //
+// # Read-burst buffers
+//
+// A master may pass the destination of an OpReadBurst as the request's
+// Burst: length 0, capacity at least Dim. The slave then reads the
+// elements into that buffer and returns it as Response.Burst
+// (Request.ReadBuffer applies the rule for every slave). The buffer
+// belongs to the master throughout: nothing else keeps it, and the
+// master must not reuse it until it has taken the completion. A master
+// that keeps the burst it gets back passes no buffer and receives a new
+// slice, as before. A buffer of length 0 travels, and snapshots, exactly
+// like no buffer, so passing one changes no simulated behaviour. The
+// caches' MSHRs refill through their own line buffers this way; write
+// bursts need no rule, since every slave copies their payload before it
+// completes them.
+//
 // Timing discipline is unchanged from the paper: requests issued in
 // cycle c are visible to the slave side from c+1, completions published
 // in cycle c are visible to the master from c+1 — registered

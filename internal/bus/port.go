@@ -94,9 +94,10 @@ type Port struct {
 
 	// Master-side delivery state. In-order mode: completions drained from
 	// the ring park in reorder until their tag is next. Out-of-order mode:
-	// drained completions queue FIFO in oooQ.
+	// completions are delivered straight from the ring, in completion
+	// order, so ring slots [delivered, drained) are the drained and
+	// undelivered ones (see peekDeliverable for why they stay intact).
 	reorder   map[Tag]Response
-	oooQ      []Completion
 	delivered uint64 // completions handed to the master; frees credits
 }
 
@@ -159,29 +160,37 @@ func (p *Port) Issue(r Request) Tag {
 }
 
 // drainVisible moves committed completion-ring entries into the
-// master-side delivery state. Idempotent within a cycle.
+// master-side delivery state: the reorder table in in-order mode; in
+// out-of-order mode they stay in the ring. Idempotent within a cycle.
 func (p *Port) drainVisible() {
 	vis := p.ackSeq.Get()
+	if p.ooo {
+		p.drained = vis
+		return
+	}
 	for p.drained < vis {
 		c := p.cmplBuf[int(p.drained%uint64(p.depth))]
 		p.drained++
-		if p.ooo {
-			p.oooQ = append(p.oooQ, c)
-		} else {
-			p.reorder[c.Tag] = c.Resp
-		}
+		p.reorder[c.Tag] = c.Resp
 	}
 }
 
 // peekDeliverable returns the completion TakeCompletion would deliver,
 // without consuming it.
+//
+// In out-of-order mode that is completion number delivered (counting
+// from 0), read from its ring slot delivered%depth while it is drained.
+// The slot still holds it: the next completion written there is number
+// delivered+depth, and publishing it needs issued > delivered+depth,
+// which the credit check in Issue forbids (issued−delivered ≤ depth
+// until this completion is delivered and frees its credit).
 func (p *Port) peekDeliverable() (Completion, bool) {
 	p.drainVisible()
 	if p.ooo {
-		if len(p.oooQ) == 0 {
+		if p.delivered == p.drained {
 			return Completion{}, false
 		}
-		return p.oooQ[0], true
+		return p.cmplBuf[int(p.delivered%uint64(p.depth))], true
 	}
 	next := Tag(p.delivered + 1)
 	resp, ok := p.reorder[next]
@@ -212,12 +221,7 @@ func (p *Port) TakeCompletion() (Completion, bool) {
 	if !ok {
 		return Completion{}, false
 	}
-	if p.ooo {
-		p.oooQ = p.oooQ[1:]
-		if len(p.oooQ) == 0 {
-			p.oooQ = nil
-		}
-	} else {
+	if !p.ooo {
 		delete(p.reorder, c.Tag)
 	}
 	p.delivered++

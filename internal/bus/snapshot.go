@@ -3,7 +3,6 @@ package bus
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/snapshot"
 )
@@ -148,12 +147,45 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 		r.Walk(c)
 		return r
 	})
-	snapshot.Slice(c, &p.oooQ, func(q *Completion) { q.walk(c) })
+	p.walkUndelivered(c)
 	if c.Loading() && c.Err() == nil {
 		p.reqSeq.Restore(reqSeq)
 		p.ackSeq.Restore(ackSeq)
 	}
 	return c.Err()
+}
+
+// walkUndelivered walks an out-of-order port's drained and undelivered
+// completions, ring slots [delivered, drained), count first and oldest
+// first: the layout of the queue they were once copied into. An
+// in-order port has none there (its own wait in reorder). The count
+// must be the one the counters give, or loading would write ring slots
+// that hold live completions; counters out of order are Check's to
+// reject.
+func (p *Port) walkUndelivered(c *snapshot.Codec) {
+	var want uint64
+	if p.ooo && p.drained > p.delivered {
+		want = p.drained - p.delivered
+	}
+	n := uint32(want)
+	c.U32(&n)
+	if uint64(n) != want {
+		c.Fail(p.countErr(uint64(len(p.reorder)) + uint64(n)))
+		return
+	}
+	for i := range want {
+		if c.Err() != nil {
+			return
+		}
+		p.cmplBuf[(p.delivered+i)%uint64(p.depth)].walk(c)
+	}
+}
+
+// countErr is the error for a port whose open table or undelivered
+// completions, undelivered of them, disagree with its counters.
+func (p *Port) countErr(undelivered uint64) error {
+	return fmt.Errorf("port %s: %d open and %d undelivered transactions, counters say %d and %d",
+		p.name, len(p.open), undelivered, p.popped-p.completed, p.drained-p.delivered)
 }
 
 // Check reports whether the port holds a state a run leaves between
@@ -174,9 +206,14 @@ func (p *Port) Check() error {
 			return fmt.Errorf("port %s: request %d queued under tag %d", p.name, i+1, t)
 		}
 	}
-	if uint64(len(p.open)) != p.popped-p.completed || uint64(len(p.reorder)+len(p.oooQ)) != p.drained-p.delivered {
-		return fmt.Errorf("port %s: %d open and %d undelivered transactions, counters say %d and %d",
-			p.name, len(p.open), len(p.reorder)+len(p.oooQ), p.popped-p.completed, p.drained-p.delivered)
+	// An out-of-order port's undelivered completions are ring slots the
+	// counters delimit; only an in-order port tables them.
+	undelivered := uint64(len(p.reorder))
+	if p.ooo {
+		undelivered += p.drained - p.delivered
+	}
+	if uint64(len(p.open)) != p.popped-p.completed || undelivered != p.drained-p.delivered {
+		return p.countErr(undelivered)
 	}
 	return nil
 }
@@ -194,14 +231,21 @@ func (p *Port) Holds(tag Tag) bool {
 	if Tag(p.popped) < tag && tag <= Tag(p.issued) {
 		return true
 	}
-	for i := p.drained; i < p.completed; i++ {
+	// Completed and undelivered: ring slots [delivered, completed) on an
+	// out-of-order port; [drained, completed) and the reorder table on an
+	// in-order one.
+	first := p.drained
+	if p.ooo {
+		first = p.delivered
+	}
+	for i := first; i < p.completed; i++ {
 		if p.cmplBuf[i%uint64(p.depth)].Tag == tag {
 			return true
 		}
 	}
 	_, open := p.open[tag]
 	_, early := p.reorder[tag]
-	return open || early || slices.ContainsFunc(p.oooQ, func(c Completion) bool { return c.Tag == tag })
+	return open || early
 }
 
 func (s *pendSrc) walk(c *snapshot.Codec) {

@@ -187,10 +187,11 @@ func TestCrossbarSnapshotRejectsImpossibleState(t *testing.T) {
 // TestPortSnapshotRejectsInconsistentState crafts port states no run can
 // leave behind — counters out of their issue → pop → complete → drain →
 // deliver order or out of step with the signals that carry them, open
-// or undelivered tables of the wrong size, a queued request under a tag
-// out of issue order or with an op that does not exist — and expects
-// the load (the op) or the loaded port's Check (the rest) to fail: each
-// would mislead the modules on both ends of the port.
+// or undelivered completions of the wrong number, a queued request
+// under a tag out of issue order or with an op that does not exist —
+// and expects the load (the op, the undelivered count) or the loaded
+// port's Check (the rest) to fail: each would mislead the modules on
+// both ends of the port.
 func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 	// build returns a depth-4 port with three requests issued, two
 	// popped, one completed and drained but not delivered.
@@ -212,25 +213,32 @@ func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 		p.HasCompletion() // drains the completion ring
 		return p
 	}
+	// dropUndelivered rewrites the section's last field, the
+	// out-of-order port's undelivered completions — a count and the
+	// 21-byte completion of tag 1 — as an empty list.
+	dropUndelivered := func(payload []byte) []byte {
+		return append(payload[:len(payload)-4-21:len(payload)-4-21], 0, 0, 0, 0)
+	}
 	for _, tc := range []struct {
 		name   string
 		craft  func(p *Port)
 		errStr string
+		patch  func(payload []byte) []byte
 	}{
-		{"as run", func(*Port) {}, ""},
-		{"issued ahead of its signal", func(p *Port) { p.issued = 4 }, "inconsistent counters"},
-		{"signal ahead of issued", func(p *Port) { p.reqSeq.Restore(4) }, "inconsistent counters"},
-		{"completed before popped", func(p *Port) { p.popped = 0 }, "inconsistent counters"},
-		{"completed with no signal", func(p *Port) { p.ackSeq.Restore(0) }, "inconsistent counters"},
-		{"delivered before drained", func(p *Port) { p.delivered = 2 }, "inconsistent counters"},
+		{"as run", func(*Port) {}, "", nil},
+		{"issued ahead of its signal", func(p *Port) { p.issued = 4 }, "inconsistent counters", nil},
+		{"signal ahead of issued", func(p *Port) { p.reqSeq.Restore(4) }, "inconsistent counters", nil},
+		{"completed before popped", func(p *Port) { p.popped = 0 }, "inconsistent counters", nil},
+		{"completed with no signal", func(p *Port) { p.ackSeq.Restore(0) }, "inconsistent counters", nil},
+		{"delivered before drained", func(p *Port) { p.delivered = 2 }, "inconsistent counters", nil},
 		{"more outstanding than credits", func(p *Port) {
 			p.issued, p.popped = 5, 4
 			p.reqSeq.Restore(5)
-		}, "inconsistent counters"},
-		{"open table lost", func(p *Port) { clear(p.open) }, "0 open and 1 undelivered"},
-		{"undelivered completion lost", func(p *Port) { p.oooQ = nil }, "1 open and 0 undelivered"},
-		{"queued under a stray tag", func(p *Port) { p.reqBuf[2].Tag = 9 }, "request 3 queued under tag 9"},
-		{"queued with no such op", func(p *Port) { p.reqBuf[2].Req.Op = Op(NumOps) }, "is not an operation"},
+		}, "inconsistent counters", nil},
+		{"open table lost", func(p *Port) { clear(p.open) }, "0 open and 1 undelivered", nil},
+		{"undelivered completion lost", func(*Port) {}, "1 open and 0 undelivered", dropUndelivered},
+		{"queued under a stray tag", func(p *Port) { p.reqBuf[2].Tag = 9 }, "request 3 queued under tag 9", nil},
+		{"queued with no such op", func(p *Port) { p.reqBuf[2].Req.Op = Op(NumOps) }, "is not an operation", nil},
 	} {
 		p := build()
 		tc.craft(p)
@@ -239,6 +247,16 @@ func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 		data, err := w.Finish()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.patch != nil {
+			// The file is the 12-byte header, the 4-byte name length,
+			// "port", the payload length, the payload and its CRC.
+			payload := tc.patch(data[12+4+4+4 : len(data)-4])
+			w = snapshot.NewWriter()
+			w.Add("port", payload)
+			if data, err = w.Finish(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		f, err := snapshot.Read(data)
 		if err != nil {

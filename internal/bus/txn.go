@@ -180,7 +180,11 @@ type Request struct {
 	Data  uint32   // scalar datum for OpWrite
 	Dim   uint32   // element count for OpAlloc and bursts
 	DType DataType // element type for OpAlloc
-	Burst []uint32 // payload for OpWriteBurst (one element per entry)
+	// Burst is the payload of an OpWriteBurst, one element per entry. On
+	// an OpReadBurst it may carry the master's destination buffer
+	// (length 0, capacity at least Dim); see "Read-burst buffers" in the
+	// package documentation.
+	Burst []uint32
 
 	// Master identifies the issuing master. The interconnect stamps it;
 	// the wrapper uses it for reservation ownership.
@@ -234,13 +238,27 @@ func (r Request) WireWords() uint32 {
 	}
 }
 
+// ReadBuffer returns the slice a slave serving r, an OpReadBurst, reads
+// its Dim elements into and returns as Response.Burst: the master's
+// buffer r.Burst resliced when it has the capacity, a new slice
+// otherwise. See "Read-burst buffers" in the package documentation.
+func (r Request) ReadBuffer() []uint32 {
+	if r.Burst != nil && cap(r.Burst) >= int(r.Dim) {
+		return r.Burst[:r.Dim]
+	}
+	return make([]uint32, r.Dim)
+}
+
 // Response is the completion of a Request. Err is the in-band hardware
 // status; the data fields are valid only when Err == OK.
 type Response struct {
-	Err   ErrCode
-	Data  uint32   // scalar result for OpRead
-	VPtr  uint32   // new virtual pointer for OpAlloc
-	Burst []uint32 // payload for OpReadBurst
+	Err  ErrCode
+	Data uint32 // scalar result for OpRead
+	VPtr uint32 // new virtual pointer for OpAlloc
+	// Burst is the payload of an OpReadBurst: the master's own buffer
+	// when it passed one in Request.Burst (see "Read-burst buffers" in
+	// the package documentation).
+	Burst []uint32
 }
 
 // WireWords returns the number of bus words the slave returns: a status

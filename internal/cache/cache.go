@@ -131,7 +131,7 @@ func New(k *sim.Kernel, cfg Config, up, down, wb *bus.Port) (*Cache, error) {
 	}
 	c := &Cache{cfg: cfg}
 	c.engine = newEngine(k, cfg.Name, cfg.Sets, cfg.Ways, cfg.LineBytes,
-		[]channel{newChannel(up, down, wb)},
+		[]channel{newChannel(up, down, wb)}, cfg.MSHRs,
 		counters{&c.stats.Refills, &c.stats.Writebacks, &c.stats.Bypassed, &c.stats.Errors})
 	c.mesi = true
 	k.Add(c)

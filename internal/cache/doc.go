@@ -145,6 +145,22 @@
 // partitioning and UMONs, back-invalidation on eviction, burst serve and
 // write-allocated writebacks stay in the L2.
 //
+// # Storage
+//
+// The transaction path allocates nothing once a run has warmed up. Each
+// level builds a pool of MSHRs (Config.MSHRs / L2Config.MSHRs entries)
+// when it is made; the live ones stay listed in creation order — the
+// order refills issue in — and a retired MSHR goes back to the pool.
+// Every entry has room for as many waiters as its up port has credits
+// (a waiter is a popped request still in service, so there are never
+// more) and a line of words its refill passes downstream as the read
+// burst's destination buffer, under the bus package's read-burst rule.
+// Each channel keeps a free list of writeback entries: an entry's line
+// copy and its word form are reused, the word form travelling as the
+// write burst's payload, and the entry returns to the list when its
+// acknowledgement arrives — every slave copies a write burst before
+// completing it. Snapshots load into the same pool and free list.
+//
 // # Scheduling
 //
 // The cache is a sim.Sleeper (it sleeps exactly when it has no visible

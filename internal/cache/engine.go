@@ -3,6 +3,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/sim"
@@ -123,14 +124,21 @@ type mshr struct {
 	// must be discarded and refetched (see Cache.install).
 	issued, granted, shared, killed bool
 	tag                             bus.Tag
-	waiters                         []waiter
+	// waiters has room for as many waiters as the up port can have in
+	// service, so joining never grows it.
+	waiters []waiter
+	// line receives the refill's words: it travels as the read burst's
+	// destination buffer (see the bus package's read-burst rule).
+	line []uint32
 }
 
-// wbEntry is one line writeback pending issue or in flight.
+// wbEntry is one line writeback pending issue or in flight. Entries are
+// reused through their channel's free list, buffers and all.
 type wbEntry struct {
-	sm   int
-	base uint32
-	data []byte
+	sm    int
+	base  uint32
+	data  []byte   // the line as queued
+	words []uint32 // data as the write burst's payload, filled at issue
 }
 
 // bypass is a popped request awaiting downstream forwarding. The wait
@@ -157,6 +165,7 @@ type channel struct {
 
 	wbq        []*wbEntry           // writebacks pending issue, FIFO
 	wbInflight map[bus.Tag]*wbEntry // issued, not yet completed
+	wbFree     []*wbEntry           // acknowledged entries, for queueWB to reuse
 	fwd        map[bus.Tag]bus.Tag  // forwarded bypass: down tag → up tag
 	pending    *bypass              // popped bypass not yet forwarded
 }
@@ -173,10 +182,12 @@ type counters struct{ refills, writebacks, bypassed, errors *uint64 }
 // engine is the line store plus the MSHRs and channels both levels run.
 type engine struct {
 	tagArray
-	name  string
-	k     *sim.Kernel
-	mshrs []*mshr
-	chans []channel
+	name string
+	k    *sim.Kernel
+	// mshrs are the live MSHRs in creation order, the order refills
+	// issue in; free holds the rest of the pool newEngine built.
+	mshrs, free []*mshr
+	chans       []channel
 	// mesi marks the L1: a write miss refills exclusively (Request.Excl),
 	// and its MSHRs and bypass carry the coherence flags and module in
 	// the snapshot layout.
@@ -184,8 +195,23 @@ type engine struct {
 	n    counters
 }
 
-func newEngine(k *sim.Kernel, name string, sets, ways int, lineBytes uint32, chans []channel, n counters) engine {
-	return engine{tagArray: newTagArray(sets, ways, lineBytes), name: name, k: k, chans: chans, n: n}
+// newEngine builds the engine with a pool of nmshr MSHRs. A waiter is a
+// request popped from an up port and still in service, so no MSHR ever
+// has more waiters than the deepest up port has credits.
+func newEngine(k *sim.Kernel, name string, sets, ways int, lineBytes uint32, chans []channel, nmshr int, n counters) engine {
+	depth := 0
+	for _, ch := range chans {
+		depth = max(depth, ch.up.Depth())
+	}
+	pool := make([]mshr, nmshr)
+	free := make([]*mshr, nmshr)
+	for i := range pool {
+		pool[i].waiters = make([]waiter, 0, depth)
+		pool[i].line = make([]uint32, lineBytes/4)
+		free[i] = &pool[i]
+	}
+	return engine{tagArray: newTagArray(sets, ways, lineBytes), name: name, k: k,
+		mshrs: make([]*mshr, 0, nmshr), free: free, chans: chans, n: n}
 }
 
 // chanOf returns the channel serving module sm: the L1's only one, or
@@ -217,25 +243,33 @@ func (e *engine) mshrByTag(i int, tag bus.Tag) *mshr {
 	return nil
 }
 
+// removeMSHR retires m to the pool.
 func (e *engine) removeMSHR(m *mshr) {
-	for i, x := range e.mshrs {
-		if x == m {
-			e.mshrs = append(e.mshrs[:i], e.mshrs[i+1:]...)
-			return
-		}
+	if i := slices.Index(e.mshrs, m); i >= 0 {
+		e.mshrs = slices.Delete(e.mshrs, i, i+1)
+		e.free = append(e.free, m)
 	}
 }
 
-// addMSHR pops up-port i's head into a fresh MSHR for (sm, base)
+// newMSHR takes a cleared MSHR from the pool and appends it to the live
+// list. The caller has checked capacity.
+func (e *engine) newMSHR() *mshr {
+	m := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	*m = mshr{waiters: m.waiters[:0], line: m.line}
+	e.mshrs = append(e.mshrs, m)
+	return m
+}
+
+// addMSHR pops up-port i's head into a new MSHR for (sm, base)
 // installing into (set, way). The caller has checked capacity and
 // emptied the way.
 func (e *engine) addMSHR(i, sm int, base uint32, set, way int, req bus.Request) {
 	tx, _ := e.chans[i].up.Pop()
-	e.mshrs = append(e.mshrs, &mshr{
-		sm: sm, base: base, excl: e.mesi && req.Op == bus.OpWrite,
-		set: set, way: way,
-		waiters: []waiter{{tag: tx.Tag, req: req}},
-	})
+	m := e.newMSHR()
+	m.sm, m.base, m.excl = sm, base, e.mesi && req.Op == bus.OpWrite
+	m.set, m.way = set, way
+	m.waiters = append(m.waiters, waiter{tag: tx.Tag, req: req})
 }
 
 // join pops up-port i's head onto the in-flight miss m of its line.
@@ -302,7 +336,22 @@ func (e *engine) fill(m *mshr, resp bus.Response) *line {
 func (e *engine) queueWB(ln *line) {
 	*e.n.writebacks++
 	ch := &e.chans[e.chanOf(ln.sm)]
-	ch.wbq = append(ch.wbq, &wbEntry{sm: ln.sm, base: ln.base, data: append([]byte(nil), ln.data...)})
+	w := ch.newWB(e.lineBytes)
+	w.sm, w.base = ln.sm, ln.base
+	copy(w.data, ln.data)
+	ch.wbq = append(ch.wbq, w)
+}
+
+// newWB returns a writeback entry with line buffers of lineBytes: an
+// acknowledged one from the free list, or a new one while the list is
+// empty.
+func (ch *channel) newWB(lineBytes uint32) *wbEntry {
+	if n := len(ch.wbFree); n > 0 {
+		w := ch.wbFree[n-1]
+		ch.wbFree = ch.wbFree[:n-1]
+		return w
+	}
+	return &wbEntry{data: make([]byte, lineBytes), words: make([]uint32, lineBytes/4)}
 }
 
 // clean writes a Modified line back and keeps its clean copy (M→S).
@@ -353,6 +402,7 @@ func (e *engine) ackWB(i int, tag bus.Tag, resp bus.Response) bool {
 		return false
 	}
 	delete(ch.wbInflight, tag)
+	ch.wbFree = append(ch.wbFree, w)
 	if resp.Err != bus.OK {
 		// A failed writeback silently loses committed data — a
 		// configuration error (non-flat cacheable memory), not a
@@ -431,14 +481,16 @@ func (e *engine) issue(i int) {
 	ch := &e.chans[i]
 	if len(ch.wbq) > 0 && ch.wb.CanIssue() {
 		w := ch.wbq[0]
-		ch.wbq = ch.wbq[1:]
-		words := make([]uint32, e.lineBytes/4)
-		for j := range words {
-			words[j] = binary.LittleEndian.Uint32(w.data[j*4:])
+		ch.wbq = slices.Delete(ch.wbq, 0, 1)
+		// The payload is the entry's own word buffer: every slave copies
+		// a write burst before completing it, and the entry is reused
+		// only after ackWB.
+		for j := range w.words {
+			w.words[j] = binary.LittleEndian.Uint32(w.data[j*4:])
 		}
 		tag := ch.wb.Issue(bus.Request{
 			Op: bus.OpWriteBurst, SM: w.sm, VPtr: w.base,
-			Dim: uint32(len(words)), DType: bus.U32, Burst: words, WB: true,
+			Dim: uint32(len(w.words)), DType: bus.U32, Burst: w.words, WB: true,
 		})
 		ch.wbInflight[tag] = w
 	}
@@ -451,7 +503,7 @@ func (e *engine) issue(i int) {
 		}
 		m.tag = ch.down.Issue(bus.Request{
 			Op: bus.OpReadBurst, SM: m.sm, VPtr: m.base,
-			Dim: e.lineBytes / 4, DType: bus.U32, Excl: m.excl,
+			Dim: e.lineBytes / 4, DType: bus.U32, Burst: m.line[:0], Excl: m.excl,
 		})
 		m.issued = true
 		return

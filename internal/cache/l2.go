@@ -134,7 +134,7 @@ func NewL2(k *sim.Kernel, cfg L2Config, ups, downs []*bus.Port) (*L2, error) {
 		chans[i] = newChannel(ups[i], downs[i], downs[i])
 	}
 	l := &L2{cfg: cfg, part: part}
-	l.engine = newEngine(k, cfg.Name, cfg.Sets, cfg.Ways, cfg.LineBytes, chans,
+	l.engine = newEngine(k, cfg.Name, cfg.Sets, cfg.Ways, cfg.LineBytes, chans, cfg.MSHRs,
 		counters{&l.stats.Refills, &l.stats.Writebacks, &l.stats.Bypassed, &l.stats.Errors})
 	k.Add(l)
 	return l, nil
@@ -231,7 +231,7 @@ func (l *L2) serve(ln *line, tag bus.Tag, req bus.Request, up int) {
 		ln.state = Modified
 		port.Complete(tag, bus.Response{})
 	case bus.OpReadBurst:
-		out := make([]uint32, req.Dim)
+		out := req.ReadBuffer()
 		for i := range out {
 			out[i] = readElem(ln.data[off+uint32(i)*es:], req.DType)
 		}

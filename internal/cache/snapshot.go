@@ -7,15 +7,16 @@ import (
 	"repro/internal/snapshot"
 )
 
-// walkWB walks one writeback entry, allocating it when loading.
-func walkWB(cd *snapshot.Codec, p **wbEntry) {
+// walkWB walks one writeback entry; loading takes it from the
+// channel's free list. Its data must be one line.
+func (ch *channel) walkWB(cd *snapshot.Codec, p **wbEntry, lineBytes uint32) {
 	if *p == nil {
-		*p = new(wbEntry)
+		*p = ch.newWB(lineBytes)
 	}
 	w := *p
 	cd.Int(&w.sm)
 	cd.U32(&w.base)
-	cd.Bytes(&w.data)
+	cd.Image(w.data)
 }
 
 // checkModule fails the load unless module sm has a channel.
@@ -46,9 +47,11 @@ func (e *engine) walkEngine(cd *snapshot.Codec, nmshr int) {
 			e.checkModule(cd, ln.sm)
 		}
 	}
-	// The snapshot holds the live MSHRs; the freshly built level has
-	// none, so loading rebuilds the slice.
+	// The snapshot holds the live MSHRs; loading retires the level's
+	// own to the pool and takes the loaded ones from it. The caller has
+	// checked that nmshr fits the pool.
 	if cd.Loading() {
+		e.free = append(e.free, e.mshrs...)
 		e.mshrs = e.mshrs[:0]
 	}
 	for i := 0; i < nmshr && cd.Err() == nil; i++ {
@@ -61,8 +64,7 @@ func (e *engine) walkEngine(cd *snapshot.Codec, nmshr int) {
 		}
 		var m *mshr
 		if cd.Loading() {
-			m = new(mshr)
-			e.mshrs = append(e.mshrs, m)
+			m = e.newMSHR()
 		} else {
 			m = e.mshrs[i]
 		}
@@ -80,10 +82,18 @@ func (e *engine) walkEngine(cd *snapshot.Codec, nmshr int) {
 			cd.Bool(&m.killed)
 		}
 		snapshot.Word(cd, &m.tag)
-		snapshot.Slice(cd, &m.waiters, func(w *waiter) {
+		// The waiters walk like a snapshot.Slice, but load into the
+		// MSHR's own storage.
+		nw := uint32(len(m.waiters))
+		cd.U32(&nw)
+		for j := 0; j < int(nw) && cd.Err() == nil; j++ {
+			if cd.Loading() {
+				m.waiters = append(m.waiters, waiter{})
+			}
+			w := &m.waiters[j]
 			snapshot.Word(cd, &w.tag)
 			w.req.Walk(cd)
-		})
+		}
 		if m.set < 0 || m.set >= len(e.sets) || m.way < 0 || m.way >= len(e.sets[m.set]) {
 			cd.Fail(fmt.Errorf("%s: MSHR targets set %d way %d of a %dx%d array", e.name, m.set, m.way, len(e.sets), len(e.sets[0])))
 		}
@@ -91,9 +101,9 @@ func (e *engine) walkEngine(cd *snapshot.Codec, nmshr int) {
 	}
 	for i := range e.chans {
 		ch := &e.chans[i]
-		snapshot.Slice(cd, &ch.wbq, func(w **wbEntry) { walkWB(cd, w) })
+		snapshot.Slice(cd, &ch.wbq, func(w **wbEntry) { ch.walkWB(cd, w, e.lineBytes) })
 		snapshot.Map(cd, &ch.wbInflight, func(_ bus.Tag, w *wbEntry) *wbEntry {
-			walkWB(cd, &w)
+			ch.walkWB(cd, &w, e.lineBytes)
 			return w
 		})
 		snapshot.Map(cd, &ch.fwd, func(_ bus.Tag, up bus.Tag) bus.Tag {

@@ -186,7 +186,9 @@ func (e *Engine) Tick(cycle uint64) {
 		e.isWrite[tag] = true
 	}
 	// Read ahead while the window has room: each buffered or in-flight
-	// chunk occupies one window slot.
+	// chunk occupies one window slot. A read passes no destination
+	// buffer: the chunk keeps the slice the slave returns until its
+	// write completes (see the bus package's read-burst rule).
 	if e.canRead() {
 		n := e.cur.Elems - e.readOff
 		if n > e.cur.Chunk {

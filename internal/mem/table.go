@@ -34,7 +34,7 @@ func ExecuteTable(data []byte, req bus.Request, burstElems *uint64) bus.Response
 		if !fits(req.Dim) {
 			return bus.Response{Err: bus.ErrBounds}
 		}
-		out := make([]uint32, req.Dim)
+		out := req.ReadBuffer()
 		for i := uint32(0); i < req.Dim; i++ {
 			out[i] = req.DType.ReadElem(data[req.VPtr+i*es:])
 		}

@@ -58,7 +58,9 @@ func (m *Mem) WriteAs(vptr uint32, val uint32, dt bus.DataType) bus.ErrCode {
 }
 
 // ReadArray reads n consecutive elements starting at vptr through the
-// wrapper's I/O array.
+// wrapper's I/O array. It passes no destination buffer, so the slave
+// returns a new slice, which the caller keeps (see the bus package's
+// read-burst rule).
 func (m *Mem) ReadArray(vptr, n uint32) ([]uint32, bus.ErrCode) {
 	resp := m.p.transact(bus.Request{Op: bus.OpReadBurst, SM: m.sm, VPtr: vptr, Dim: n})
 	return resp.Burst, resp.Err

@@ -281,28 +281,49 @@ func (f *fabric) checkOrigin(src pendSrc) error {
 	return nil
 }
 
+// pendingFrom returns the number of pending entries whose request came
+// from src.
+func (f *fabric) pendingFrom(src pendSrc) int {
+	n := 0
+	for _, pend := range f.pend {
+		for _, s := range pend {
+			if s == src {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // checkInFlight reports an error unless a request moving on ch toward
-// slave sm is one its master waits on, and that slave's port has the
-// credit the grant reserved for it.
+// slave sm is one its master waits on and no pending entry also came
+// from, and that slave's port has the credit the grant reserved for it.
 func (f *fabric) checkInFlight(ch *channel, sm int) error {
 	switch {
 	case ch.state != chReqXfer:
 		return nil
 	case sm >= 0 && sm < len(f.slaves) && !f.slaves[sm].CanAccept():
 		return fmt.Errorf("%s: request in flight to slave %d, whose port is full", f.name, sm)
+	case f.pendingFrom(ch.from) != 0:
+		return fmt.Errorf("%s: request in flight from master %d under tag %d, which is also pending", f.name, ch.from.master, ch.from.tag)
 	}
 	return f.checkOrigin(ch.from)
 }
 
 // checkPend reports an error unless every pending entry passes
-// checkOrigin and each slave's pending table holds exactly the
-// transactions outstanding on its port: a completion with no entry
-// would have no origin to route back to.
+// checkOrigin and came from a request no other entry came from, and
+// each slave's pending table holds exactly the transactions outstanding
+// on its port: a completion with no entry would have no origin to route
+// back to, and the second of two completions routed to one origin would
+// complete a tag its master no longer serves.
 func (f *fabric) checkPend() error {
 	for si, pend := range f.pend {
 		for stag, src := range pend {
 			if err := f.checkOrigin(src); err != nil {
 				return err
+			}
+			if n := f.pendingFrom(src); n != 1 {
+				return fmt.Errorf("%s: %d requests pending from master %d under tag %d", f.name, n, src.master, src.tag)
 			}
 			if !f.slaves[si].Holds(stag) {
 				return fmt.Errorf("%s: slave %d tag %d pending, which its port does not hold", f.name, si, stag)
@@ -381,11 +402,18 @@ func (x *Crossbar) WalkState(c *snapshot.Codec) error {
 // checkInFlight).
 func (b *Bus) Check() error { return cmp.Or(b.checkPend(), b.checkInFlight(&b.ch, b.ch.req.SM)) }
 
-// Check is the crossbar's Bus.Check, over every lane.
+// Check is the crossbar's Bus.Check, over every lane, and also rejects
+// two lanes moving requests from one master transaction.
 func (x *Crossbar) Check() error {
 	err := x.checkPend()
 	for si := range x.lanes {
-		err = cmp.Or(err, x.checkInFlight(&x.lanes[si].rq, si))
+		rq := &x.lanes[si].rq
+		err = cmp.Or(err, x.checkInFlight(rq, si))
+		for _, other := range x.lanes[si+1:] {
+			if rq.state == chReqXfer && other.rq.state == chReqXfer && other.rq.from == rq.from {
+				err = cmp.Or(err, fmt.Errorf("%s: requests from master %d under tag %d in flight on two lanes", x.name, rq.from.master, rq.from.tag))
+			}
+		}
 	}
 	return err
 }

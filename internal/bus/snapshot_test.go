@@ -130,7 +130,17 @@ func originCases(ch func(fabricRig) *channel) []craftCase {
 			}
 		}, "which its port does not hold"},
 		{"pending entry lost", func(r fabricRig) { clear(r.f.pend[0]) }, "0 requests pending at slave 0, whose port holds 1"},
+		{"pending twice from one request", func(r fabricRig) {
+			for _, src := range r.f.pend[0] {
+				r.f.pend[1][Tag(1)] = src
+			}
+		}, "2 requests pending from master 0 under tag 1"},
 		{"in flight from master 9", func(r fabricRig) { ch(r).from.master = 9 }, "master 9 of 2"},
+		{"in flight from a pending request", func(r fabricRig) {
+			for _, src := range r.f.pend[0] {
+				ch(r).from = src
+			}
+		}, "which is also pending"},
 		{"in flight under a stray tag", func(r fabricRig) { ch(r).from.tag = 99 }, "has not handed out"},
 		{"in flight to a full port", func(r fabricRig) {
 			// Master 1's request takes slave 0's last credit behind the
@@ -181,6 +191,9 @@ func TestCrossbarSnapshotRejectsImpossibleState(t *testing.T) {
 		craftCase{"request channel moving a response", func(r fabricRig) { lane(r).rq.state = chRespXfer }, "not one of this channel's states"},
 		craftCase{"response channel moving a request", func(r fabricRig) { lane(r).rs.state = chReqXfer }, "not one of this channel's states"},
 		craftCase{"response channel state 3", func(r fabricRig) { lane(r).rs.state = 3 }, "not one of this channel's states"},
+		craftCase{"one request in flight on two lanes", func(r fabricRig) {
+			r.inter.(*Crossbar).lanes[1].rq = lane(r).rq
+		}, "in flight on two lanes"},
 	))
 }
 

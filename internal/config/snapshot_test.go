@@ -331,6 +331,7 @@ var seedOutcomes = map[string]string{
 	"static_stray_tag":                "serving tag 999, which port s0 has not handed out",
 	"xbar_completion_without_origin":  "xbar: slave 0 tag 72057594037927942 pending, which its port does not hold",
 	"xbar_pend_master_9":              "xbar: request from master 9 of 1",
+	"xbar_inflight_also_pending":      "xbar: request in flight from master 0 under tag 10, which is also pending",
 }
 
 // TestSnapshotSeedOutcomes replays every committed FuzzSnapshotRead

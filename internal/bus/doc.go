@@ -39,11 +39,12 @@
 // belongs to the master throughout: nothing else keeps it, and the
 // master must not reuse it until it has taken the completion. A master
 // that keeps the burst it gets back passes no buffer and receives a new
-// slice, as before. A buffer of length 0 travels, and snapshots, exactly
-// like no buffer, so passing one changes no simulated behaviour. The
-// caches' MSHRs refill through their own line buffers this way; write
-// bursts need no rule, since every slave copies their payload before it
-// completes them.
+// slice. A buffer of length 0 travels, and snapshots, exactly like no
+// buffer, so passing one changes no simulated behaviour. The caches'
+// MSHRs refill through their own line buffers this way. A write burst's
+// payload likewise stays the master's: every slave copies it while
+// serving, before it completes the request, so the master may reuse it
+// once it has taken the completion, as the caches' writebacks do.
 //
 // Timing discipline is unchanged from the paper: requests issued in
 // cycle c are visible to the slave side from c+1, completions published

@@ -155,13 +155,12 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 	return c.Err()
 }
 
-// walkUndelivered walks an out-of-order port's drained and undelivered
-// completions, ring slots [delivered, drained), count first and oldest
-// first: the layout of the queue they were once copied into. An
-// in-order port has none there (its own wait in reorder). The count
-// must be the one the counters give, or loading would write ring slots
-// that hold live completions; counters out of order are Check's to
-// reject.
+// walkUndelivered walks the section's out-of-order queue: count first,
+// then an out-of-order port's drained and undelivered completions, ring
+// slots [delivered, drained), oldest first. An in-order port's queue is
+// empty (its undelivered completions wait in reorder). The count must
+// be the one the counters give, or loading would write ring slots that
+// hold live completions; counters out of order are Check's to reject.
 func (p *Port) walkUndelivered(c *snapshot.Codec) {
 	var want uint64
 	if p.ooo && p.drained > p.delivered {

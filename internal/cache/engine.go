@@ -203,11 +203,14 @@ func newEngine(k *sim.Kernel, name string, sets, ways int, lineBytes uint32, cha
 	for _, ch := range chans {
 		depth = max(depth, ch.up.Depth())
 	}
+	words := int(lineBytes / 4)
 	pool := make([]mshr, nmshr)
 	free := make([]*mshr, nmshr)
+	waiters := make([]waiter, nmshr*depth)
+	lines := make([]uint32, nmshr*words)
 	for i := range pool {
-		pool[i].waiters = make([]waiter, 0, depth)
-		pool[i].line = make([]uint32, lineBytes/4)
+		pool[i].waiters = waiters[i*depth : i*depth : (i+1)*depth]
+		pool[i].line = lines[i*words : (i+1)*words : (i+1)*words]
 		free[i] = &pool[i]
 	}
 	return engine{tagArray: newTagArray(sets, ways, lineBytes), name: name, k: k,

@@ -3,6 +3,7 @@ package bus
 import (
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"testing"
 
@@ -442,6 +443,98 @@ func TestOutOfOrderDelivery(t *testing.T) {
 			if p.Outstanding() != issued-delivered {
 				t.Fatalf("%s: %d outstanding, want %d", what, p.Outstanding(), issued-delivered)
 			}
+			if has := p.HasCompletion(); has != (m.visible > 0) {
+				t.Fatalf("%s: HasCompletion = %v with %d visible", what, has, m.visible)
+			}
+		}
+	}
+}
+
+// inOrderModel is the delivery contract of an in-order port: a
+// completion published before the last kernel step is visible, and the
+// visible completion of the oldest undelivered tag is the one
+// deliverable.
+type inOrderModel struct {
+	published map[Tag]Response // completed this cycle
+	visible   map[Tag]Response
+	delivered Tag
+}
+
+// head returns the completion the model says is deliverable.
+func (m *inOrderModel) head() (Completion, bool) {
+	resp, ok := m.visible[m.delivered+1]
+	return Completion{Tag: m.delivered + 1, Resp: resp}, ok
+}
+
+// TestInOrderDelivery drives in-order ports of depth 1–8 through seeded
+// random interleavings of Issue, Pop, Complete (in any order),
+// TakeCompletion and kernel steps, and checks every delivered (tag,
+// response) against a model that releases visible completions in issue
+// order. HasCompletion and PeekCompletion must agree with the model
+// after every operation, which holds the port's poll to its contract
+// whether or not anything was published since the last one.
+func TestInOrderDelivery(t *testing.T) {
+	for seed := uint64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 11))
+		depth := 1 + rng.IntN(8)
+		k := sim.New()
+		p := NewPort(k, "p", PortConfig{Depth: depth})
+		m := inOrderModel{published: map[Tag]Response{}, visible: map[Tag]Response{}}
+		var open []Tag
+		issued := 0
+		for op := 0; op < 2000; op++ {
+			what := fmt.Sprintf("seed %d depth %d op %d", seed, depth, op)
+			switch rng.IntN(5) {
+			case 0:
+				if can := issued-int(m.delivered) < depth; p.CanIssue() != can {
+					t.Fatalf("%s: CanIssue = %v with %d outstanding", what, !can, issued-int(m.delivered))
+				}
+				if p.CanIssue() {
+					if tag := p.Issue(Request{Op: OpRead, VPtr: uint32(op)}); tag != Tag(issued+1) {
+						t.Fatalf("%s: issued tag %d, want %d", what, tag, issued+1)
+					}
+					issued++
+				}
+			case 1:
+				if tx, ok := p.Pop(); ok {
+					open = append(open, tx.Tag)
+				}
+			case 2:
+				if len(open) > 0 {
+					i := rng.IntN(len(open))
+					tag := open[i]
+					open = append(open[:i], open[i+1:]...)
+					r := Response{Data: rng.Uint32()}
+					p.Complete(tag, r)
+					m.published[tag] = r
+				}
+			case 3:
+				want, wantOK := m.head()
+				c, ok := p.TakeCompletion()
+				if ok != wantOK || ok && (c.Tag != want.Tag || c.Resp.Data != want.Resp.Data) {
+					t.Fatalf("%s: delivered %+v/%v, want %+v/%v", what, c, ok, want, wantOK)
+				}
+				if ok {
+					delete(m.visible, c.Tag)
+					m.delivered++
+				}
+			case 4:
+				if err := k.Step(); err != nil {
+					t.Fatal(err)
+				}
+				maps.Copy(m.visible, m.published)
+				clear(m.published)
+			}
+			want, wantOK := m.head()
+			if has := p.HasCompletion(); has != wantOK {
+				t.Fatalf("%s: HasCompletion = %v, model says %v", what, has, wantOK)
+			}
+			if c, ok := p.PeekCompletion(); ok != wantOK || ok && (c.Tag != want.Tag || c.Resp.Data != want.Resp.Data) {
+				t.Fatalf("%s: PeekCompletion = %+v/%v, want %+v/%v", what, c, ok, want, wantOK)
+			}
+			if p.Outstanding() != issued-int(m.delivered) {
+				t.Fatalf("%s: %d outstanding, want %d", what, p.Outstanding(), issued-int(m.delivered))
+			}
 		}
 	}
 }
@@ -514,5 +607,150 @@ func TestPortWalkStatePin(t *testing.T) {
 	}
 	if _, ok := q.TakeCompletion(); ok {
 		t.Fatal("restored port delivered a third completion")
+	}
+}
+
+// step advances k one cycle.
+func step(t *testing.T, k *sim.Kernel) {
+	t.Helper()
+	if err := k.Step(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parkBehindOpen brings a fresh depth-4 in-order port to the state where
+// tags 3 and 4 completed early and wait in reorder while tag 2 is still
+// open; tag 1 was delivered and tag 5, which reuses its slot, is queued.
+// Tag n's response carries data n*0x11.
+func parkBehindOpen(t *testing.T, k *sim.Kernel, p *Port) {
+	t.Helper()
+	for i := range 4 {
+		p.Issue(Request{Op: OpRead, VPtr: uint32(0x10 * (i + 1))})
+	}
+	step(t, k)
+	for range 4 {
+		p.Pop()
+	}
+	for _, tag := range []Tag{4, 1, 3} {
+		p.Complete(tag, Response{Data: uint32(tag) * 0x11})
+	}
+	step(t, k)
+	if c, ok := p.TakeCompletion(); !ok || c.Tag != 1 {
+		t.Fatalf("delivered %+v/%v, want tag 1", c, ok)
+	}
+	if p.HasCompletion() { // drains 3 and 4 into reorder
+		t.Fatal("tag 3 deliverable while tag 2 is open")
+	}
+	p.Issue(Request{Op: OpWrite, VPtr: 0x50, Data: 0x55})
+	step(t, k)
+}
+
+// TestPortWalkStateTablePins pins the section bytes of the two ports
+// whose open and reorder tables hold the shapes that share a slot index
+// modulo the depth, and checks that loading each into a fresh port
+// saves the same bytes and delivers the same completions.
+//
+//   - in-order, depth 4: parkBehindOpen's tags 3 and 4 waiting in
+//     reorder behind open tag 2.
+//   - out-of-order, depth 4: the live set {1, 5, 6, 7} is open, so tags
+//     1 and 5 both belong in slot 1.
+func TestPortWalkStateTablePins(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ooo  bool
+		// drive brings a fresh port to the pinned state.
+		drive func(t *testing.T, k *sim.Kernel, p *Port)
+		// finish completes what the pinned state leaves in service.
+		finish []Tag
+		// deliveries are the tags the restored port then delivers.
+		deliveries []Tag
+		pin        string
+	}{
+		{
+			name:       "in-order reorder {3 4} open {2}",
+			drive:      parkBehindOpen,
+			finish:     []Tag{2},
+			deliveries: []Tag{2, 3, 4},
+			pin:        "4d50534e415000010200000004000000706f7274b000000001000000700400000000000000000500000000000000040000000000000003000000000000000300000000000000010000000000000005000000000000000300000000000000050000000000000001000000000000000050000000550000000000000000000000000000000000000000000001000000020000000000000002000000030000000000000000330000000000000000000000040000000000000000440000000000000000000000000000009e9572f8",
+		},
+		{
+			name: "out-of-order open {1 5 6 7}",
+			ooo:  true,
+			drive: func(t *testing.T, k *sim.Kernel, p *Port) {
+				for range 4 {
+					p.Issue(Request{Op: OpRead})
+				}
+				step(t, k)
+				for range 4 {
+					p.Pop()
+				}
+				for _, tag := range []Tag{2, 3, 4} {
+					p.Complete(tag, Response{Data: uint32(tag) * 0x11})
+				}
+				step(t, k)
+				for range 3 {
+					p.TakeCompletion()
+				}
+				for i := range 3 {
+					p.Issue(Request{Op: OpRead, VPtr: uint32(0x50 + 0x10*i)})
+				}
+				step(t, k)
+				for range 3 {
+					p.Pop()
+				}
+			},
+			finish:     []Tag{6, 1, 7, 5},
+			deliveries: []Tag{6, 1, 7, 5},
+			pin:        "4d50534e415000010200000004000000706f7274720000000100000070040000000000000001070000000000000007000000000000000300000000000000030000000000000003000000000000000700000000000000030000000000000004000000010000000000000005000000000000000600000000000000070000000000000000000000000000006121eb9a",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*sim.Kernel, *Port) {
+				k := sim.New()
+				return k, NewPort(k, "p", PortConfig{Depth: 4, OutOfOrder: tc.ooo})
+			}
+			save := func(p *Port) string {
+				w := snapshot.NewWriter()
+				w.Save("port", p)
+				data, err := w.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return hex.EncodeToString(data)
+			}
+			k, p := build()
+			tc.drive(t, k, p)
+			got := save(p)
+			if got != tc.pin {
+				t.Errorf("section bytes changed:\n got %s\nwant %s", got, tc.pin)
+			}
+			data, _ := hex.DecodeString(got)
+			f, err := snapshot.Read(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, q := build()
+			if err := f.Load("port", q); err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if again := save(q); again != got {
+				t.Errorf("restored port saves different bytes:\n got %s\nwant %s", again, got)
+			}
+			for _, tag := range tc.finish {
+				q.Complete(tag, Response{Data: uint32(tag) * 0x11})
+			}
+			step(t, k)
+			for _, want := range tc.deliveries {
+				if c, ok := q.TakeCompletion(); !ok || c.Tag != want || c.Resp.Data != uint32(want)*0x11 {
+					t.Fatalf("restored port delivered %+v/%v, want tag %d", c, ok, want)
+				}
+			}
+			if c, ok := q.TakeCompletion(); ok {
+				t.Fatalf("restored port delivered %+v beyond the pinned ones", c)
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ type Port struct {
 
 	// Open transactions on the slave side: popped and not yet completed.
 	// Guards Complete against unknown or double-completed tags.
-	open map[Tag]struct{}
+	open tagTable
 
 	// Completion ring: written by the slave side (Complete), read by the
 	// master (TakeCompletion). Capacity depth; occupancy completed-drained.
@@ -96,9 +96,78 @@ type Port struct {
 	// the ring park in reorder until their tag is next. Out-of-order mode:
 	// completions are delivered straight from the ring, in completion
 	// order, so ring slots [delivered, drained) are the drained and
-	// undelivered ones (see peekDeliverable for why they stay intact).
-	reorder   map[Tag]Response
+	// undelivered ones (see peek for why they stay intact).
+	//
+	// reorder has depth slots; a completion parks in slot tag%depth, and
+	// Tag 0 marks a free slot. No two parked tags share a slot: every
+	// parked tag is issued and undelivered, so it lies in the window
+	// (delivered, issued], which the credit check keeps at most depth
+	// wide. early counts the parked completions.
+	reorder   []Completion
+	early     int
 	delivered uint64 // completions handed to the master; frees credits
+}
+
+// tagTable is the set of a port's open tags: depth slots, Tag 0 marking
+// a free one. A tag goes into its home slot tag%depth, or on a
+// collision the next free slot after it, wrapping; lookups scan from the
+// home slot. An in-order port always finds its home slot free, because
+// open tags are undelivered ones and lie in a window of at most depth
+// tags. On an out-of-order port, delivery returns credits out of issue
+// order, so open tags can collide: at depth 4 the live set {1, 5, 6, 7}
+// puts 1 and 5 both home in slot 1. The table never overflows, because
+// open ≤ outstanding ≤ depth.
+type tagTable struct {
+	slots []Tag
+	n     int
+}
+
+// find returns tag's slot, or -1 when tag is not in the table. Removal
+// leaves holes in collision chains, so a miss scans every slot; a miss
+// is a protocol violation or a Check of a corrupt snapshot, never a
+// step of a run.
+func (t *tagTable) find(tag Tag) int {
+	if tag == 0 {
+		return -1
+	}
+	d := uint64(len(t.slots))
+	for i, j := uint64(0), uint64(tag)%d; i < d; i++ {
+		if t.slots[j] == tag {
+			return int(j)
+		}
+		if j++; j == d {
+			j = 0
+		}
+	}
+	return -1
+}
+
+// add puts a nonzero tag that is not in the table into the first free
+// slot from its home slot on. It reports false when the table is full.
+func (t *tagTable) add(tag Tag) bool {
+	d := uint64(len(t.slots))
+	for i, j := uint64(0), uint64(tag)%d; i < d; i++ {
+		if t.slots[j] == 0 {
+			t.slots[j] = tag
+			t.n++
+			return true
+		}
+		if j++; j == d {
+			j = 0
+		}
+	}
+	return false
+}
+
+// remove takes tag out of the table and reports whether it was there.
+func (t *tagTable) remove(tag Tag) bool {
+	i := t.find(tag)
+	if i < 0 {
+		return false
+	}
+	t.slots[i] = 0
+	t.n--
+	return true
 }
 
 // NewPort creates a port registered with kernel k. The zero PortConfig
@@ -115,8 +184,8 @@ func NewPort(k *sim.Kernel, name string, cfg PortConfig) *Port {
 		ackSeq:  sim.NewSignal(k, name+".ackSeq", uint64(0)),
 		reqBuf:  make([]Txn, cfg.Depth),
 		cmplBuf: make([]Completion, cfg.Depth),
-		open:    make(map[Tag]struct{}, cfg.Depth),
-		reorder: make(map[Tag]Response, cfg.Depth),
+		open:    tagTable{slots: make([]Tag, cfg.Depth)},
+		reorder: make([]Completion, cfg.Depth),
 	}
 }
 
@@ -159,6 +228,18 @@ func (p *Port) Issue(r Request) Tag {
 	return tag
 }
 
+// Ready reports whether the master side may have a completion to
+// deliver: some published completion is not yet delivered. It is the
+// one compare every poll of the port makes first. The counters keep
+// delivered ≤ drained ≤ ackSeq (drainVisible moves drained up to the
+// committed ackSeq, delivery moves delivered up to drained, and Check
+// holds a restored port to the same order), so when delivered equals
+// the committed ackSeq there is nothing for drainVisible to move and
+// no drained completion waiting: nothing is deliverable. The converse
+// does not hold — an in-order port may hold completions blocked behind
+// an earlier tag — so a true Ready sends the poll down its slow path.
+func (p *Port) Ready() bool { return p.delivered != p.ackSeq.Get() }
+
 // drainVisible moves committed completion-ring entries into the
 // master-side delivery state: the reorder table in in-order mode; in
 // out-of-order mode they stay in the ring. Idempotent within a cycle.
@@ -168,15 +249,25 @@ func (p *Port) drainVisible() {
 		p.drained = vis
 		return
 	}
+	d := uint64(p.depth)
 	for p.drained < vis {
-		c := p.cmplBuf[int(p.drained%uint64(p.depth))]
+		c := p.cmplBuf[p.drained%d]
 		p.drained++
-		p.reorder[c.Tag] = c.Resp
+		p.reorder[uint64(c.Tag)%d] = c
+		p.early++
 	}
 }
 
-// peekDeliverable returns the completion TakeCompletion would deliver,
-// without consuming it.
+// The polls below are an inlinable Ready guard in front of an
+// out-of-line slow path, so a master polling a port with nothing to
+// deliver pays one compare and no call. The slow paths write the
+// completion through a pointer because a by-value result would push
+// the guards over the inlining budget; CI builds the polling callers
+// with -gcflags=-m and fails if a guard stops inlining into them.
+
+// peek is the slow path of every poll Ready lets through: it reports
+// whether a completion is deliverable and, if c is not nil, copies it
+// to *c without consuming it.
 //
 // In out-of-order mode that is completion number delivered (counting
 // from 0), read from its ring slot delivered%depth while it is drained.
@@ -184,48 +275,76 @@ func (p *Port) drainVisible() {
 // delivered+depth, and publishing it needs issued > delivered+depth,
 // which the credit check in Issue forbids (issued−delivered ≤ depth
 // until this completion is delivered and frees its credit).
-func (p *Port) peekDeliverable() (Completion, bool) {
+//
+//go:noinline
+func (p *Port) peek(c *Completion) bool {
 	p.drainVisible()
+	var next *Completion
 	if p.ooo {
 		if p.delivered == p.drained {
-			return Completion{}, false
+			return false
 		}
-		return p.cmplBuf[int(p.delivered%uint64(p.depth))], true
+		next = &p.cmplBuf[p.delivered%uint64(p.depth)]
+	} else {
+		tag := Tag(p.delivered + 1)
+		if next = &p.reorder[uint64(tag)%uint64(p.depth)]; next.Tag != tag {
+			return false
+		}
 	}
-	next := Tag(p.delivered + 1)
-	resp, ok := p.reorder[next]
-	if !ok {
-		return Completion{}, false
+	if c != nil {
+		*c = *next
 	}
-	return Completion{Tag: next, Resp: resp}, true
+	return true
+}
+
+// take is TakeCompletion's slow path: peek, then consume.
+//
+//go:noinline
+func (p *Port) take(c *Completion) bool {
+	if !p.peek(c) {
+		return false
+	}
+	if !p.ooo {
+		p.reorder[uint64(c.Tag)%uint64(p.depth)] = Completion{}
+		p.early--
+	}
+	p.delivered++
+	return true
+}
+
+// response is Response's slow path.
+//
+//go:noinline
+func (p *Port) response(r *Response) bool {
+	var c Completion
+	ok := p.take(&c)
+	*r = c.Resp
+	return ok
 }
 
 // HasCompletion reports whether TakeCompletion would deliver one. Unlike
 // a raw "anything completed?" probe it respects ordering: in in-order
 // mode a completion blocked behind an earlier outstanding tag is not yet
 // deliverable.
-func (p *Port) HasCompletion() bool {
-	_, ok := p.peekDeliverable()
-	return ok
-}
+func (p *Port) HasCompletion() bool { return p.Ready() && p.peek(nil) }
 
 // PeekCompletion returns the next deliverable completion without
 // consuming it — arbiters inspect response demand this way before
 // committing a response-phase grant.
-func (p *Port) PeekCompletion() (Completion, bool) { return p.peekDeliverable() }
+func (p *Port) PeekCompletion() (c Completion, ok bool) {
+	if p.Ready() {
+		ok = p.peek(&c)
+	}
+	return
+}
 
 // TakeCompletion delivers the next completion exactly once and returns
 // its credit to the pool. ok is false while nothing is deliverable.
-func (p *Port) TakeCompletion() (Completion, bool) {
-	c, ok := p.peekDeliverable()
-	if !ok {
-		return Completion{}, false
+func (p *Port) TakeCompletion() (c Completion, ok bool) {
+	if p.Ready() {
+		ok = p.take(&c)
 	}
-	if !p.ooo {
-		delete(p.reorder, c.Tag)
-	}
-	p.delivered++
-	return c, true
+	return
 }
 
 // Completions iterates over every completion deliverable this cycle, in
@@ -233,12 +352,9 @@ func (p *Port) TakeCompletion() (Completion, bool) {
 // flight drain their port once per cycle with this.
 func (p *Port) Completions() iter.Seq2[Tag, Response] {
 	return func(yield func(Tag, Response) bool) {
-		for {
-			c, ok := p.TakeCompletion()
-			if !ok {
-				return
-			}
-			if !yield(c.Tag, c.Resp) {
+		for p.Ready() {
+			var c Completion
+			if !p.take(&c) || !yield(c.Tag, c.Resp) {
 				return
 			}
 		}
@@ -248,9 +364,11 @@ func (p *Port) Completions() iter.Seq2[Tag, Response] {
 // Response delivers the next completion's response, dropping the tag — a
 // convenience for single-outstanding masters, identical to the
 // historical Link.Response contract at depth 1.
-func (p *Port) Response() (Response, bool) {
-	c, ok := p.TakeCompletion()
-	return c.Resp, ok
+func (p *Port) Response() (r Response, ok bool) {
+	if p.Ready() {
+		ok = p.response(&r)
+	}
+	return
 }
 
 // --- slave side ---
@@ -283,7 +401,7 @@ func (p *Port) Pop() (Txn, bool) {
 	}
 	tx := p.reqBuf[int(p.popped%uint64(p.depth))]
 	p.popped++
-	p.open[tx.Tag] = struct{}{}
+	p.open.add(tx.Tag)
 	return tx, true
 }
 
@@ -294,10 +412,7 @@ func (p *Port) CanAccept() bool { return p.CanIssue() }
 
 // InService reports whether tag was popped and not yet completed, i.e.
 // whether the slave may Complete it.
-func (p *Port) InService(tag Tag) bool {
-	_, ok := p.open[tag]
-	return ok
-}
+func (p *Port) InService(tag Tag) bool { return p.open.find(tag) >= 0 }
 
 // Complete publishes the completion of a popped transaction. Completions
 // may be published in any order relative to Pop; the master-side
@@ -305,10 +420,9 @@ func (p *Port) InService(tag Tag) bool {
 // observe the completion from the next cycle onward. Completing a tag
 // that was never popped, or twice, panics.
 func (p *Port) Complete(tag Tag, resp Response) {
-	if _, ok := p.open[tag]; !ok {
+	if !p.open.remove(tag) {
 		panic(fmt.Sprintf("bus: Complete of unknown tag %d on port %s", tag, p.name))
 	}
-	delete(p.open, tag)
 	p.cmplBuf[int(p.completed%uint64(p.depth))] = Completion{Tag: tag, Resp: resp}
 	p.completed++
 	p.ackSeq.Set(p.completed)

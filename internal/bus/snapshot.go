@@ -3,6 +3,7 @@ package bus
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/snapshot"
 )
@@ -142,17 +143,110 @@ func (p *Port) WalkState(c *snapshot.Codec) error {
 	for i := p.drained; i < p.completed && c.Err() == nil; i++ {
 		p.cmplBuf[i%uint64(p.depth)].walk(c)
 	}
-	snapshot.Map(c, &p.open, func(Tag, struct{}) struct{} { return struct{}{} })
-	snapshot.Map(c, &p.reorder, func(_ Tag, r Response) Response {
-		r.Walk(c)
-		return r
-	})
+	p.walkOpen(c)
+	p.walkReorder(c)
 	p.walkUndelivered(c)
 	if c.Loading() && c.Err() == nil {
 		p.reqSeq.Restore(reqSeq)
 		p.ackSeq.Restore(ackSeq)
 	}
 	return c.Err()
+}
+
+// walkOpen walks the open table as snapshot.Map walks a set: the count,
+// then the tags in ascending order. A loaded list must fit the table
+// and name distinct nonzero tags: a zero tag would read as a free slot
+// and a duplicate would take a second one.
+func (p *Port) walkOpen(c *snapshot.Codec) {
+	n := uint32(p.open.n)
+	c.U32(&n)
+	if !c.Loading() {
+		tags := make([]Tag, 0, n)
+		for _, tag := range p.open.slots {
+			if tag != 0 {
+				tags = append(tags, tag)
+			}
+		}
+		slices.Sort(tags)
+		for i := range tags {
+			snapshot.Word(c, &tags[i])
+		}
+		return
+	}
+	clear(p.open.slots)
+	p.open.n = 0
+	if uint64(n) > uint64(p.depth) {
+		c.Fail(fmt.Errorf("port %s: %d open transactions, depth %d", p.name, n, p.depth))
+		return
+	}
+	for range n {
+		var tag Tag
+		snapshot.Word(c, &tag)
+		switch {
+		case c.Err() != nil:
+			return
+		case tag == 0:
+			c.Fail(fmt.Errorf("port %s: open tag 0", p.name))
+			return
+		case p.open.find(tag) >= 0:
+			c.Fail(fmt.Errorf("port %s: open tag %d listed twice", p.name, tag))
+			return
+		}
+		p.open.add(tag)
+	}
+}
+
+// walkReorder walks the reorder table as snapshot.Map walks a map: the
+// count, then (tag, response) pairs in ascending tag order. A loaded
+// list must fit the table and name distinct tags in the window
+// (delivered, issued], where each has a slot of its own; any other tag
+// would overwrite a parked completion or be mistaken for a free slot.
+func (p *Port) walkReorder(c *snapshot.Codec) {
+	d := uint64(p.depth)
+	n := uint32(p.early)
+	c.U32(&n)
+	if !c.Loading() {
+		tags := make([]Tag, 0, n)
+		for _, e := range p.reorder {
+			if e.Tag != 0 {
+				tags = append(tags, e.Tag)
+			}
+		}
+		slices.Sort(tags)
+		for _, tag := range tags {
+			p.reorder[uint64(tag)%d].walk(c)
+		}
+		return
+	}
+	clear(p.reorder)
+	p.early = 0
+	if uint64(n) > d {
+		c.Fail(fmt.Errorf("port %s: %d reordered completions, depth %d", p.name, n, p.depth))
+		return
+	}
+	for range n {
+		var e Completion
+		e.walk(c)
+		slot := &p.reorder[uint64(e.Tag)%d]
+		switch {
+		case c.Err() != nil:
+			return
+		case e.Tag == 0:
+			c.Fail(fmt.Errorf("port %s: reordered completion under tag 0", p.name))
+			return
+		case slot.Tag == e.Tag:
+			c.Fail(fmt.Errorf("port %s: reordered tag %d listed twice", p.name, e.Tag))
+			return
+		case uint64(e.Tag) <= p.delivered || uint64(e.Tag) > p.issued:
+			c.Fail(fmt.Errorf("port %s: reordered tag %d outside the undelivered tags (%d, %d]", p.name, e.Tag, p.delivered, p.issued))
+			return
+		case slot.Tag != 0:
+			c.Fail(fmt.Errorf("port %s: reordered tags %d and %d share slot %d", p.name, slot.Tag, e.Tag, uint64(e.Tag)%d))
+			return
+		}
+		*slot = e
+		p.early++
+	}
 }
 
 // walkUndelivered walks the section's out-of-order queue: count first,
@@ -169,7 +263,7 @@ func (p *Port) walkUndelivered(c *snapshot.Codec) {
 	n := uint32(want)
 	c.U32(&n)
 	if uint64(n) != want {
-		c.Fail(p.countErr(uint64(len(p.reorder)) + uint64(n)))
+		c.Fail(p.countErr(uint64(p.early) + uint64(n)))
 		return
 	}
 	for i := range want {
@@ -184,7 +278,7 @@ func (p *Port) walkUndelivered(c *snapshot.Codec) {
 // completions, undelivered of them, disagree with its counters.
 func (p *Port) countErr(undelivered uint64) error {
 	return fmt.Errorf("port %s: %d open and %d undelivered transactions, counters say %d and %d",
-		p.name, len(p.open), undelivered, p.popped-p.completed, p.drained-p.delivered)
+		p.name, p.open.n, undelivered, p.popped-p.completed, p.drained-p.delivered)
 }
 
 // Check reports whether the port holds a state a run leaves between
@@ -207,11 +301,11 @@ func (p *Port) Check() error {
 	}
 	// An out-of-order port's undelivered completions are ring slots the
 	// counters delimit; only an in-order port tables them.
-	undelivered := uint64(len(p.reorder))
+	undelivered := uint64(p.early)
 	if p.ooo {
 		undelivered += p.drained - p.delivered
 	}
-	if uint64(len(p.open)) != p.popped-p.completed || undelivered != p.drained-p.delivered {
+	if uint64(p.open.n) != p.popped-p.completed || undelivered != p.drained-p.delivered {
 		return p.countErr(undelivered)
 	}
 	return nil
@@ -219,7 +313,7 @@ func (p *Port) Check() error {
 
 // Serving returns the number of requests popped and not yet completed:
 // the transactions the slave side holds in service.
-func (p *Port) Serving() int { return len(p.open) }
+func (p *Port) Serving() int { return p.open.n }
 
 // Holds reports whether tag is one of the port's outstanding
 // transactions, issued and not yet delivered: queued, in service,
@@ -242,9 +336,7 @@ func (p *Port) Holds(tag Tag) bool {
 			return true
 		}
 	}
-	_, open := p.open[tag]
-	_, early := p.reorder[tag]
-	return open || early
+	return tag != 0 && p.reorder[uint64(tag)%uint64(p.depth)].Tag == tag || p.open.find(tag) >= 0
 }
 
 func (s *pendSrc) walk(c *snapshot.Codec) {

@@ -1,6 +1,8 @@
 package bus
 
 import (
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -232,6 +234,15 @@ func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 	dropUndelivered := func(payload []byte) []byte {
 		return append(payload[:len(payload)-4-21:len(payload)-4-21], 0, 0, 0, 0)
 	}
+	// openList rewrites the open table, which ends 4+21 bytes (the
+	// undelivered list) and 4 bytes (the empty reorder list) before the
+	// payload does and holds tag 2, as a list of tags.
+	openList := func(tags ...Tag) func(payload []byte) []byte {
+		return func(payload []byte) []byte {
+			tail := len(payload) - 4 - 21 - 4
+			return slices.Concat(payload[:tail-4-8], tagList(tags), payload[tail:])
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		craft  func(p *Port)
@@ -248,7 +259,10 @@ func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 			p.issued, p.popped = 5, 4
 			p.reqSeq.Restore(5)
 		}, "inconsistent counters", nil},
-		{"open table lost", func(p *Port) { clear(p.open) }, "0 open and 1 undelivered", nil},
+		{"open table lost", func(*Port) {}, "0 open and 1 undelivered", openList()},
+		{"open tag 0", func(*Port) {}, "open tag 0", openList(0)},
+		{"open tag twice", func(*Port) {}, "open tag 2 listed twice", openList(2, 2)},
+		{"more open than depth", func(*Port) {}, "5 open transactions, depth 4", openList(2, 3, 4, 5, 6)},
 		{"undelivered completion lost", func(*Port) {}, "1 open and 0 undelivered", dropUndelivered},
 		{"queued under a stray tag", func(p *Port) { p.reqBuf[2].Tag = 9 }, "request 3 queued under tag 9", nil},
 		{"queued with no such op", func(p *Port) { p.reqBuf[2].Req.Op = Op(NumOps) }, "is not an operation", nil},
@@ -282,6 +296,80 @@ func TestPortSnapshotRejectsInconsistentState(t *testing.T) {
 		}
 		if tc.errStr == "" && err != nil || tc.errStr != "" && (err == nil || !strings.Contains(err.Error(), tc.errStr)) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.errStr)
+		}
+	}
+}
+
+// tagList encodes tags as the port walk writes its open table: a count,
+// then each tag.
+func tagList(tags []Tag) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(tags)))
+	for _, tag := range tags {
+		b = binary.LittleEndian.AppendUint64(b, uint64(tag))
+	}
+	return b
+}
+
+// TestPortSnapshotRejectsBadReorder loads parkBehindOpen's in-order
+// port (tags 3 and 4 parked in reorder, delivered 1, issued 5) with its
+// reorder list rewritten, and expects the walk to refuse every list
+// whose tags could not each own slot tag%depth: a zero tag reads as a
+// free slot, and a duplicate or a tag outside (delivered, issued] would
+// overwrite a parked completion.
+func TestPortSnapshotRejectsBadReorder(t *testing.T) {
+	k := sim.New()
+	p := NewPort(k, "p", PortConfig{Depth: 4})
+	parkBehindOpen(t, k, p)
+	w := snapshot.NewWriter()
+	w.Save("port", p)
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file is the 12-byte header, the 4-byte name length, "port",
+	// the payload length, the payload and its CRC. The payload ends in
+	// the reorder list (a count and two 21-byte completions) and the
+	// empty undelivered list.
+	payload := data[12+4+4+4 : len(data)-4]
+	tail := len(payload) - 4
+	head := payload[:tail-4-2*21]
+	for _, tc := range []struct {
+		name string
+		tags []Tag
+		err  string
+	}{
+		{"as run", []Tag{3, 4}, ""},
+		{"tag 0", []Tag{0, 4}, "reordered completion under tag 0"},
+		{"tag twice", []Tag{3, 3}, "reordered tag 3 listed twice"},
+		{"more than depth", []Tag{2, 3, 4, 5, 6}, "5 reordered completions, depth 4"},
+		{"delivered tag", []Tag{1, 3}, "reordered tag 1 outside the undelivered tags (1, 5]"},
+		{"unissued tag", []Tag{3, 6}, "reordered tag 6 outside the undelivered tags (1, 5]"},
+	} {
+		list := binary.LittleEndian.AppendUint32(nil, uint32(len(tc.tags)))
+		for _, tag := range tc.tags {
+			list = binary.LittleEndian.AppendUint64(list, uint64(tag))
+			list = append(list, 0)                                          // Err
+			list = binary.LittleEndian.AppendUint32(list, uint32(tag)*0x11) // Data
+			list = binary.LittleEndian.AppendUint32(list, 0)                // VPtr
+			list = binary.LittleEndian.AppendUint32(list, 0)                // Burst
+		}
+		w := snapshot.NewWriter()
+		w.Add("port", slices.Concat(head, list, payload[tail:]))
+		data, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := snapshot.Read(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := NewPort(sim.New(), "p", PortConfig{Depth: 4})
+		err = f.Load("port", q)
+		if err == nil {
+			err = q.Check()
+		}
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.err)
 		}
 	}
 }

@@ -33,13 +33,19 @@ type tagArray struct {
 	lineBytes uint32
 }
 
+// newTagArray carves the sets from one slice of lines and the lines'
+// data from one slab, so an array is three allocations whatever its
+// geometry.
 func newTagArray(sets, ways int, lineBytes uint32) tagArray {
 	t := tagArray{sets: make([][]line, sets), lineBytes: lineBytes}
+	lines := make([]line, sets*ways)
+	slab := make([]byte, len(lines)*int(lineBytes))
+	for i := range lines {
+		lo, hi := i*int(lineBytes), (i+1)*int(lineBytes)
+		lines[i].data = slab[lo:hi:hi]
+	}
 	for i := range t.sets {
-		t.sets[i] = make([]line, ways)
-		for w := range t.sets[i] {
-			t.sets[i][w].data = make([]byte, lineBytes)
-		}
+		t.sets[i] = lines[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return t
 }

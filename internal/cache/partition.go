@@ -76,12 +76,12 @@ func equalSplit(masters, ways int) []uint64 {
 }
 
 // contiguousMasks converts a per-master way allocation (summing to the
-// way count) into contiguous masks in master order.
-func contiguousMasks(alloc []int) []uint64 {
-	masks := make([]uint64, len(alloc))
+// way count) into contiguous masks in master order, appended to dst[:0].
+func contiguousMasks(dst []uint64, alloc []int) []uint64 {
+	masks := dst[:0]
 	lo := 0
-	for i, n := range alloc {
-		masks[i] = ((uint64(1) << uint(n)) - 1) << uint(lo)
+	for _, n := range alloc {
+		masks = append(masks, ((uint64(1)<<uint(n))-1)<<uint(lo))
 		lo += n
 	}
 	return masks
@@ -174,15 +174,14 @@ func (u *umon) age() {
 // non-convex curves (a working set that only pays off at 3 ways shows
 // zero gain for the 2nd way alone). Ties go to the lowest master index
 // and the smallest k, so the decision is deterministic. hits[i][p] is
-// master i's utility curve: shadow hits at LRU stack depth p.
-func ucpAllocate(hits [][]uint64, ways int) []int {
-	n := len(hits)
-	alloc := make([]int, n)
-	assigned := 0
-	for i := range alloc {
-		alloc[i] = 1
-		assigned++
+// master i's utility curve: shadow hits at LRU stack depth p. The
+// allocation is appended to dst[:0].
+func ucpAllocate(dst []int, hits [][]uint64, ways int) []int {
+	alloc := dst[:0]
+	for range hits {
+		alloc = append(alloc, 1)
 	}
+	assigned := len(alloc)
 	for assigned < ways {
 		best, bestK := 0, 1
 		var bestSum uint64
@@ -224,6 +223,11 @@ type partitioner struct {
 	period  uint64 // UCP: demand accesses between repartitions
 	count   uint64 // demand accesses since the last repartition
 
+	// UCP: each UMON's utility curve and the allocation repartition
+	// computes from them, kept so a repartition allocates nothing.
+	hits  [][]uint64
+	alloc []int
+
 	repartitions uint64
 }
 
@@ -261,9 +265,12 @@ func newPartitioner(kind PartitionKind, masters, sets, ways int, lineBytes uint3
 		p.period = period
 		p.masks = equalSplit(masters, ways)
 		p.umons = make([]*umon, masters)
+		p.hits = make([][]uint64, masters)
 		for i := range p.umons {
 			p.umons[i] = newUMON(sets, ways, lineBytes)
+			p.hits[i] = p.umons[i].hits
 		}
+		p.alloc = make([]int, 0, masters)
 		return p, nil
 	default:
 		return nil, fmt.Errorf("cache: unknown partition kind %d", kind)
@@ -295,12 +302,8 @@ func (p *partitioner) observe(master, sm int, base uint32) {
 // repartition recomputes the masks from the UMON utility curves and
 // ages the counters.
 func (p *partitioner) repartition() {
-	hits := make([][]uint64, p.masters)
-	for i, u := range p.umons {
-		hits[i] = u.hits
-	}
-	alloc := ucpAllocate(hits, p.ways)
-	p.masks = contiguousMasks(alloc)
+	p.alloc = ucpAllocate(p.alloc, p.hits, p.ways)
+	p.masks = contiguousMasks(p.masks, p.alloc)
 	for _, u := range p.umons {
 		u.age()
 	}

@@ -86,7 +86,7 @@ func TestUCPAllocate(t *testing.T) {
 		{0, 0, 0, 0},
 		{100, 80, 60, 0},
 	}
-	alloc := ucpAllocate(hits, 4)
+	alloc := ucpAllocate(nil, hits, 4)
 	if alloc[0] != 1 || alloc[1] != 3 {
 		t.Errorf("alloc = %v, want [1 3]", alloc)
 	}
@@ -96,13 +96,13 @@ func TestUCPAllocate(t *testing.T) {
 		{10, 10, 0, 0},
 		{10, 10, 0, 0},
 	}
-	alloc = ucpAllocate(even, 4)
+	alloc = ucpAllocate(nil, even, 4)
 	if alloc[0] != 2 || alloc[1] != 2 {
 		t.Errorf("alloc = %v, want [2 2]", alloc)
 	}
 	// A master never exceeds the way count even when its curve dominates.
 	solo := [][]uint64{{5, 5}, {1, 1}}
-	alloc = ucpAllocate(solo, 2)
+	alloc = ucpAllocate(nil, solo, 2)
 	if alloc[0] != 1 || alloc[1] != 1 {
 		t.Errorf("alloc = %v, want [1 1] (minimum one way each)", alloc)
 	}
@@ -113,7 +113,7 @@ func TestUCPAllocate(t *testing.T) {
 		{0, 0, 0, 0},
 		{0, 0, 50, 0},
 	}
-	alloc = ucpAllocate(cliff, 4)
+	alloc = ucpAllocate(nil, cliff, 4)
 	if alloc[0] != 1 || alloc[1] != 3 {
 		t.Errorf("alloc = %v, want [1 3] (lookahead through the cliff)", alloc)
 	}

@@ -15,9 +15,7 @@ import (
 // to allocate nothing on the transaction path: every miss, writeback,
 // refill burst and out-of-order completion on the L1 → interconnect →
 // L2 → DRAM path reuses storage the modules built or grew while warming
-// up. The one allocation left is off that path and pinned exactly: a
-// UCP repartition builds its hit table, allocation and masks anew (3
-// objects), and the l2 window holds two of them.
+// up, and so does every UCP repartition (the l2 window holds two).
 //
 //   - l2: two native PEs, one streaming fresh lines and one
 //     read-modify-writing a few reused ones, behind MESI L1s, an
@@ -32,7 +30,6 @@ func TestTransactionPathDoesNotAllocate(t *testing.T) {
 		cfg    SystemConfig
 		attach func(t *testing.T, sys *System)
 		done   func(sys *System) bool
-		allocs float64
 	}{
 		{"l2", SystemConfig{Masters: 2, Memories: 1, MemKind: MemDRAM, Workers: 1,
 			MemBytes: 8192, Cache: true, Coherent: true, CacheSets: 2, CacheWays: 1,
@@ -45,7 +42,7 @@ func TestTransactionPathDoesNotAllocate(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			(*System).ProcsDone, 6},
+			(*System).ProcsDone},
 		{"coherent-l1", SystemConfig{Masters: 4, Memories: 1, MemKind: MemStatic, Workers: 1,
 			MemBytes: 16 * 128, Cache: true, Coherent: true},
 			func(t *testing.T, sys *System) {
@@ -63,7 +60,7 @@ func TestTransactionPathDoesNotAllocate(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			(*System).CPUsHalted, 0},
+			(*System).CPUsHalted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, err := Build(tc.cfg)
@@ -84,8 +81,8 @@ func TestTransactionPathDoesNotAllocate(t *testing.T) {
 			if tc.done(sys) {
 				t.Fatal("the workload finished inside the window")
 			}
-			if n != tc.allocs {
-				t.Errorf("%d cycles allocated %.0f times, want %.0f", window, n, tc.allocs)
+			if n != 0 {
+				t.Errorf("%d cycles allocated %.0f times, want 0", window, n)
 			}
 		})
 	}

@@ -28,7 +28,22 @@
 // Delivery order is selectable per port: in-order (default) buffers
 // early completions and releases them in issue order, so masters that
 // ignore tags keep the classic FIFO contract; out-of-order delivers in
-// completion order for masters that track tags themselves.
+// completion order for masters that track tags themselves. An in-order
+// port parks early completions in a table of Depth slots, completion
+// of tag t in slot t mod Depth: undelivered tags lie in a window of at
+// most Depth consecutive issue numbers, so no two share a slot. The
+// slave side tracks its open tags in a table of Depth slots too, so
+// neither side hashes.
+//
+// Masters poll their ports every cycle they run, and most polls find
+// nothing. Such a poll costs one compare: Port.Ready tests whether the
+// count of delivered completions differs from the committed count of
+// published ones, and every poll (HasCompletion, PeekCompletion,
+// TakeCompletion, Response, Completions) tests it first, inlined into
+// the caller, before calling its out-of-line slow path. The test is
+// exact when it fails: delivered never passes the completions drained
+// from the ring, nor those the ring's committed count covers, so equal
+// counts leave nothing to drain and nothing drained to deliver.
 //
 // # Read-burst buffers
 //

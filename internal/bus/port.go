@@ -123,9 +123,8 @@ type tagTable struct {
 }
 
 // find returns tag's slot, or -1 when tag is not in the table. Removal
-// leaves holes in collision chains, so a miss scans every slot; a miss
-// is a protocol violation or a Check of a corrupt snapshot, never a
-// step of a run.
+// leaves holes in collision chains, so a miss scans every slot; only a
+// protocol violation or a Check looks up a tag that is not there.
 func (t *tagTable) find(tag Tag) int {
 	if tag == 0 {
 		return -1
@@ -143,20 +142,20 @@ func (t *tagTable) find(tag Tag) int {
 }
 
 // add puts a nonzero tag that is not in the table into the first free
-// slot from its home slot on. It reports false when the table is full.
-func (t *tagTable) add(tag Tag) bool {
+// slot from its home slot on.
+func (t *tagTable) add(tag Tag) {
 	d := uint64(len(t.slots))
 	for i, j := uint64(0), uint64(tag)%d; i < d; i++ {
 		if t.slots[j] == 0 {
 			t.slots[j] = tag
 			t.n++
-			return true
+			return
 		}
 		if j++; j == d {
 			j = 0
 		}
 	}
-	return false
+	panic(fmt.Sprintf("bus: open tag %d finds its table of %d full", tag, d))
 }
 
 // remove takes tag out of the table and reports whether it was there.

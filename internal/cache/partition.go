@@ -215,13 +215,12 @@ func ucpAllocate(dst []int, hits [][]uint64, ways int) []int {
 // cycles, so every kernel scheduling mode repartitions at the same
 // points and stays bit-identical.
 type partitioner struct {
-	kind    PartitionKind
-	masters int
-	ways    int
-	masks   []uint64
-	umons   []*umon
-	period  uint64 // UCP: demand accesses between repartitions
-	count   uint64 // demand accesses since the last repartition
+	kind   PartitionKind
+	ways   int
+	masks  []uint64
+	umons  []*umon
+	period uint64 // UCP: demand accesses between repartitions
+	count  uint64 // demand accesses since the last repartition
 
 	// UCP: each UMON's utility curve and the allocation repartition
 	// computes from them, kept so a repartition allocates nothing.
@@ -235,7 +234,7 @@ type partitioner struct {
 // default equal split when non-nil (one mask per master, each non-zero
 // and within the way count).
 func newPartitioner(kind PartitionKind, masters, sets, ways int, lineBytes uint32, swpMasks []uint64, period uint64) (*partitioner, error) {
-	p := &partitioner{kind: kind, masters: masters, ways: ways}
+	p := &partitioner{kind: kind, ways: ways}
 	switch kind {
 	case PartNone:
 		return p, nil

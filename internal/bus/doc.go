@@ -40,10 +40,11 @@
 // count of delivered completions differs from the committed count of
 // published ones, and every poll (HasCompletion, PeekCompletion,
 // TakeCompletion, Response, Completions) tests it first, inlined into
-// the caller, before calling its out-of-line slow path. The test is
-// exact when it fails: delivered never passes the completions drained
-// from the ring, nor those the ring's committed count covers, so equal
-// counts leave nothing to drain and nothing drained to deliver.
+// the caller, before calling its out-of-line slow path. Equal counts
+// mean nothing is deliverable: the delivered count never passes the
+// drained count, and the drained count never passes the committed
+// one, so nothing is left to drain and nothing drained waits for
+// delivery.
 //
 // # Read-burst buffers
 //

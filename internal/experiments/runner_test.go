@@ -62,14 +62,17 @@ func TestLegSpecKeySemantics(t *testing.T) {
 // marshalled form of a fully
 // populated spec, and — for the specs this package's tests, the service
 // tests and CI's sweep.json use — the result-store key (cold and warm),
-// the warm-boot class key and the config hashes under them. A moved
-// value here means stored results and snapshots silently stop matching.
+// the warm-boot class key and the config hashes under them. The full,
+// runner-workers and server-b rows carry no worker count; they were
+// recorded that way at the commit before the parallel tick engine was
+// deleted. A moved value here means stored results and snapshots
+// silently stop matching.
 func TestLegSpecWireFormat(t *testing.T) {
 	full := LegSpec{Name: "full", Workload: "sweep", ISSes: 3, Memories: 2, Frames: 5, Seed: 7,
-		Lockstep: true, Workers: 2, Alloc: alloc.Buddy, Depth: 4, Split: true, OOO: true, Crossbar: true,
+		Lockstep: true, Alloc: alloc.Buddy, Depth: 4, Split: true, OOO: true, Crossbar: true,
 		Cache: true, L2: true, Partition: cache.PartUCP, Dram: true, ClosePage: true,
 		CacheSets: 8, CacheWays: 2, L2Sets: 4, L2Ways: 4, UCPPeriod: 128, VCD: true}
-	const golden = `{"name":"full","workload":"sweep","isses":3,"memories":2,"frames":5,"seed":7,"lockstep":true,"workers":2,"alloc":"buddy","depth":4,"split":true,"ooo":true,"crossbar":true,"cache":true,"l2":true,"partition":"ucp","dram":true,"close_page":true,"cache_sets":8,"cache_ways":2,"l2_sets":4,"l2_ways":4,"ucp_period":128,"vcd":true}`
+	const golden = `{"name":"full","workload":"sweep","isses":3,"memories":2,"frames":5,"seed":7,"lockstep":true,"alloc":"buddy","depth":4,"split":true,"ooo":true,"crossbar":true,"cache":true,"l2":true,"partition":"ucp","dram":true,"close_page":true,"cache_sets":8,"cache_ways":2,"l2_sets":4,"l2_ways":4,"ucp_period":128,"vcd":true}`
 	j, err := json.Marshal(full)
 	if err != nil || string(j) != golden {
 		t.Errorf("marshal = %s, %v\nwant      %s", j, err, golden)
@@ -84,17 +87,17 @@ func TestLegSpecWireFormat(t *testing.T) {
 		leg                                   LegSpec
 		key, warmKey, stateKey, hash, stateHa string
 	}{
-		{"full", full, "73a336913ee9efd31c0be1118306000e", "413da3ff6290451b98c59f01ddf6776e", "f1d4acd17fb7cef3d7e816866bbbbc67", "0b3fac63124f70b52ff4afec07aae4ac", "2c2d8a4c21e97a4e21da79e5e66a534a"},
+		{"full", full, "5b4a6c781cbfa71d06306bce2bff62a3", "1f144209257281b244bcf2ae6da12b49", "f1d4acd17fb7cef3d7e816866bbbbc67", "7480086eff57dca641803f1233475810", "2c2d8a4c21e97a4e21da79e5e66a534a"},
 		{"zero", LegSpec{}, "ab05f559362c21b8dd3ed8d2b886b2e3", "93c34147c81ceef3a0d123d55569e0fd", "6cbb323981ab36d047f634459fdce2ea", "0197e5715371a1da4d40fd25dcf79e52", "0197e5715371a1da4d40fd25dcf79e52"},
 		{"runner-base", LegSpec{Name: "a", Workload: "gsm", ISSes: 2, Frames: 2}, "b511f0a35a2d4385fecefa28e7dd7350", "163145eed5a1ceca8326a0155940ca07", "9e579bd2be6ba41238b070793b9de180", "3c914e91290d66c1b26a6a2b7280077e", "3c914e91290d66c1b26a6a2b7280077e"},
-		{"runner-workers", LegSpec{Name: "a", Workload: "gsm", ISSes: 2, Frames: 2, Workers: 4}, "74f8b579dbb2ed55f481c5eeaa68c74a", "6d85d682bb55c072a24dfd0fb6738836", "9e579bd2be6ba41238b070793b9de180", "f3c5be152f59302ae17caf7969c4c77a", "3c914e91290d66c1b26a6a2b7280077e"},
+		{"runner-workers", LegSpec{Name: "a", Workload: "gsm", ISSes: 2, Frames: 2, Lockstep: true}, "a6b73a683971ae99e4c9d11e2c33a1d4", "6b6f05e91eb11c834b87f147b6b5672c", "9e579bd2be6ba41238b070793b9de180", "8fecf437ac675de1189ace911b4bf04d", "3c914e91290d66c1b26a6a2b7280077e"},
 		{"runner-lockstep", LegSpec{Name: "a", Workload: "gsm", ISSes: 2, Frames: 2, Lockstep: true}, "a6b73a683971ae99e4c9d11e2c33a1d4", "6b6f05e91eb11c834b87f147b6b5672c", "9e579bd2be6ba41238b070793b9de180", "8fecf437ac675de1189ace911b4bf04d", "3c914e91290d66c1b26a6a2b7280077e"},
 		{"runner-frames", LegSpec{Name: "a", Workload: "gsm", ISSes: 2, Frames: 3}, "f2c13f16c5fa2486b383a1cf3bea9516", "64d6510a2c37191734df9b8fbbc24e6a", "135b3d1267396ba6faa29bb57e16a716", "3c914e91290d66c1b26a6a2b7280077e", "3c914e91290d66c1b26a6a2b7280077e"},
 		{"runner-seed", LegSpec{Name: "a", Workload: "gsm", ISSes: 2, Frames: 2, Seed: 9}, "7349e14af18f022aa008857871c32cb7", "6aabceb61db98502013b29766a954f8d", "298890cf3abb94513b3275c7e2a7e93c", "3c914e91290d66c1b26a6a2b7280077e", "3c914e91290d66c1b26a6a2b7280077e"},
 		{"runner-split", LegSpec{Workload: "gsm", ISSes: 2, Frames: 2, Split: true}, "3c3084feb01315df228b644a73d88fc4", "2046ef31a428491f02b7bf793aa12c29", "d99170b574b499270ab8a74e1a12e141", "dc9041d84df18e06ee79e85d37e6bc3d", "dc9041d84df18e06ee79e85d37e6bc3d"},
 		{"runner-l2dram", LegSpec{Workload: "sweep", L2: true, Dram: true, Partition: cache.PartUCP}, "508438b3549574ba74797fe56bca1603", "6fa3bf125d2843d190501599b97c42a8", "b7cded1356efe6e0c7d142ed80428d5e", "f7e00df3f146db2b1cd54ba5b51a9360", "f7e00df3f146db2b1cd54ba5b51a9360"},
 		{"runner-cancel", LegSpec{Workload: "gsm", ISSes: 2, Frames: 64}, "440103fa827c5e61c6da9ca25502b608", "79f202bc95ebca22b641d25b01971996", "533c09aa8e08f50db0405c6671f319ad", "3c914e91290d66c1b26a6a2b7280077e", "3c914e91290d66c1b26a6a2b7280077e"},
-		{"server-b", LegSpec{Name: "b", Workers: 4}, "69f2842d0d36858833e9a27a57de01e3", "a55502ccdecde9a6f53d2caba933c205", "6cbb323981ab36d047f634459fdce2ea", "c2ccf35c2cafc38e0db30c88c59af1f1", "0197e5715371a1da4d40fd25dcf79e52"},
+		{"server-b", LegSpec{Name: "b", Lockstep: true}, "2e6aa650fe62d5a55353317f6cbffe9e", "2f64d4cbd9241251eec1779d17386470", "6cbb323981ab36d047f634459fdce2ea", "2ee03a2a544ccf6e2c0eaebce2201dcc", "0197e5715371a1da4d40fd25dcf79e52"},
 		{"server-crash", LegSpec{Name: "crash", Seed: 7}, "d3ab66a0f3a17e4b127b32968ea84105", "1d0ea76e36dd4b4b6a5b2d40709cb2a4", "75ee8774d8f9dddfff328fbba56c536b", "0197e5715371a1da4d40fd25dcf79e52", "0197e5715371a1da4d40fd25dcf79e52"},
 		{"server-lockstep", LegSpec{Name: "lockstep", Workload: "gsm", ISSes: 2, Memories: 1, Frames: 2, Lockstep: true}, "a6b73a683971ae99e4c9d11e2c33a1d4", "6b6f05e91eb11c834b87f147b6b5672c", "9e579bd2be6ba41238b070793b9de180", "8fecf437ac675de1189ace911b4bf04d", "3c914e91290d66c1b26a6a2b7280077e"},
 		{"server-wave", LegSpec{Name: "wave", Workload: "gsm", ISSes: 1, Memories: 1, Frames: 1, VCD: true}, "e4a5fe153a10bf450785e94c87046481", "cb1a4eccaeadd9eb67479af32de93068", "c1d71bd61db9b7a45578eea4ec1960f2", "2a4ef042a704942c0512d59ef0c92a3f", "2a4ef042a704942c0512d59ef0c92a3f"},

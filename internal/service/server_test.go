@@ -153,7 +153,7 @@ func TestSubmitPollLifecycle(t *testing.T) {
 
 	id, code := postJob(t, ts, SweepSpec{
 		Name: "sweep",
-		Legs: []experiments.LegSpec{{Name: "a"}, {Name: "b", Workers: 4}},
+		Legs: []experiments.LegSpec{{Name: "a"}, {Name: "b", Lockstep: true}},
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("POST = %d, want 202", code)
@@ -181,7 +181,7 @@ func TestSubmitPollLifecycle(t *testing.T) {
 	// zero additional simulations.
 	id2, _ := postJob(t, ts, SweepSpec{
 		Name: "sweep again",
-		Legs: []experiments.LegSpec{{Name: "a"}, {Name: "b", Workers: 4}},
+		Legs: []experiments.LegSpec{{Name: "a"}, {Name: "b", Lockstep: true}},
 	})
 	v2 := pollJob(t, ts, id2)
 	if v2.State != StateDone {

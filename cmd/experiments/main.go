@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-run e1,e2,a2] [-workers n] [-alloc buddy] [-memkind dram]
+//	experiments [-quick] [-run e1,e2,a2] [-alloc buddy] [-memkind dram]
 //	experiments -run wb -checkpoint warm.snap   # persist the warm-up snapshot
 //	experiments -run wb -restore warm.snap      # sweep from a saved snapshot
 package main
@@ -104,7 +104,6 @@ var suite = []struct {
 	{"e11", one(experiments.E11)},
 	{"e12", one(experiments.E12)},
 	{"ev", one(experiments.EV)},
-	{"par", one(experiments.PAR)},
 	{"wb", one(experiments.WB)},
 	{"a1", one(experiments.A1)},
 	{"a2", one(experiments.A2)},

@@ -224,9 +224,9 @@ func run() error {
 	if sched.Lockstep {
 		mode = "lockstep"
 	}
-	fmt.Printf("simulated %d cycles in %v (%s cycles/s; %s scheduler × workers=%d, %d cycles skipped in %d spans)\n\n",
+	fmt.Printf("simulated %d cycles in %v (%s cycles/s; %s scheduler, %d cycles skipped in %d spans)\n\n",
 		cycles, wall.Round(time.Millisecond), stats.SI(stats.Rate(cycles, wall)),
-		mode, sched.Workers, sched.Skipped, sched.Spans)
+		mode, sched.Skipped, sched.Spans)
 
 	for i, cpu := range sys.CPUs {
 		fmt.Printf("iss%d: exit=%#x instructions=%d stall-cycles=%d\n",

@@ -87,10 +87,6 @@ func (b *Bus) NextWake(now uint64) uint64 {
 	return sim.WakeNever
 }
 
-// TickWeight implements sim.Weighted: mostly demand polling and word
-// countdowns — cheap relative to the modules it connects.
-func (b *Bus) TickWeight() int { return 2 }
-
 // Skip implements sim.Sleeper: every skipped cycle of a transfer is a
 // busy cycle and a counter tick, and so is — without the counter — every
 // cycle the channel is held for a slave. A split bus parked between

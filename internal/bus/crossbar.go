@@ -53,14 +53,6 @@ func NewCrossbar(k *sim.Kernel, name string, masters, slaves []*Port, newArb fun
 	return x
 }
 
-// TickWeight implements sim.Weighted: one cheap lane FSM per slave.
-func (x *Crossbar) TickWeight() int {
-	if n := len(x.lanes); n > 2 {
-		return n
-	}
-	return 2
-}
-
 // rejectNoSlave pops master head requests addressed to nonexistent
 // slaves and rejects them centrally (lane 0 duty), keeping error
 // semantics identical to Bus in both modes.

@@ -149,16 +149,6 @@ func (f *fabric) Stats() Stats {
 	return s
 }
 
-// ConcurrentTick implements sim.Concurrent: the interconnect owns its
-// channels, its arbiters, its pending tables and its stats; on the ports
-// it only uses the slave side of master ports (peek/pop/complete) and
-// the master side of slave ports (issue/drain), which the port protocol
-// makes exclusive to it within any cycle. Safe to tick concurrently with
-// CPUs and memories — unless a snoop domain is attached, in which case
-// the interconnect mutates peer cache state during its Tick and must
-// co-schedule with the caches on the serial shard.
-func (f *fabric) ConcurrentTick() bool { return f.Snoop == nil }
-
 func (f *fabric) wordCycles(words uint32) uint32 {
 	wc := f.WordCycles
 	if wc == 0 {

@@ -57,13 +57,13 @@ type PortConfig struct {
 // after Complete — the registered protocol of the paper, per entry.
 //
 // Payloads ride in two host-side ring buffers alongside the sequence
-// signals. This is safe under the parallel tick engine for the same
-// reason the Link's single payload slot was: each ring has exactly one
+// signals. Tick order stays unobservable for the same reason it did
+// with the Link's single payload slot: each ring has exactly one
 // producer module and one consumer module, the consumer only reads
 // entries the committed sequence count covers (written in an earlier
-// cycle, on the far side of a commit barrier), and credit-based flow
-// control guarantees a producer never overwrites a slot the consumer has
-// yet to read (outstanding ≤ Depth = ring capacity).
+// cycle, before a commit), and credit-based flow control guarantees a
+// producer never overwrites a slot the consumer has yet to read
+// (outstanding ≤ Depth = ring capacity).
 //
 // At Depth 1 with in-order delivery the port is cycle-for-cycle and
 // signal-for-signal identical to the historical Link, which is what the

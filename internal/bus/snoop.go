@@ -23,9 +23,8 @@ package bus
 //
 // master is the interconnect's master-port index of the issuer; the
 // domain uses it to skip self-snooping. Both calls happen inside the
-// interconnect's Tick, so an attached Snooper (and every cache it
-// mutates) must tick on the serial shard — Bus and Crossbar report
-// ConcurrentTick()==false while a Snooper is attached.
+// interconnect's Tick, which therefore mutates the attached caches'
+// state directly.
 type Snooper interface {
 	CanProceed(req Request, master int) bool
 	OnGrant(req Request, master int, tag Tag)

@@ -348,17 +348,6 @@ func (c *Cache) flushRange(sm int, lo, hi uint32, invalidate bool) {
 	})
 }
 
-// ConcurrentTick implements sim.Concurrent: a standalone cache touches
-// only its own state plus the slave side of its up port and the master
-// sides of its down and writeback ports, so it ticks concurrently.
-// Attached to a snoop domain, its state is also mutated by the
-// interconnect's Tick, so it must co-schedule on the serial shard.
-func (c *Cache) ConcurrentTick() bool { return c.domain == nil }
-
-// TickWeight implements sim.Weighted: a tag lookup plus queue headwork
-// per cycle.
-func (c *Cache) TickWeight() int { return 4 }
-
 // FlushAll queues a writeback for every Modified line (M→S), as the
 // snoop phase would. Call between kernel steps, then run until Synced to
 // guarantee memory holds every committed write — the experiment

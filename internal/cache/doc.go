@@ -163,12 +163,10 @@
 //
 // # Scheduling
 //
-// The cache is a sim.Sleeper (it sleeps exactly when it has no visible
-// requests, completions or queued work; every wake source is a port
-// signal commit) and a sim.Concurrent citizen: standalone caches tick
-// concurrently (their Tick touches only their own state and their two
-// ports), while caches attached to a Domain — whose state the
-// interconnect mutates during its own Tick — co-schedule with the
-// interconnect on the serial shard, keeping every kernel mode
-// (lockstep × event-driven × any worker count) bit-identical.
+// The cache is a sim.Sleeper: it sleeps exactly when it has no visible
+// requests, completions or queued work, and every wake source is a port
+// signal commit, so lockstep and event-driven runs are bit-identical.
+// Caches attached to a Domain also have their state mutated by the
+// interconnect's Tick (snoops), which the kernel's sequential tick loop
+// orders by registration.
 package cache

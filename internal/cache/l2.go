@@ -373,15 +373,6 @@ func (l *L2) flushRange(sm int, lo, hi uint32, invalidate bool) {
 	})
 }
 
-// ConcurrentTick implements sim.Concurrent: a standalone L2 touches
-// only its own state and its ports. Attached to an L1 domain its Tick
-// back-invalidates L1 state, so it must co-schedule with the caches and
-// interconnect on the serial shard.
-func (l *L2) ConcurrentTick() bool { return l.dom == nil }
-
-// TickWeight implements sim.Weighted: multi-port headwork each cycle.
-func (l *L2) TickWeight() int { return 6 }
-
 // FlushAll queues a writeback for every dirty line (M→S). Lines stay
 // valid, so inclusion is untouched. Drain L1s first (their dirty data
 // must land in the L2), then FlushAll here and run until Synced.

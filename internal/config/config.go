@@ -206,14 +206,10 @@ type SystemConfig struct {
 	// identical; lockstep is the reference side of differential tests
 	// and the baseline of scheduler benchmarks.
 	Lockstep bool
-	// Workers is the tick-phase parallelism passed to Kernel.SetWorkers:
-	// values > 1 shard the modules across that many concurrent workers,
-	// 1 pins the sequential tick loop, negative selects GOMAXPROCS, and
-	// 0 — the zero value — keeps the kernel's sequential default, so
-	// existing configurations are unaffected. All settings are
-	// observably identical; see the sim package docs. (The -workers flag
-	// maps its conventional "0 = all cores" to a GOMAXPROCS count; see
-	// BindFlags.)
+	// Workers is retired: the kernel has one sequential tick loop (see
+	// the sim package docs). Build accepts only 0 and 1, which mean the
+	// same thing, and neither hash digests the field. It stays only for
+	// callers that still spell out Workers: 1.
 	Workers int
 	// DisableISSBatch turns off ISS instruction batching (on by default
 	// for built systems; see iss.Config.Batch). Batching is cycle-exact
@@ -292,6 +288,9 @@ func Build(cfg SystemConfig) (*System, error) {
 	if cfg.OutstandingDepth < 0 {
 		return nil, fmt.Errorf("config: negative OutstandingDepth %d", cfg.OutstandingDepth)
 	}
+	if cfg.Workers != 0 && cfg.Workers != 1 {
+		return nil, fmt.Errorf("config: Workers %d: the kernel is sequential, only 0 or 1 is accepted", cfg.Workers)
+	}
 	if cfg.L2 {
 		if !cfg.Coherent {
 			return nil, fmt.Errorf("config: L2 requires Coherent (inclusion back-invalidates the L1 snoop domain)")
@@ -302,9 +301,6 @@ func Build(cfg SystemConfig) (*System, error) {
 	}
 	k := sim.New()
 	k.SetLockstep(cfg.Lockstep)
-	if cfg.Workers != 0 {
-		k.SetWorkers(cfg.Workers)
-	}
 	sys := &System{Kernel: k, Cfg: cfg}
 
 	portCfg := bus.PortConfig{Depth: cfg.OutstandingDepth, OutOfOrder: cfg.OutOfOrder}

@@ -27,6 +27,27 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsRetiredWorkers holds the retired Workers field to the
+// two values that mean the one sequential kernel.
+func TestBuildRejectsRetiredWorkers(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		if _, err := Build(SystemConfig{Masters: 1, Memories: 1, Workers: w}); err != nil {
+			t.Errorf("Workers %d: %v", w, err)
+		}
+	}
+	for _, w := range []int{2, -1} {
+		_, err := Build(SystemConfig{Masters: 1, Memories: 1, Workers: w})
+		if err == nil || !strings.Contains(err.Error(), "Workers") {
+			t.Errorf("Workers %d: err = %v, want an error naming Workers", w, err)
+		}
+	}
+	// 0 and 1 key one stored result.
+	a, b := SystemConfig{Masters: 1, Memories: 1}, SystemConfig{Masters: 1, Memories: 1, Workers: 1}
+	if a.Hash() != b.Hash() || a.StateHash() != b.StateHash() {
+		t.Error("Workers 0 and 1 hash differently")
+	}
+}
+
 func TestBuildShapes(t *testing.T) {
 	sys, err := Build(SystemConfig{Masters: 3, Memories: 2, MemKind: MemWrapper})
 	if err != nil {

@@ -36,9 +36,9 @@
 //
 // SystemConfig mixes two kinds of fields. Structural fields (masters,
 // memories, protocol, cache geometry, allocation policy) change the
-// simulated machine. Scheduler knobs (Lockstep, Workers, the ISS fast
-// paths) only change how fast the host simulates it — the differential
-// test matrix proves all combinations bit-identical. Hash digests the
+// simulated machine. Scheduler knobs (Lockstep, the ISS fast paths)
+// only change how fast the host simulates it — the differential test
+// matrix proves all combinations bit-identical. Hash digests the
 // full config; StateHash digests it with the scheduler knobs zeroed,
 // defining the compatibility class for snapshot restore.
 //

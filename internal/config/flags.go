@@ -32,15 +32,14 @@ func (v *u32Flag) Set(s string) error {
 // BindFlags declares the platform flags on fs, each bound to its field
 // of c and defaulted as the flag help says; Masters is not a flag — the
 // command sizes the master side from its own workload flags. Call the
-// returned resolve once fs has been parsed: it applies the two rules
-// that span flags (-workers 0 means GOMAXPROCS; -l2 implies -cache
-// -coherent, and -coherent means nothing without -cache).
+// returned resolve once fs has been parsed: it applies the rules that
+// span flags (-l2 implies -cache -coherent, and -coherent means nothing
+// without -cache).
 func (c *SystemConfig) BindFlags(fs *flag.FlagSet) (resolve func()) {
 	fs.IntVar(&c.Memories, "memories", 1, "number of shared memory modules")
 	fs.TextVar(&c.MemKind, "memkind", MemWrapper, "memory `model`: wrapper | static | heapsim | dram")
 	fs.TextVar(&c.Interconnect, "interconnect", InterBus, "interconnect `topology`: bus | crossbar")
 	fs.BoolVar(&c.Lockstep, "lockstep", false, "pin the kernel to lockstep stepping (default: event-driven idle-skip)")
-	fs.IntVar(&c.Workers, "workers", 1, "tick-phase parallelism: modules sharded across this many concurrent workers (0 = GOMAXPROCS, 1 = sequential)")
 	fs.TextVar(&c.AllocPolicy, "alloc", alloc.Default, "allocation `policy`: default | first-fit | best-fit | buddy | segregated (heapsim metadata allocator / wrapper virtual placement)")
 	fs.IntVar(&c.OutstandingDepth, "depth", 1, "per-port outstanding-transaction depth (credit pool; 1 = classic single-outstanding)")
 	fs.BoolVar(&c.SplitBus, "split", false, "split-transaction interconnect: address phase releases the bus, responses re-arbitrate")
@@ -64,9 +63,6 @@ func (c *SystemConfig) BindFlags(fs *flag.FlagSet) (resolve func()) {
 	fs.Uint64Var(&c.DRAMRefreshPeriod, "dram-refresh-period", 0, "cycles between DRAM refresh epochs (0 = refresh off)")
 	fs.Var((*u32Flag)(&c.DRAMRefreshCycles), "dram-refresh-cycles", "`cycles` a bank stalls per refresh epoch")
 	return func() {
-		if c.Workers == 0 {
-			c.Workers = runtime.GOMAXPROCS(0)
-		}
 		if c.L2 {
 			// The L2's inclusion machinery back-invalidates L1 lines through
 			// the MESI domain, so an L2 always implies coherent L1s.
@@ -109,7 +105,7 @@ func (c SystemConfig) Describe() string {
 	if c.Lockstep {
 		sched = "lockstep"
 	}
-	return fmt.Sprintf("%s × %s memory (alloc %s); %s; %s protocol × depth=%d × %s; scheduler %s × workers=%d (host GOMAXPROCS %d, NumCPU %d)",
+	return fmt.Sprintf("%s × %s memory (alloc %s); %s; %s protocol × depth=%d × %s; scheduler %s (host GOMAXPROCS %d, NumCPU %d)",
 		c.Interconnect, c.MemKind, c.AllocPolicy, caches, proto, c.OutstandingDepth, order,
-		sched, c.Workers, runtime.GOMAXPROCS(0), runtime.NumCPU())
+		sched, runtime.GOMAXPROCS(0), runtime.NumCPU())
 }

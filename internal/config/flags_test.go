@@ -4,7 +4,6 @@ import (
 	"flag"
 	"io"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -34,7 +33,7 @@ func parseFlags(t *testing.T, line string) SystemConfig {
 }
 
 // flagDefaults is what an empty command line yields.
-var flagDefaults = SystemConfig{Memories: 1, Workers: 1, OutstandingDepth: 1}
+var flagDefaults = SystemConfig{Memories: 1, OutstandingDepth: 1}
 
 // TestBindFlagsEveryFlagLandsInItsField sets each platform flag alone
 // and compares the whole struct: the flag's field moved, nothing else
@@ -50,7 +49,6 @@ func TestBindFlagsEveryFlagLandsInItsField(t *testing.T) {
 		{"-memkind dram", func(c *SystemConfig) { c.MemKind = MemDRAM }},
 		{"-interconnect crossbar", func(c *SystemConfig) { c.Interconnect = InterCrossbar }},
 		{"-lockstep", func(c *SystemConfig) { c.Lockstep = true }},
-		{"-workers 4", func(c *SystemConfig) { c.Workers = 4 }},
 		{"-alloc buddy", func(c *SystemConfig) { c.AllocPolicy = alloc.Buddy }},
 		{"-depth 8", func(c *SystemConfig) { c.OutstandingDepth = 8 }},
 		{"-split", func(c *SystemConfig) { c.SplitBus = true }},
@@ -76,7 +74,6 @@ func TestBindFlagsEveryFlagLandsInItsField(t *testing.T) {
 		{"-coherent", func(c *SystemConfig) {}}, // means nothing without -cache
 		{"-l2", func(c *SystemConfig) { c.L2, c.Cache, c.Coherent = true, true, true }},
 		{"-l2 -coherent=false", func(c *SystemConfig) { c.L2, c.Cache, c.Coherent = true, true, true }},
-		{"-workers 0", func(c *SystemConfig) { c.Workers = runtime.GOMAXPROCS(0) }},
 	}
 	seen := map[string]bool{}
 	for _, tc := range cases {
@@ -118,7 +115,10 @@ func TestBindFlagsEveryFlagLandsInItsField(t *testing.T) {
 // flag→config block, since deleted). hash() digests "%+v" of the whole
 // struct, so equality here also pins that no SystemConfig field was
 // added, removed, reordered or retyped — i.e. that snapshots and stored
-// results written before this change still match.
+// results written before this change still match. The Hash column was
+// re-recorded when the -workers flag, whose default 1 every line
+// carried, was deleted; the StateHash column is unchanged, so snapshots
+// written before that still restore.
 func TestFlagConfigHashesMatchRecorded(t *testing.T) {
 	const l2Flags = "-isses 2 -memories 1 -memkind dram -l2 -l2sets 4 -l2ways 4 " +
 		"-partition ucp -dram-refresh-period 2048 -dram-refresh-cycles 32 " +
@@ -126,15 +126,15 @@ func TestFlagConfigHashesMatchRecorded(t *testing.T) {
 	for _, tc := range []struct {
 		line, hash, stateHash string
 	}{
-		{"-isses 4", "fc0a1fdd7ca6e4b72fdd0f7505fe2720", "a9c8050274d6d95f9660923f4a4d9746"},
+		{"-isses 4", "a9c8050274d6d95f9660923f4a4d9746", "a9c8050274d6d95f9660923f4a4d9746"},
 		{"-isses 2 -memories 1 -workload gsm -frames 2 -checkpoint 3000 -checkpoint-file mp.snap",
-			"7da8f7ea63d6b23a41fa36b0466740ed", "e5090909c960bf309b04c0c7f60e475e"},
-		{"-isses 2 -memories 1 -restore mp.snap -lockstep -workers 4",
-			"bf5b4693ae25ff4b0167f861eb936845", "e5090909c960bf309b04c0c7f60e475e"},
+			"e5090909c960bf309b04c0c7f60e475e", "e5090909c960bf309b04c0c7f60e475e"},
+		{"-isses 2 -memories 1 -restore mp.snap -lockstep",
+			"ccdc704c3e3b72831553f98bdc309b24", "e5090909c960bf309b04c0c7f60e475e"},
 		{l2Flags + " -checkpoint 3000 -checkpoint-file l2.snap",
-			"e9b1d5ece9ed2313430627a4bfc5bc71", "468462e8662b3058885240d54a8f39ba"},
-		{l2Flags + " -restore l2.snap -lockstep -workers 4",
-			"2bd65ee2a0899292ab58fdbe7e156315", "468462e8662b3058885240d54a8f39ba"},
+			"468462e8662b3058885240d54a8f39ba", "468462e8662b3058885240d54a8f39ba"},
+		{l2Flags + " -restore l2.snap -lockstep",
+			"5bea61e4c976c5d585439185785ed7cb", "468462e8662b3058885240d54a8f39ba"},
 	} {
 		cfg := parseFlags(t, tc.line)
 		if got := cfg.Hash(); got != tc.hash {

@@ -20,13 +20,14 @@ import (
 // implement it (native smapi.Procs, whose state lives in a goroutine)
 // make Snapshot fail loudly — a snapshot is complete or it is nothing.
 
-// Hash digests the full configuration, scheduler knobs included. Use
-// it to key result caches: two runs with equal hashes and equal
-// workloads produce byte-identical results.
+// Hash digests the full configuration, scheduler knobs included (the
+// retired Workers field is not: 0 and 1 build the same kernel). Use it
+// to key result caches: two runs with equal hashes and equal workloads
+// produce byte-identical results.
 func (c SystemConfig) Hash() string { return c.hash(false) }
 
 // StateHash digests the configuration with the scheduler-only knobs
-// (Lockstep, Workers, ISS fast paths) zeroed. Two configs with equal
+// (Lockstep, ISS fast paths) zeroed. Two configs with equal
 // StateHash build systems whose observable state evolves identically,
 // so a snapshot taken under one may be restored under the other — that
 // is exactly the warm-boot sweep contract, and RestoreSnapshot
@@ -35,9 +36,9 @@ func (c SystemConfig) StateHash() string { return c.hash(true) }
 
 func (c SystemConfig) hash(normalize bool) string {
 	n := c
+	n.Workers = 0
 	if normalize {
 		n.Lockstep = false
-		n.Workers = 0
 		n.DisableISSBatch = false
 		n.DisableISSDecodeCache = false
 	}

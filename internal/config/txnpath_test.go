@@ -31,7 +31,7 @@ func TestTransactionPathDoesNotAllocate(t *testing.T) {
 		attach func(t *testing.T, sys *System)
 		done   func(sys *System) bool
 	}{
-		{"l2", SystemConfig{Masters: 2, Memories: 1, MemKind: MemDRAM, Workers: 1,
+		{"l2", SystemConfig{Masters: 2, Memories: 1, MemKind: MemDRAM,
 			MemBytes: 8192, Cache: true, Coherent: true, CacheSets: 2, CacheWays: 1,
 			L2: true, L2Sets: 4, L2Ways: 4, L2LineBytes: 64,
 			Partition: cache.PartUCP, UCPPeriod: 128,
@@ -43,7 +43,7 @@ func TestTransactionPathDoesNotAllocate(t *testing.T) {
 				}
 			},
 			(*System).ProcsDone},
-		{"coherent-l1", SystemConfig{Masters: 4, Memories: 1, MemKind: MemStatic, Workers: 1,
+		{"coherent-l1", SystemConfig{Masters: 4, Memories: 1, MemKind: MemStatic,
 			MemBytes: 16 * 128, Cache: true, Coherent: true},
 			func(t *testing.T, sys *System) {
 				progs := make([][]byte, 4)

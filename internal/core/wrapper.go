@@ -154,11 +154,6 @@ func (w *Wrapper) Tick(cycle uint64) {
 	w.Server.Tick(cycle)
 }
 
-// TickWeight implements sim.Weighted: the wrapper latches its input
-// port every cycle and runs pointer-table lookups plus host calls on
-// completion — heavier than a plain table RAM, lighter than an ISS.
-func (w *Wrapper) TickWeight() int { return 4 }
-
 // execute performs the functional part of one request against the pointer
 // table, translator and host. It is pure with respect to simulation time:
 // all timing has already been charged by the FSM.

@@ -264,17 +264,6 @@ func (e *Engine) NextWake(now uint64) uint64 {
 	return sim.WakeNever
 }
 
-// ConcurrentTick implements sim.Concurrent — with false, deliberately:
-// the descriptor queue and completion list are host-shared state
-// (Enqueue and Done/Idle are called from tests and from PE task code
-// while the simulation runs), so the engine must tick on the serial
-// shard, interleaved with the Procs that drive it.
-func (e *Engine) ConcurrentTick() bool { return false }
-
-// TickWeight implements sim.Weighted: burst bookkeeping only; the moved
-// bytes are charged to the memories.
-func (e *Engine) TickWeight() int { return 3 }
-
 // Skip implements sim.Sleeper: waiting on a burst response is busy time.
 func (e *Engine) Skip(n uint64) {
 	if e.active {

@@ -23,10 +23,9 @@
 // function simulation.run — build or restore, attach, run under the
 // caller's context, check ISS exit codes — so every run is cancellable
 // and a new platform axis is one SystemConfig field away from every
-// experiment. The scheduler axes (lockstep versus event-driven,
-// sequential versus sharded-parallel ticking, the ISS fast paths) are
-// observably identical by construction and proven so by the scheduler
-// differential matrix in this package's tests.
+// experiment. The scheduler axes (lockstep versus event-driven, the ISS
+// fast paths) are observably identical by construction and proven so
+// by the scheduler differential matrix in this package's tests.
 //
 // # Warm-boot sweeps
 //

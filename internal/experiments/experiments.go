@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/alloc"
@@ -622,7 +621,7 @@ func EV(o Options) (*stats.Table, error) {
 	events := o.pick(20000, 1500)
 	reps := o.pick(3, 1)
 	measure := func(lockstep bool) (stats.RunResult, sim.SchedStats, error) {
-		cfg := config.SystemConfig{Lockstep: lockstep, Workers: o.Base.Workers}
+		cfg := config.SystemConfig{Lockstep: lockstep}
 		if _, _, err := RunEV(o.Ctx, cfg, events); err != nil { // warmup
 			return stats.RunResult{}, sim.SchedStats{}, err
 		}
@@ -662,60 +661,6 @@ func EV(o Options) (*stats.Table, error) {
 		stats.SI(ev.CyclesPerSec()), fmt.Sprintf("%d (%.1f%%)", evSched.Skipped,
 			100*float64(evSched.Skipped)/float64(ev.Cycles)),
 		fmt.Sprintf("%.2fx", ev.CyclesPerSec()/lock.CyclesPerSec()))
-	return t, nil
-}
-
-// PAR measures the sharded parallel tick engine on the CPU-bound E1
-// configuration — 4 ISSs against 4 wrapper memories, every ISS retiring
-// an instruction per cycle — where idle-skip cannot help (no idle spans
-// to elide) and only executing the tick phase across host cores can.
-// The sweep verifies that every worker count simulates the identical
-// cycle count; the full observable equivalence (stats, ISS output, VCD
-// bytes) is asserted by the differential harness in scheduler_test.go.
-// The leading "plain" row disables the ISS fast paths (batching, decode
-// cache) on the sequential kernel — the pre-optimization interpreter —
-// so the table separates the single-thread win (plain → workers=1) from
-// the parallel win (workers=1 → workers=N).
-//
-// Expect parallel speedup only when the host has cores to spare (the
-// table header records GOMAXPROCS). Batching keeps the barrier off the
-// per-cycle path, so even on a single core workers > 1 costs only a few
-// tens of percent — but sequential remains the default mode.
-func PAR(o Options) (*stats.Table, error) {
-	frames := o.pick(20, 3)
-	reps := o.pick(3, 1)
-	t := stats.NewTable(
-		fmt.Sprintf("PAR: sharded parallel tick engine — 4 ISS / 4 mem GSM (%d frames/ISS; host GOMAXPROCS=%d)",
-			frames, runtime.GOMAXPROCS(0)),
-		"workers", "sim cycles", "wall", "cycles/s", "speedup vs 1")
-	plain, err := measureGSMISS(o.Ctx, config.SystemConfig{Lockstep: o.Base.Lockstep, Workers: 1,
-		DisableISSBatch: true, DisableISSDecodeCache: true}, 4, 4, frames, reps)
-	if err != nil {
-		return nil, err
-	}
-	var base stats.RunResult
-	for _, w := range []int{1, 2, 4, 8} {
-		r, err := measureGSMISS(o.Ctx, config.SystemConfig{Lockstep: o.Base.Lockstep, Workers: w}, 4, 4, frames, reps)
-		if err != nil {
-			return nil, err
-		}
-		if w == 1 {
-			base = r
-			if plain.Cycles != r.Cycles {
-				return nil, fmt.Errorf("PAR: plain interpreter diverged: %d cycles vs %d", plain.Cycles, r.Cycles)
-			}
-			t.Add("1 (plain ISS)", fmt.Sprint(plain.Cycles), plain.Wall.Round(time.Millisecond).String(),
-				stats.SI(plain.CyclesPerSec()), fmt.Sprintf("%.2fx", plain.CyclesPerSec()/r.CyclesPerSec()))
-			t.Add("1", fmt.Sprint(r.Cycles), r.Wall.Round(time.Millisecond).String(),
-				stats.SI(r.CyclesPerSec()), "-")
-			continue
-		}
-		if r.Cycles != base.Cycles {
-			return nil, fmt.Errorf("PAR: workers=%d diverged: %d cycles vs %d at workers=1", w, r.Cycles, base.Cycles)
-		}
-		t.Add(fmt.Sprint(w), fmt.Sprint(r.Cycles), r.Wall.Round(time.Millisecond).String(),
-			stats.SI(r.CyclesPerSec()), fmt.Sprintf("%.2fx", r.CyclesPerSec()/base.CyclesPerSec()))
-	}
 	return t, nil
 }
 

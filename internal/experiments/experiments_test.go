@@ -104,21 +104,6 @@ func TestE1CostIsPerModule(t *testing.T) {
 	}
 }
 
-// BenchmarkPAR prices the sharded parallel tick engine on E1's
-// four-memory system. CI gates the workers=1 / workers=4 ns/op ratio on
-// a 4-vCPU runner; a single-core host shows no speedup.
-func BenchmarkPAR(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunGSMISS(nil, config.SystemConfig{Workers: w}, 4, 4, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func TestE2WrapperOverheadBounded(t *testing.T) {
 	tbl, err := E2(quick)
 	if err != nil {

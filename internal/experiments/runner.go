@@ -46,10 +46,9 @@ type LegSpec struct {
 	Frames   int    `json:"frames,omitempty"`
 	Seed     uint32 `json:"seed,omitempty"`
 
-	// Scheduler axes (observably identical; part of the full cache key
+	// Scheduler axis (observably identical; part of the full cache key
 	// but not the warm-boot compatibility class).
 	Lockstep bool `json:"lockstep,omitempty"`
-	Workers  int  `json:"workers,omitempty"`
 
 	// Protocol/hierarchy axes (observable).
 	Alloc     alloc.Kind          `json:"alloc,omitempty"`     // default | first-fit | best-fit | buddy | segregated
@@ -118,9 +117,6 @@ func (l LegSpec) Validate() error {
 	if n.Frames < 1 || n.Frames > 1<<20 {
 		return fmt.Errorf("leg %q: frames %d out of range [1,2^20]", l.Name, n.Frames)
 	}
-	if n.Workers < 0 || n.Workers > 64 {
-		return fmt.Errorf("leg %q: workers %d out of range [0,64]", l.Name, n.Workers)
-	}
 	if n.Depth < 0 || n.Depth > 64 {
 		return fmt.Errorf("leg %q: depth %d out of range [0,64]", l.Name, n.Depth)
 	}
@@ -140,8 +136,7 @@ func (l LegSpec) Config() (config.SystemConfig, error) {
 	n := l.Normalized()
 	cached := n.Cache || n.L2
 	cfg := config.SystemConfig{
-		Masters: n.ISSes, Memories: n.Memories,
-		Lockstep: n.Lockstep, Workers: n.Workers,
+		Masters: n.ISSes, Memories: n.Memories, Lockstep: n.Lockstep,
 		AllocPolicy:      n.Alloc,
 		OutstandingDepth: n.Depth, SplitBus: n.Split, OutOfOrder: n.OOO,
 		Cache: cached, Coherent: cached, L2: n.L2,

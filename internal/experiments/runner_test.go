@@ -41,7 +41,6 @@ func TestLegSpecKeySemantics(t *testing.T) {
 	// Scheduler knobs are part of the FULL key (the stored result
 	// reports wall time), workload changes obviously too.
 	for name, varied := range map[string]LegSpec{
-		"workers":  {Name: "a", Workload: "gsm", ISSes: 2, Frames: 2, Workers: 4},
 		"lockstep": {Name: "a", Workload: "gsm", ISSes: 2, Frames: 2, Lockstep: true},
 		"frames":   {Name: "a", Workload: "gsm", ISSes: 2, Frames: 3},
 		"seed":     {Name: "a", Workload: "gsm", ISSes: 2, Frames: 2, Seed: 9},
@@ -168,7 +167,7 @@ func TestLegSpecStateKeyIgnoresScheduler(t *testing.T) {
 	}
 	base := LegSpec{Workload: "gsm", ISSes: 2, Frames: 2}
 	sched := base
-	sched.Lockstep, sched.Workers = true, 4
+	sched.Lockstep = true
 	if stateKey(base) != stateKey(sched) {
 		t.Error("scheduler knobs changed the warm-boot compatibility class")
 	}
@@ -250,7 +249,7 @@ func TestSimRunnerDeterministicAndResumable(t *testing.T) {
 	// A different scheduler mode stays in the same compatibility class
 	// and still lands on the same result.
 	fast := leg
-	fast.Lockstep, fast.Workers = true, 2
+	fast.Lockstep = true
 	warmFast, err := r.RunLeg(ctx, fast, snap)
 	if err != nil {
 		t.Fatal(err)

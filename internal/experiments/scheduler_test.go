@@ -25,16 +25,13 @@ import (
 
 // This file is the differential harness of the kernel's scheduling
 // modes: it replays every experiment configuration class across the
-// kernel-mode matrix — lockstep and event-driven stepping, worker
-// counts 1/2/4/8 (sequential, sharded commit, subset barrier release),
-// and the ISS fast paths (instruction batching, decode cache) on and
-// off — and demands bit-identical observable behavior against the
-// plain-interpreter lockstep sequential reference: final cycle counts,
-// every module's stats counters, golden ISS outputs (console, exit
-// codes, instruction and stall counts), PE coroutine accounting, DMA
-// outcomes and VCD traces. Run it under -race (CI does, across a
-// GOMAXPROCS matrix) and it is also the race-cleanliness proof of the
-// parallel tick engine.
+// kernel-mode matrix — lockstep and event-driven stepping, and the ISS
+// fast paths (instruction batching, decode cache) on and off — and
+// demands bit-identical observable behavior against the
+// plain-interpreter lockstep reference: final cycle counts, every
+// module's stats counters, golden ISS outputs (console, exit codes,
+// instruction and stall counts), PE coroutine accounting, DMA outcomes
+// and VCD traces.
 
 // sysSnapshot is everything observable about a finished system.
 type sysSnapshot struct {
@@ -168,22 +165,17 @@ func TestHeapStatsMirror(t *testing.T) {
 }
 
 // diffModes is the kernel-mode matrix every scenario replays. The first
-// entry — lockstep, sequential, ISS batching and decode cache disabled,
-// i.e. the plain single-stepping interpreter — is the reference
-// everything else must match bit for bit. The other legs sweep the
-// scheduler (lockstep vs event-driven), the tick-phase parallelism
-// (workers 1/2/4/8, exercising the shard-local commit, the per-shard
-// wake filter and the subset barrier release) and the ISS fast paths
-// (batching and the decode cache, individually and together).
+// entry — lockstep, ISS batching and decode cache disabled, i.e. the
+// plain single-stepping interpreter — is the reference everything else
+// must match bit for bit. The other legs sweep the scheduler (lockstep
+// vs event-driven) and the ISS fast paths (batching and the decode
+// cache, together and with batching alone off).
 var diffModes = []config.SystemConfig{
-	{Lockstep: true, Workers: 1, DisableISSBatch: true, DisableISSDecodeCache: true},
-	{Lockstep: true, Workers: 1},
-	{Lockstep: false, Workers: 1, DisableISSBatch: true, DisableISSDecodeCache: true},
-	{Lockstep: false, Workers: 1},
-	{Lockstep: false, Workers: 2},
-	{Lockstep: false, Workers: 4, DisableISSBatch: true},
-	{Lockstep: false, Workers: 8},
-	{Lockstep: true, Workers: 4},
+	{Lockstep: true, DisableISSBatch: true, DisableISSDecodeCache: true},
+	{Lockstep: true},
+	{Lockstep: false, DisableISSBatch: true, DisableISSDecodeCache: true},
+	{Lockstep: false},
+	{Lockstep: false, DisableISSBatch: true},
 }
 
 func modeName(m config.SystemConfig) string {
@@ -191,7 +183,6 @@ func modeName(m config.SystemConfig) string {
 	if m.Lockstep {
 		n = "lockstep"
 	}
-	n = fmt.Sprintf("%s/workers=%d", n, m.Workers)
 	if m.DisableISSBatch {
 		n += "/nobatch"
 	}
@@ -202,10 +193,11 @@ func modeName(m config.SystemConfig) string {
 }
 
 // runBoth builds and runs one scenario in every kernel mode of
-// diffModes, pins the lockstep sequential reference against the
+// diffModes, pins the lockstep reference against the
 // committed testdata/schedref.json, compares every other mode's snapshot
-// against that reference, and returns the event-driven sequential
-// kernel's scheduling stats so callers can assert skipping engaged.
+// against that reference, and returns the event-driven kernel's
+// scheduling stats (fast paths on) so callers can assert skipping
+// engaged.
 func runBoth(t *testing.T, name string, scenario func(m config.SystemConfig) (*config.System, error)) sim.SchedStats {
 	t.Helper()
 	var ref sysSnapshot
@@ -218,9 +210,6 @@ func runBoth(t *testing.T, name string, scenario func(m config.SystemConfig) (*c
 		if got := sys.Kernel.Lockstep(); got != m.Lockstep {
 			t.Fatalf("%s: kernel lockstep = %v, want %v", name, got, m.Lockstep)
 		}
-		if got := sys.Kernel.Sched().Workers; got != m.Workers {
-			t.Fatalf("%s: kernel workers = %d, want %d", name, got, m.Workers)
-		}
 		snap := snapshot(sys)
 		if i == 0 {
 			ref = snap
@@ -229,7 +218,7 @@ func runBoth(t *testing.T, name string, scenario func(m config.SystemConfig) (*c
 			t.Fatalf("%s: kernel modes diverged\n%-24s %+v\n%-24s %+v",
 				name, modeName(diffModes[0])+":", ref, modeName(m)+":", snap)
 		}
-		if !m.Lockstep && m.Workers == 1 {
+		if !m.Lockstep && !m.DisableISSBatch && !m.DisableISSDecodeCache {
 			sched = sys.Kernel.Sched()
 		}
 	}
@@ -622,9 +611,9 @@ func TestSchedDiffExperimentSuite(t *testing.T) {
 // buddy (manager accesses charged cycles — policy choice changes the
 // simulated timing, so it must be identical across every kernel mode)
 // and a wrapper whose virtual placement runs segregated fit (address
-// reuse must be scheduler- and worker-count-invariant). Each scenario
-// replays lockstep × event-driven × workers {1,4} and must match the
-// lockstep sequential reference bit for bit — stats, golden ISS/PE
+// reuse must be scheduler-invariant). Each scenario replays lockstep ×
+// event-driven × ISS fast paths and must match the lockstep reference
+// bit for bit — stats, golden ISS/PE
 // output, cycle counts.
 func TestSchedDiffAllocPolicy(t *testing.T) {
 	for _, sc := range allocPolicyScenarios() {
@@ -692,13 +681,13 @@ func allocPolicyScenarios() []snapScenario {
 // TestSchedDiffSplitPort extends the matrix along the transaction-
 // protocol axes: outstanding depth {1, 4} × {occupied, split} × {bus,
 // crossbar}, each replayed across the full kernel-mode matrix (lockstep
-// × event-driven × workers {1, 4}) on two workloads that exercise the
+// × event-driven × ISS fast paths) on two workloads that exercise the
 // port machinery end-to-end — the 4-ISS GSM configuration (single-
 // outstanding masters over multi-depth ports) and a DMA copy pipeline
 // (genuinely multi-outstanding at depth 4). Depth 1 occupied is the
 // pre-refactor Link protocol, already pinned bit-identically by the
 // unit tests and ISS goldens; here every (depth, protocol) point must
-// additionally be scheduler- and worker-count-invariant.
+// additionally be scheduler-invariant.
 func TestSchedDiffSplitPort(t *testing.T) {
 	for _, inter := range []config.InterconnectKind{config.InterBus, config.InterCrossbar} {
 		for _, depth := range []int{1, 4} {
@@ -767,7 +756,7 @@ func TestSchedDiffMLP(t *testing.T) {
 // the kernel-mode matrix at the interesting protocol points. Cache-on
 // runs must be bit-identical (cycles, every cache's hit/miss/snoop
 // counters, static RAM stats, PE accounting) across lockstep ×
-// event-driven × workers {1, 4}; RunCache additionally verifies the
+// event-driven × ISS fast paths; RunCache additionally verifies the
 // final memory image inside every leg. Cache-off equivalence to the
 // PR 4 behavior is pinned by every pre-existing differential and golden
 // test — the uncached build path is untouched.
@@ -804,7 +793,7 @@ func TestSchedDiffCache(t *testing.T) {
 // L2, swept over memory model (static, banked DRAM open- and
 // close-page with refresh), partition policy (shared LRU, SWP, UCP)
 // and an L2-off DRAM control. Every leg must be bit-identical across
-// lockstep × event-driven × workers {1,2,4,8}: cycle counts, L2
+// lockstep × event-driven × ISS fast paths: cycle counts, L2
 // hit/miss/back-invalidation/repartition counters, DRAM row and
 // refresh counters, L1 and PE accounting. RunE12 additionally verifies
 // the exact final memory image inside every leg.

@@ -26,7 +26,7 @@ import (
 // must be bit-identical — final cycle count, every stats counter,
 // golden ISS output, VCD bytes — to run-to-K + save + restore +
 // run-to-(N−K). The restore side additionally sweeps the scheduler
-// matrix (lockstep × event-driven × workers {1,4} × cache on/off):
+// matrix (lockstep × event-driven × ISS fast paths × cache on/off):
 // a snapshot taken under the reference mode must resume correctly
 // under every other mode, which is exactly the warm-boot sweep
 // contract. Corrupt, truncated, and version-skewed snapshots must
@@ -34,11 +34,9 @@ import (
 
 // snapDiffModes is the restore-side scheduler matrix.
 var snapDiffModes = []config.SystemConfig{
-	{Lockstep: true, Workers: 1},
-	{Lockstep: true, Workers: 4},
-	{Lockstep: false, Workers: 1},
-	{Lockstep: false, Workers: 4},
-	{Lockstep: false, Workers: 1, DisableISSBatch: true, DisableISSDecodeCache: true},
+	{Lockstep: true},
+	{Lockstep: false},
+	{Lockstep: false, DisableISSBatch: true, DisableISSDecodeCache: true},
 }
 
 // cacheTrafficSource is the scalar load/store sweep against static
@@ -386,7 +384,7 @@ func (sc snapScenario) straightRun(t *testing.T, m config.SystemConfig) sysSnaps
 // also exercises the in-place RestoreSnapshot path on an
 // identically-built system.
 func TestSchedDiffSnapshot(t *testing.T) {
-	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true}
 	for _, sc := range midFlightScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			ref := sc.straightRun(t, refMode)
@@ -451,7 +449,7 @@ func TestSchedDiffSnapshot(t *testing.T) {
 // give the identical bytes. The checkpoint cycle is half the scenario's
 // recorded length, as in TestSchedDiffSnapshot.
 func TestSnapshotRoundTrip(t *testing.T) {
-	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true}
 	for _, sc := range append(midFlightScenarios(), everyCycleScenarios()...) {
 		t.Run(sc.name, func(t *testing.T) {
 			var ref sysSnapshot
@@ -493,7 +491,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // Each checkpoint resumes under one mode of the restore matrix (rotating)
 // and must land on the straight run's observables.
 func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
-	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true}
 	for _, sc := range everyCycleScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			ref := sc.straightRun(t, refMode)
@@ -536,7 +534,7 @@ func TestSchedDiffSnapshotEveryCycle(t *testing.T) {
 // pointer so the same variables keep sampling after the swap.
 func TestSchedDiffSnapshotVCD(t *testing.T) {
 	sc := gsmSnapScenario(config.MemWrapper)
-	refMode := config.SystemConfig{Lockstep: false, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: false}
 
 	probeVCD := func(buf *bytes.Buffer, cur **config.System) *sim.VCD {
 		vcd := sim.NewVCD(buf, "1ns")
@@ -602,7 +600,7 @@ func TestSchedDiffSnapshotVCD(t *testing.T) {
 // message — and never restore partial state silently.
 func TestSnapshotFailureModes(t *testing.T) {
 	sc := gsmSnapScenario(config.MemWrapper)
-	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true}
 	sys, err := sc.build(refMode)
 	if err != nil {
 		t.Fatal(err)
@@ -650,7 +648,7 @@ func TestSnapshotFailureModes(t *testing.T) {
 		}
 	})
 	t.Run("scheduler-knobs-compatible", func(t *testing.T) {
-		other := sc.cfg(config.SystemConfig{Lockstep: false, Workers: 4, DisableISSBatch: true})
+		other := sc.cfg(config.SystemConfig{Lockstep: false, DisableISSBatch: true})
 		if _, err := config.RestoreSystem(other, data); err != nil {
 			t.Fatalf("scheduler-only change rejected: %v", err)
 		}
@@ -687,8 +685,11 @@ func TestWarmBootSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := tab.String(); !strings.Contains(out, "event-driven/w4") {
-		t.Fatalf("WB table misses a variant:\n%s", out)
+	out := tab.String()
+	for _, v := range []string{"lockstep", "event-driven"} {
+		if !strings.Contains(out, "\n"+v+" ") {
+			t.Fatalf("WB table misses the %s variant:\n%s", v, out)
+		}
 	}
 }
 
@@ -787,7 +788,7 @@ func xbarState(p []byte) byte {
 // Each pinned snapshot must restore, busy module included, and snapshot
 // again to the same bytes.
 func TestSnapshotServingStatePins(t *testing.T) {
-	refMode := config.SystemConfig{Lockstep: true, Workers: 1}
+	refMode := config.SystemConfig{Lockstep: true}
 	type pin struct {
 		name  string
 		state byte

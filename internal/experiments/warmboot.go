@@ -86,14 +86,12 @@ func WB(o Options) (*stats.Table, error) {
 	for _, v := range []struct {
 		name     string
 		lockstep bool
-		workers  int
 	}{
-		{"lockstep/w1", true, 1},
-		{"event-driven/w1", false, 1},
-		{"event-driven/w4", false, 4},
+		{"lockstep", true},
+		{"event-driven", false},
 	} {
 		leg := cold
-		leg.cfg.Lockstep, leg.cfg.Workers = v.lockstep, v.workers
+		leg.cfg.Lockstep = v.lockstep
 		coldSys, coldWall, err := leg.run(o.Ctx)
 		if err != nil {
 			return nil, err

@@ -129,11 +129,6 @@ func (m *HeapMem) respond(bus.Request) bus.Response {
 	return resp
 }
 
-// TickWeight implements sim.Weighted: the detailed allocator walks its
-// in-arena free list on alloc/free, making it the heaviest memory model
-// — weigh it like a CPU minus the per-cycle fetch/decode.
-func (m *HeapMem) TickWeight() int { return 6 }
-
 // execute performs the functional operation, returning the response and
 // the data-path cycles to charge (allocator cycles are derived from the
 // access counter by the caller).

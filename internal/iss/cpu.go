@@ -47,7 +47,7 @@ type Config struct {
 // batchQuantum aligns batched runs to absolute cycle boundaries: a run
 // never crosses a multiple of batchQuantum. Alignment keeps the CPUs of
 // a symmetric multi-core configuration bursting on the same stepped
-// cycles, so under the sharded kernel their runs execute concurrently
+// cycles, so the spans between bursts are idle for every CPU at once
 // instead of staggering into serialized singles.
 const batchQuantum = 256
 
@@ -214,19 +214,6 @@ func (c *CPU) NextWake(now uint64) uint64 {
 		return now + c.lead
 	}
 }
-
-// ConcurrentTick implements sim.Concurrent: a CPU's Tick is confined to
-// its own registers, local memory, console buffer and stats counters,
-// plus its master port (whose request ring it exclusively drives); the
-// only kernel state it touches is the read-only cycle counter and the
-// mutex-guarded fault channel. Safe to tick concurrently.
-func (c *CPU) ConcurrentTick() bool { return true }
-
-// TickWeight implements sim.Weighted: an ISS retires an instruction per
-// running cycle (fetch, decode, execute), which makes it the most
-// expensive module class per tick — the load balancer should spread
-// CPUs across shards before anything else.
-func (c *CPU) TickWeight() int { return 8 }
 
 // Skip implements sim.Sleeper: skipped stall cycles still count as CPU
 // cycles spent waiting on the interconnect; skipped lead cycles were

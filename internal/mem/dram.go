@@ -242,7 +242,3 @@ func (r *DRAM) opCycles(req bus.Request, cycle uint64) uint32 {
 		return 0
 	}
 }
-
-// TickWeight implements sim.Weighted: a countdown, plus the bank model
-// once per access.
-func (r *DRAM) TickWeight() int { return 3 }

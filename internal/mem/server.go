@@ -146,11 +146,6 @@ func (s *Server[M]) Skip(n uint64) {
 	s.acct.BusyCycles += n
 }
 
-// ConcurrentTick implements sim.Concurrent: a memory's Tick touches
-// only its own registers, storage and stats plus the slave side of its
-// port. Safe to tick concurrently.
-func (s *Server[M]) ConcurrentTick() bool { return true }
-
 // WalkFSM walks the registers every memory section starts with: state,
 // wait, the request in service and its tag. walkCur, when non-nil,
 // walks in place of the request (HeapMem keeps its eager response

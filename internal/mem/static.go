@@ -132,7 +132,3 @@ func (r *StaticRAM) Tick(cycle uint64) {
 	r.in.Sample(r.port)
 	r.Server.Tick(cycle)
 }
-
-// TickWeight implements sim.Weighted: a table RAM's tick is an input
-// latch plus a countdown — cheap.
-func (r *StaticRAM) TickWeight() int { return 3 }

@@ -227,6 +227,7 @@ func TestSubmitRejectsMalformed(t *testing.T) {
 		"dram on gsm":     {`{"legs": [{"workload": "gsm", "dram": true}]}`, http.StatusBadRequest},
 		"negative frames": {`{"legs": [{"frames": -4}]}`, http.StatusBadRequest},
 		"verify w/o warm": {`{"legs": [{}], "verify_cold": true}`, http.StatusBadRequest},
+		"retired workers": {`{"legs": [{"workers": 4}]}`, http.StatusBadRequest},
 		"oversized body":  {oversized, http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -241,8 +242,8 @@ func TestSubmitRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
-	if got := metricValue(t, ts, "mpsimd_jobs_rejected_total"); got != 11 {
-		t.Errorf("rejected_total = %v, want 11", got)
+	if got := metricValue(t, ts, "mpsimd_jobs_rejected_total"); got != 12 {
+		t.Errorf("rejected_total = %v, want 12", got)
 	}
 }
 

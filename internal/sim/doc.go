@@ -49,73 +49,21 @@
 // behavior; Kernel.Sched reports how many cycles were stepped versus
 // skipped.
 //
-// # Parallel execution
+// # Why the kernel is sequential
 //
-// The same two-phase property that makes tick order unobservable makes
-// the tick phase embarrassingly parallel: during a cycle every module
-// reads only committed (pre-cycle) signal state — stable for the whole
-// phase — and writes only next-cycle state it exclusively owns (its
-// fields plus the next-value slots of the signals it drives; hardware's
-// one-driver-per-net rule). Kernel.SetWorkers(n) therefore shards the
-// module list across up to n workers per cycle:
-//
-//   - Partition: modules implementing the Concurrent capability (and
-//     returning true) get their own schedule slots; everything else —
-//     coroutine-backed PEs whose tasks share captured host state,
-//     host-driven device queues, arbitrary closures — is merged into
-//     one serial group that ticks in registration order. Slots are
-//     packed into shards by an LPT bin-packer using the optional
-//     Weighted capability (ISS CPUs are ~4x a bus tick), so one heavy
-//     module does not serialize the cycle.
-//   - Tick: on cycles that need the pool the kernel releases one epoch,
-//     ticks shard 0 on its own goroutine, and joins. During the phase
-//     Signal.Set enlists each newly dirtied signal in a preallocated
-//     slot array whose cursor is an atomic counter — safe because every
-//     signal has exactly one driver, so the dirty flag itself is never
-//     contended and each signal claims at most one slot per cycle.
-//   - Commit: after the barrier, one goroutine concatenates the
-//     concurrent dirty list with the sequential one (host writes made
-//     between steps), orders the union by signal registration index and
-//     commits — O(signals actually written), not O(all signals), with
-//     the same commit order a sequential run produces. Everything
-//     downstream of the barrier (commit, AfterCycle hooks, the
-//     event-driven skip decisions, NextWake/Skip) stays single-threaded,
-//     so the Sleeper machinery needs no locking.
-//
-// Sharding composes with event-driven scheduling instead of fighting
-// it. Whole-kernel idle jumps still happen exactly as in sequential
-// mode; on stepped cycles the kernel additionally consults each shard's
-// cached Sleeper view (under the same preconditions that allow a skip:
-// event-driven, nothing changed, nothing pending). A shard whose
-// modules all sleep past the cycle takes Skip(1) — observably identical
-// to the pure-wait tick it would have received — and does not cross the
-// barrier at all. When at most one shard is awake its modules tick
-// inline on the kernel goroutine with no pool wake, no epoch, no
-// atomics; when several are awake the pool releases exactly the awake
-// shards' workers (a subset epoch: enrollment is published before the
-// epoch bump, and non-enrolled workers that observe the epoch go back
-// to waiting without touching the barrier). The full wake-all release
-// is reserved for cycles following a signal change, where the
-// dirty-signal wakeup rule wakes everything anyway.
-//
-// The barrier a released epoch pays is a spin-then-park rendezvous on
-// two cache-line-padded atomics (epoch, pending); parked and dead
-// workers are woken or respawned by the release, and idle workers time
-// out and exit so abandoned kernels leak nothing.
-//
-// Parallel runs are bit-identical to sequential ones — same cycles,
-// stats, ISS output, VCD bytes — for any worker count, which the
-// differential harness asserts across the full mode matrix (lockstep ×
-// event-driven × workers ∈ {1, 2, 4, 8} × ISS fast paths on/off);
-// determinism is preserved because no module can observe tick order and
-// the commit order is fixed. Expect speedup on CPU-bound configurations
-// (several ISSs executing batched instruction runs) with host cores to
-// spare; idle-heavy configurations are already served by idle-skip, and
-// serial-module (PE/task) systems pay the barrier without gaining
-// concurrency — which is why workers=1 remains the default. Faults
-// raised concurrently are serialized; when several modules fault in the
-// same cycle the reported error is unspecified (the faulting cycle is
-// still exact).
+// Step ticks every module in registration order on one goroutine and
+// then commits the dirty list, as a SystemC-style kernel evaluates its
+// processes one after another before the update phase. An earlier
+// version could shard the tick phase across host threads. A probe
+// counted, before each stepped cycle, the awake modules that could tick
+// concurrently and cost at least half an ISS tick: two or more were
+// awake on 22.4% of iss_gsm's stepped cycles, 0.5% of coherent_l1's
+// and none of dynmem_churn's, dynmem_rw's or l2_dram's (their PEs and
+// snooped caches share one serial group). With two workers on a 2-vCPU
+// host iss_gsm did not gain (16.4M → 16.9M cycles/s, overlapping
+// ranges) and coherent_l1 fell from 6.08M to 1.84M cycles/s, so the
+// sharded engine was deleted. Speed comes from idle-skip and from the
+// modules' own host paths, not from host threads.
 //
 // The kernel also provides single-cycle control (Step, which never
 // skips), per-cycle hooks for instrumentation, a fault channel through

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -36,7 +34,6 @@ var ErrLimit = errors.New("sim: cycle limit reached")
 // identical.
 type Kernel struct {
 	modules []Module
-	signals []committer
 	dirty   []committer
 	cycle   uint64
 
@@ -45,11 +42,7 @@ type Kernel struct {
 	// of the event-driven scheduler.
 	anyChange bool
 
-	// fault is guarded by faultMu only while a parallel tick phase is in
-	// flight (modules may Fault concurrently); everywhere else the kernel
-	// is single-threaded and reads it directly.
-	fault   error
-	faultMu sync.Mutex
+	fault error
 
 	afterCycle []func(cycle uint64)
 
@@ -63,24 +56,6 @@ type Kernel struct {
 	sleepersValid bool
 	allSleepers   bool
 	awakeHint     int
-
-	// parallel execution state (see parallel.go). workers is the
-	// configured shard budget (0 = never configured = sequential);
-	// shards is the active partition (nil = sequential tick path);
-	// parallelPhase is true while worker goroutines own the tick phase,
-	// rerouting Signal.Set to the concurrent dirty list: parDirty is a
-	// slot array (one slot per signal suffices, each signal enlists at
-	// most once per cycle) whose cursor parDirtyN concurrent drivers
-	// claim slots from.
-	workers       int
-	shards        []shardInfo
-	shardsValid   bool
-	pool          *tickPool
-	parallelPhase bool
-	parDirty      []committer
-	parDirtyN     atomic.Int64
-	awakeBuf      []int // scratch: awake shard ids, reused across cycles
-	slotBuf       []int // scratch: worker slots for a subset release
 
 	// profiling state; nil unless EnableProfiling was called.
 	profTime  []time.Duration
@@ -98,7 +73,6 @@ func New() *Kernel {
 func (k *Kernel) Add(m Module) {
 	k.modules = append(k.modules, m)
 	k.sleepersValid = false
-	k.shardsValid = false
 }
 
 // Modules returns the registered modules in registration order.
@@ -115,21 +89,14 @@ func (k *Kernel) AfterCycle(fn func(cycle uint64)) {
 }
 
 // Fault aborts the simulation at the end of the current cycle with err.
-// The first fault wins. Modules use this for conditions that have no
-// hardware representation (internal invariant violations), not for
-// modelled error responses. Safe to call from concurrently ticking
-// modules; when several modules fault in the same parallel cycle, which
-// one is reported is unspecified (the faulting cycle is still exact —
-// sequential runs keep registration-order first-wins).
+// The first fault wins: modules tick in registration order, so when
+// several fault in one cycle the earliest registered is reported.
+// Modules use this for conditions that have no hardware representation
+// (internal invariant violations), not for modelled error responses.
 func (k *Kernel) Fault(err error) {
-	if err == nil {
-		return
-	}
-	k.faultMu.Lock()
-	if k.fault == nil {
+	if err != nil && k.fault == nil {
 		k.fault = fmt.Errorf("cycle %d: %w", k.cycle, err)
 	}
-	k.faultMu.Unlock()
 }
 
 // Err returns the pending fault, if any.
@@ -138,60 +105,28 @@ func (k *Kernel) Err() error { return k.fault }
 // Cycle returns the number of fully simulated cycles.
 func (k *Kernel) Cycle() uint64 { return k.cycle }
 
-func (k *Kernel) addSignal(s committer) int {
-	k.signals = append(k.signals, s)
-	return len(k.signals) - 1
-}
-
-func (k *Kernel) markDirty(s committer) {
-	if k.parallelPhase {
-		k.parDirty[k.parDirtyN.Add(1)-1] = s
-		return
-	}
-	k.dirty = append(k.dirty, s)
-}
-
-// Step simulates exactly one clock cycle, ticking every module. It never
-// skips — single-stepping is the finest-grained control the kernel
-// offers; idle jumps happen only inside the run loops. It returns the
-// first module fault raised during the cycle, if any.
+// Step simulates exactly one clock cycle: it ticks every module in
+// registration order, then commits the signals written during the
+// cycle (and any host writes pending from before it). It never skips —
+// single-stepping is the finest-grained control the kernel offers; idle
+// jumps happen only inside the run loops. It returns the first module
+// fault raised during the cycle, if any.
 func (k *Kernel) Step() error {
 	if k.fault != nil {
 		return k.fault
 	}
 	c := k.cycle
-	par := false
-	switch {
-	case k.profTime != nil:
-		// Profiling times modules individually, which only makes sense
-		// sequentially; it takes precedence over parallel ticking.
+	if k.profTime != nil {
 		k.profiledTick(c)
-	default:
-		if !k.shardsValid {
-			k.reshard()
-		}
-		if k.shards != nil {
-			// parallelTick reports false when its fast path ticked the
-			// cycle inline on this goroutine — then the sequential
-			// dirty list already holds every write.
-			par = k.parallelTick(c)
-		} else {
-			for _, m := range k.modules {
-				m.Tick(c)
-			}
+	} else {
+		for _, m := range k.modules {
+			m.Tick(c)
 		}
 	}
 	changed := false
-	if par {
-		// Merge the concurrent and sequential dirty lists — host writes
-		// pending from before the step live on the sequential one — and
-		// commit in registration order: O(dirty), deterministic.
-		changed = k.commitMerged()
-	} else {
-		for _, s := range k.dirty {
-			if s.commit() {
-				changed = true
-			}
+	for _, s := range k.dirty {
+		if s.commit() {
+			changed = true
 		}
 	}
 	k.dirty = k.dirty[:0]

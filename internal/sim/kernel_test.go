@@ -100,6 +100,28 @@ func TestKernelFirstFaultWins(t *testing.T) {
 	}
 }
 
+// TestKernelFirstRegisteredFaultWins pins the tie-break between modules:
+// when two fault in the same cycle, the one registered first is reported,
+// because modules tick in registration order.
+func TestKernelFirstRegisteredFaultWins(t *testing.T) {
+	k := New()
+	e1, e2 := errors.New("first registered"), errors.New("second registered")
+	for _, e := range []error{e1, e2} {
+		k.Add(&FuncModule{Nm: e.Error(), Fn: func(cycle uint64) {
+			if cycle == 2 {
+				k.Fault(e)
+			}
+		}})
+	}
+	err := k.Run(10)
+	if !errors.Is(err, e1) || errors.Is(err, e2) {
+		t.Fatalf("err = %v, want the first registered module's fault only", err)
+	}
+	if got := k.Cycle(); got != 3 {
+		t.Errorf("Cycle() after fault = %d, want 3", got)
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	k := New()
 	s := NewSignal(k, "s", 0)

@@ -10,12 +10,6 @@ package sim
 // lockstep-equivalent answer for an arbitrary closure. Supplying Wake
 // (and, when per-cycle counters must stay exact, OnSkip) lets a fixture
 // participate in skipping.
-//
-// Under parallel execution a FuncModule is serial by default — an
-// arbitrary closure routinely captures state shared with other fixtures,
-// so the safe answer is to co-schedule it with all other serial modules
-// in registration order. Set Parallel when Fn is confined to state this
-// module owns (plus signals it drives) to let it tick concurrently.
 type FuncModule struct {
 	// Nm is the module name reported to diagnostics.
 	Nm string
@@ -28,11 +22,6 @@ type FuncModule struct {
 	// OnSkip, when non-nil, is informed of n skipped pure-wait cycles so
 	// the closure can account for them (see Sleeper.Skip).
 	OnSkip func(n uint64)
-	// Parallel opts Fn in to concurrent ticking (see sim.Concurrent).
-	Parallel bool
-	// Cost is the relative per-Tick host cost for shard balancing
-	// (see sim.Weighted); 0 selects the default weight.
-	Cost int
 }
 
 // Name implements Module.
@@ -55,10 +44,3 @@ func (m *FuncModule) Skip(n uint64) {
 		m.OnSkip(n)
 	}
 }
-
-// ConcurrentTick implements Concurrent: a closure ticks concurrently
-// only when explicitly marked Parallel.
-func (m *FuncModule) ConcurrentTick() bool { return m.Parallel }
-
-// TickWeight implements Weighted.
-func (m *FuncModule) TickWeight() int { return m.Cost }

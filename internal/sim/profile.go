@@ -17,10 +17,7 @@ type ModuleCost struct {
 // module's Tick is timed individually. Call before the first Step.
 // Profiling costs two clock reads per module per cycle, so simulation
 // runs noticeably slower; it exists to *explain* speed (experiment E1's
-// per-module degradation), not to measure absolute throughput. A
-// profiled kernel always ticks sequentially — per-module host timing is
-// meaningless interleaved across cores — so profiling takes precedence
-// over SetWorkers.
+// per-module degradation), not to measure absolute throughput.
 //
 // Under the event-driven scheduler a module's Ticks counter reflects the
 // cycles it was actually ticked; skipped spans appear in Kernel.Sched()

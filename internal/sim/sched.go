@@ -66,10 +66,6 @@ type SchedStats struct {
 	Spans uint64
 	// Lockstep reports whether the kernel is pinned to lockstep stepping.
 	Lockstep bool
-	// Workers is the configured tick-phase parallelism (1 = sequential;
-	// see Kernel.SetWorkers). Orthogonal to Lockstep: lockstep governs
-	// idle-skipping, workers govern how one cycle's ticks are executed.
-	Workers int
 }
 
 // Sched returns the kernel's scheduling counters.
@@ -79,7 +75,6 @@ func (k *Kernel) Sched() SchedStats {
 		Skipped:  k.skipped,
 		Spans:    k.skipSpans,
 		Lockstep: k.lockstep,
-		Workers:  k.Workers(),
 	}
 }
 

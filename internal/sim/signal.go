@@ -4,12 +4,9 @@ import "fmt"
 
 // committer is the kernel-facing side of a signal: commit publishes the
 // pending next value at the end of a cycle and reports whether the visible
-// value changed. signalIndex is the signal's registration index, the
-// order the commit phase merges dirty lists by.
+// value changed.
 type committer interface {
 	commit() (changed bool)
-	signalName() string
-	signalIndex() int
 }
 
 // Signal is a named, clocked wire carrying values of type T between
@@ -20,28 +17,19 @@ type committer interface {
 //
 // A signal is a single-driver wire: at most one module writes it (the
 // hardware "one driver per net" rule; bus links have exactly one master
-// and one slave side signal). Under the kernel's parallel tick engine
-// (see parallel.go) the signal's next-value slot is that driver's
-// private scratch for the cycle, so concurrent shards never contend on
-// it; the kernel merges all slots at the commit barrier in registration
-// order, keeping parallel runs bit-identical to sequential ones
-// (determinism is a correctness requirement for experiment E4). Host
-// code may Set signals between steps in any mode.
+// and one slave side signal). Host code may Set signals between steps.
 type Signal[T comparable] struct {
 	name  string
 	cur   T
 	next  T
 	dirty bool
-	idx   int
 	k     *Kernel
 }
 
 // NewSignal creates a signal registered with kernel k. The initial value is
 // visible from cycle zero onward.
 func NewSignal[T comparable](k *Kernel, name string, init T) *Signal[T] {
-	s := &Signal[T]{name: name, cur: init, next: init, k: k}
-	s.idx = k.addSignal(s)
-	return s
+	return &Signal[T]{name: name, cur: init, next: init, k: k}
 }
 
 // Name returns the signal's diagnostic name.
@@ -58,13 +46,9 @@ func (s *Signal[T]) Set(v T) {
 	s.next = v
 	if !s.dirty {
 		s.dirty = true
-		// A signal has a single driver, so the dirty flag itself is
-		// never contended; only the dirty *list* is shared. During a
-		// parallel tick phase concurrent shards reserve slots in a
-		// preallocated array with an atomic cursor; sequentially, a
-		// plain append. Either way the commit phase receives exactly
-		// the dirtied signals — O(dirty), not O(all signals).
-		s.k.markDirty(s)
+		// The commit phase receives exactly the dirtied signals:
+		// O(dirty), not O(all signals).
+		s.k.dirty = append(s.k.dirty, s)
 	}
 }
 
@@ -88,10 +72,6 @@ func (s *Signal[T]) commit() bool {
 	s.cur = s.next
 	return true
 }
-
-func (s *Signal[T]) signalName() string { return s.name }
-
-func (s *Signal[T]) signalIndex() int { return s.idx }
 
 // String implements fmt.Stringer for diagnostics.
 func (s *Signal[T]) String() string {

@@ -29,10 +29,8 @@ func (k *Kernel) Quiescent() bool { return len(k.dirty) == 0 }
 // WalkState walks the kernel's scheduling state: the clock and the
 // flags the event-driven scheduler consults when deciding whether an
 // idle skip is legal (started, anyChange), plus the cumulative scheduler
-// counters so SchedStats survive a restore. Worker/shard configuration
-// is rebuilt from config, and the parallel engine's scratch buffers plus
-// the awake-probe hint are behavior-neutral caches, so none of them
-// travel.
+// counters so SchedStats survive a restore. The awake-probe hint is a
+// behavior-neutral cache, so it does not travel.
 func (k *Kernel) WalkState(c *snapshot.Codec) error {
 	if !k.Quiescent() {
 		return fmt.Errorf("kernel has %d uncommitted signals", len(k.dirty))

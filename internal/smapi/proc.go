@@ -126,24 +126,6 @@ func (p *Proc) NextWake(now uint64) uint64 {
 	}
 }
 
-// ConcurrentTick implements sim.Concurrent — with false, deliberately:
-// a Proc's Tick resumes arbitrary task code, and tasks routinely share
-// captured host variables with other tasks (pipeline hand-off flags,
-// E8's semaphore bookkeeping) or poke host-driven devices (a DMA
-// engine's descriptor queue). Those accesses are only safe under the
-// sequential interleaving tasks were written against, so every Proc —
-// and everything else serial — is co-scheduled on one shard in
-// registration order. Parallel mode stays bit-identical; Proc-heavy
-// systems simply don't speed up (the ISS configs are the ones that do).
-// Serial ticking also means only one goroutine at a time resumes the
-// coroutine, which is all iter.Pull asks of its caller.
-func (p *Proc) ConcurrentTick() bool { return false }
-
-// TickWeight implements sim.Weighted: an active Proc tick is a coroutine
-// switch into the task and back plus native task code — comparable to
-// an ISS instruction, often costlier.
-func (p *Proc) TickWeight() int { return 8 }
-
 // Skip implements sim.Sleeper: skipped cycles spent blocked on the
 // interconnect or in Sleep are accounted exactly as ticked ones.
 func (p *Proc) Skip(n uint64) {

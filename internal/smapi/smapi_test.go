@@ -265,40 +265,33 @@ func TestProcPanicBecomesFault(t *testing.T) {
 
 func TestProcPanicAfterResumesBecomesFault(t *testing.T) {
 	// The task panics after a memory op and a Sleep, i.e. on a later
-	// resume than the first, while another Proc is still mid-task. Under
-	// SetWorkers(4) the Procs resume from the parallel engine's serial
-	// shard.
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			steady := func(ctx *Ctx) {
-				for i := 0; i < 1000; i++ {
-					ctx.Sleep(1)
-				}
-			}
-			late := func(ctx *Ctx) {
-				if _, code := ctx.Mem(0).Malloc(4, bus.U32); code != bus.OK {
-					panic(code)
-				}
-				ctx.Sleep(5)
-				panic("late boom")
-			}
-			k, procs, _ := buildSystem(t, []Task{steady, late}, core.Config{Delays: core.DefaultDelays()})
-			k.SetWorkers(workers)
-			err := k.Run(10000)
-			if err == nil || !strings.Contains(err.Error(), "pe1: task panic: late boom") {
-				t.Fatalf("err = %v, want pe1's task panic fault", err)
-			}
-			p := procs[1]
-			if !p.Done() || p.RetiredTasks != 1 {
-				t.Errorf("panicking Proc: Done = %v, RetiredTasks = %d; want true, 1", p.Done(), p.RetiredTasks)
-			}
-			if p.OpsIssued != 1 || p.SleepCycles == 0 {
-				t.Errorf("panicking Proc: OpsIssued = %d, SleepCycles = %d; want 1, > 0", p.OpsIssued, p.SleepCycles)
-			}
-			if procs[0].Done() {
-				t.Error("the other Proc retired before the fault")
-			}
-		})
+	// resume than the first, while another Proc is still mid-task.
+	steady := func(ctx *Ctx) {
+		for i := 0; i < 1000; i++ {
+			ctx.Sleep(1)
+		}
+	}
+	late := func(ctx *Ctx) {
+		if _, code := ctx.Mem(0).Malloc(4, bus.U32); code != bus.OK {
+			panic(code)
+		}
+		ctx.Sleep(5)
+		panic("late boom")
+	}
+	k, procs, _ := buildSystem(t, []Task{steady, late}, core.Config{Delays: core.DefaultDelays()})
+	err := k.Run(10000)
+	if err == nil || !strings.Contains(err.Error(), "pe1: task panic: late boom") {
+		t.Fatalf("err = %v, want pe1's task panic fault", err)
+	}
+	p := procs[1]
+	if !p.Done() || p.RetiredTasks != 1 {
+		t.Errorf("panicking Proc: Done = %v, RetiredTasks = %d; want true, 1", p.Done(), p.RetiredTasks)
+	}
+	if p.OpsIssued != 1 || p.SleepCycles == 0 {
+		t.Errorf("panicking Proc: OpsIssued = %d, SleepCycles = %d; want 1, > 0", p.OpsIssued, p.SleepCycles)
+	}
+	if procs[0].Done() {
+		t.Error("the other Proc retired before the fault")
 	}
 }
 

@@ -57,13 +57,13 @@
 // version could shard the tick phase across host threads. A probe
 // counted, before each stepped cycle, the awake modules that could tick
 // concurrently and cost at least half an ISS tick: two or more were
-// awake on 22.4% of iss_gsm's stepped cycles, 0.5% of coherent_l1's
+// awake on 22.7% of iss_gsm's stepped cycles, 0.5% of coherent_l1's
 // and none of dynmem_churn's, dynmem_rw's or l2_dram's (their PEs and
-// snooped caches share one serial group). With two workers on a 2-vCPU
-// host iss_gsm did not gain (16.4M → 16.9M cycles/s, overlapping
-// ranges) and coherent_l1 fell from 6.08M to 1.84M cycles/s, so the
-// sharded engine was deleted. Speed comes from idle-skip and from the
-// modules' own host paths, not from host threads.
+// snooped caches shared one serial group). With two workers on a
+// 2-vCPU host iss_gsm ran 19% faster and coherent_l1 71% slower, and
+// every benchmarked run used one worker, so the sharded engine was
+// deleted. Speed comes from idle-skip and from the modules' own host
+// paths, not from host threads.
 //
 // The kernel also provides single-cycle control (Step, which never
 // skips), per-cycle hooks for instrumentation, a fault channel through

@@ -87,35 +87,27 @@ func TestKernelFaultStopsRun(t *testing.T) {
 	}
 }
 
+// TestKernelFirstFaultWins pins both tie-breaks: a module's first fault
+// beats its second, and when two modules fault in the same cycle the one
+// registered first is reported, because modules tick in registration
+// order.
 func TestKernelFirstFaultWins(t *testing.T) {
 	k := New()
-	e1, e2 := errors.New("first"), errors.New("second")
+	e1, e2, e3 := errors.New("first"), errors.New("second"), errors.New("later module")
 	k.Add(&FuncModule{Nm: "f", Fn: func(cycle uint64) {
-		k.Fault(e1)
-		k.Fault(e2)
+		if cycle == 2 {
+			k.Fault(e1)
+			k.Fault(e2)
+		}
 	}})
-	err := k.Step()
-	if !errors.Is(err, e1) || errors.Is(err, e2) {
-		t.Fatalf("err = %v, want first fault only", err)
-	}
-}
-
-// TestKernelFirstRegisteredFaultWins pins the tie-break between modules:
-// when two fault in the same cycle, the one registered first is reported,
-// because modules tick in registration order.
-func TestKernelFirstRegisteredFaultWins(t *testing.T) {
-	k := New()
-	e1, e2 := errors.New("first registered"), errors.New("second registered")
-	for _, e := range []error{e1, e2} {
-		k.Add(&FuncModule{Nm: e.Error(), Fn: func(cycle uint64) {
-			if cycle == 2 {
-				k.Fault(e)
-			}
-		}})
-	}
+	k.Add(&FuncModule{Nm: "g", Fn: func(cycle uint64) {
+		if cycle == 2 {
+			k.Fault(e3)
+		}
+	}})
 	err := k.Run(10)
-	if !errors.Is(err, e1) || errors.Is(err, e2) {
-		t.Fatalf("err = %v, want the first registered module's fault only", err)
+	if !errors.Is(err, e1) || errors.Is(err, e2) || errors.Is(err, e3) {
+		t.Fatalf("err = %v, want the first registered module's first fault only", err)
 	}
 	if got := k.Cycle(); got != 3 {
 		t.Errorf("Cycle() after fault = %d, want 3", got)
